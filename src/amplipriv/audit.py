@@ -273,7 +273,6 @@ def verify_amplification(
     n_samples: int = 100_000,
     seed: int = 0,
     claim: Optional[dict] = None,
-    max_workers: int = 1,
 ) -> AuditTable:
     """Check the amplified budget against the measured divergence.
 
@@ -286,8 +285,7 @@ def verify_amplification(
 
     ``claim`` optionally replaces the accountant with a user-asserted
     {"epsilon": e, "delta": d} hypothesis, so claimed budgets can be audited
-    and refuted. Epsilon entries are independent tasks; ``max_workers`` lets
-    them run on a thread pool, with results collected in input order.
+    and refuted.
     """
     if method not in ("exact", "mc"):
         raise ValueError("method must be 'exact' or 'mc'")
@@ -330,13 +328,7 @@ def verify_amplification(
         )
         return row, report
 
-    if max_workers > 1 and len(epsilons) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(one, epsilons))
-    else:
-        results = [one(e) for e in epsilons]
+    results = [one(e) for e in epsilons]
     rows = tuple(r for r, _ in results)
     last_report = results[-1][1] if results else None
     return AuditTable(rows=rows, report=last_report)

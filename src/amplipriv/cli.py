@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 from typing import Optional
@@ -23,7 +22,7 @@ import numpy as np
 from .accountant import amplify_fwl
 from .audit import tightness_counterexample, verify_amplification
 from .datasets import CompleteDataset, is_neighbor, load_dataset_csv
-from .errors import SchemaError, UnsupportedMechanismError
+from .errors import BudgetRangeError, SchemaError, UnsupportedMechanismError
 from .missingness import (
     DatasetMechanism,
     classify,
@@ -36,6 +35,7 @@ from .noise import (
     GAUSSIAN,
     LAPLACE,
     ComposedMechanism,
+    PrivacyBudget,
     calibrate_gaussian,
     calibrate_laplace,
     release_record,
@@ -119,7 +119,12 @@ class Scenario:
     @property
     def budget(self):
         b = self._need("budget")
-        return float(b["epsilon"]), float(b.get("delta", 0.0))
+        eps = float(b["epsilon"])
+        try:
+            PrivacyBudget(eps)
+        except BudgetRangeError as exc:
+            raise SchemaError(f"scenario.budget.epsilon: {exc}") from None
+        return eps, float(b.get("delta", 0.0))
 
     @property
     def family(self) -> str:
@@ -195,15 +200,16 @@ def _calibrated(scn: Scenario, query: FwlQuery):
 
 
 def _render_value(v) -> str:
+    # numpy scalars subclass float but repr as np.float64(x)
     if isinstance(v, float):
-        return repr(v)
+        return repr(float(v))
     return str(v)
 
 
 def _stable_json(obj) -> str:
     def convert(o):
         if isinstance(o, float):
-            return repr(o)
+            return repr(float(o))
         if isinstance(o, dict):
             return {k: convert(v) for k, v in o.items()}
         if isinstance(o, (list, tuple)):
@@ -307,7 +313,6 @@ def _cmd_audit(scn: Scenario, out_dir: Path, stem: str, fmt: str) -> int:
         n_samples=int(audit_spec.get("samples", 100_000)),
         seed=scn.seed,
         claim=audit_spec.get("claim"),
-        max_workers=int(os.environ.get("AMPLIPRIV_THREADS", "1")),
     )
     rows = _audit_rows_to_dicts(table)
     emit_report({"rows": rows}, "csv", out_dir / f"{stem}_audit.csv")

@@ -37,8 +37,10 @@ class PrivacyBudget:
     delta: float = 0.0
 
     def __post_init__(self):
-        if self.epsilon < 0:
-            raise BudgetRangeError("epsilon must be nonnegative")
+        if not 0 <= self.epsilon < math.inf:
+            raise BudgetRangeError(
+                f"epsilon must be finite and nonnegative, got {self.epsilon!r}"
+            )
         if not 0 <= self.delta <= 1:
             raise BudgetRangeError("delta must lie in [0, 1]")
 

@@ -119,6 +119,28 @@ class TestQuadrature:
         est = hockey_stick_mixture_1d(p, q, eps, tol=1e-10)
         assert est.value == pytest.approx(laplace_delta(1.0, 1.0, eps), abs=1e-8)
 
+    @pytest.mark.parametrize("family", ["gaussian", "laplace"])
+    def test_tolerance_bounds_closed_form_error(self, family):
+        oracle = gauss_delta if family == "gaussian" else laplace_delta
+        misses = []
+        for shift in (0.5, 1.0, 2.0):
+            for scale in (0.3, 1.0, 3.0):
+                for eps in (0.0, 0.5, 1.0, 2.0, 4.0, 8.0):
+                    p = MixtureSpec(((1.0, family, 0.0, scale),))
+                    q = MixtureSpec(((1.0, family, shift, scale),))
+                    est = hockey_stick_mixture_1d(p, q, eps, tol=1e-9)
+                    err = abs(est.value - oracle(shift, scale, eps))
+                    if err > est.tolerance:
+                        misses.append((shift, scale, eps, err, est.tolerance))
+        assert not misses
+
+    def test_tail_delta_keeps_its_digits(self):
+        # delta ~ 7e-200, far below the float spacing of the masses it differences
+        p = MixtureSpec(((1.0, "gaussian", 0.0, 1.0),))
+        q = MixtureSpec(((1.0, "gaussian", 0.1, 1.0),))
+        est = hockey_stick_mixture_1d(p, q, 3.0)
+        assert est.value == pytest.approx(gauss_delta(0.1, 1.0, 3.0), rel=1e-8)
+
     def test_equal_mixtures(self):
         p = MixtureSpec(((0.5, "gaussian", 0.0, 1.0), (0.5, "laplace", 1.0, 0.5)))
         assert hockey_stick_mixture_1d(p, p, 0.3, tol=1e-9).value == 0.0
