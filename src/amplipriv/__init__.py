@@ -46,8 +46,6 @@ from .divergence import (
     MixtureSpec,
     hockey_stick_discrete,
     hockey_stick_mixture_1d,
-    mc_delta_estimate,
-    mc_delta_mixtures,
     mix_discrete,
 )
 from .errors import (
@@ -88,7 +86,6 @@ from .noise import (
     calibrate_gaussian,
     calibrate_laplace,
     log_output_density,
-    output_density,
     release_record,
     run_composed,
     run_mechanism,

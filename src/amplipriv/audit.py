@@ -20,21 +20,18 @@ import numpy as np
 from .accountant import AmplificationReport, amplify_fwl
 from .datasets import CompleteDataset, MaskMatrix, NeighborPair, apply_mask
 from .divergence import (
-    METHOD_MC,
-    DivergenceEstimate,
     MixtureSpec,
-    _Z99,
+    VectorMixture,
     hockey_stick_mixture_1d,
+    mc_delta_vector,
 )
 from .errors import DimensionError, MechanismConsistencyError, UnsupportedMechanismError
 from .missingness import (
-    _KEY_MC,
     DatasetMechanism,
     MarAnchoredPattern,
     MechanismClass,
     classify,
     p_star,
-    substream,
     tight_rho,
 )
 from .noise import (
@@ -122,115 +119,44 @@ def mixture_decomposition(
     return MixtureDecomposition(p_star=ps, w0=w0, w1=w1, w1p=w1p)
 
 
+def _centre_law(cm: ComposedMechanism, dataset: CompleteDataset) -> list:
+    """(centre tuple, weight) pairs of the output law over the mask support:
+    bit-identical centres merged, sorted by centre, zero weights dropped."""
+    q = cm.noise.query
+    acc: dict = {}
+    for mask, prob in _dataset_support(cm.missing, dataset):
+        center = tuple(q(apply_mask(dataset, mask)).tolist())
+        acc[center] = acc.get(center, 0.0) + prob
+    return [(c, w) for c, w in sorted(acc.items()) if w > 0.0]
+
+
 def composed_output_mixture(
     cm: ComposedMechanism, dataset: CompleteDataset
 ) -> MixtureSpec:
-    """Output law of the composed mechanism as a 1-D noise mixture.
-
-    Requires a scalar query output; components with bit-identical centers are
-    merged, and the component list is sorted by center for determinism.
-    """
-    q = cm.noise.query
-    if q.output_dim != 1:
+    """Output law of the composed mechanism as a 1-D noise mixture."""
+    if cm.noise.query.output_dim != 1:
         raise DimensionError(
             "exact mixture enumeration needs a 1-D query output; use Monte Carlo "
             "for vector outputs"
         )
-    acc: dict = {}
-    for mask, prob in _dataset_support(cm.missing, dataset):
-        center = float(q(apply_mask(dataset, mask))[0])
-        acc[center] = acc.get(center, 0.0) + prob
-    comps = tuple(
-        (w, cm.noise.family, center, cm.noise.scale)
-        for center, w in sorted(acc.items())
-        if w > 0.0
+    return MixtureSpec(
+        tuple(
+            (w, cm.noise.family, c, cm.noise.scale)
+            for (c,), w in _centre_law(cm, dataset)
+        )
     )
-    return MixtureSpec(comps)
-
-
-@dataclass(frozen=True)
-class VectorMixture:
-    """Mixture of k-dimensional product noise around enumerated centers.
-
-    The Monte Carlo audit path works at any output dimension, so composed
-    mechanisms whose query returns a vector are estimated through this rather
-    than the 1-D quadrature representation.
-    """
-
-    weights: np.ndarray
-    centers: np.ndarray
-    family: str
-    scale: float
-
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        k = self.centers.shape[1]
-        idx = rng.choice(len(self.weights), size=size, p=self.weights)
-        out = self.centers[idx].copy()
-        if self.family == LAPLACE:
-            u = np.clip(rng.random((size, k)), 1e-300, 1.0 - 1e-16)
-            out += np.where(
-                u < 0.5,
-                self.scale * np.log(2 * u),
-                -self.scale * np.log(2 * (1 - u)),
-            )
-        else:
-            out += self.scale * rng.standard_normal((size, k))
-        return out
-
-    def log_density(self, x: np.ndarray) -> np.ndarray:
-        k = self.centers.shape[1]
-        resid = x[:, None, :] - self.centers[None, :, :]  # (size, m, k)
-        if self.family == LAPLACE:
-            comp = -np.abs(resid).sum(axis=2) / self.scale - k * math.log(
-                2.0 * self.scale
-            )
-        else:
-            comp = -(resid * resid).sum(axis=2) / (2.0 * self.scale**2) - k * math.log(
-                self.scale * math.sqrt(2.0 * math.pi)
-            )
-        comp = comp + np.log(self.weights)[None, :]
-        peak = comp.max(axis=1)
-        return peak + np.log(np.exp(comp - peak[:, None]).sum(axis=1))
 
 
 def composed_vector_mixture(
     cm: ComposedMechanism, dataset: CompleteDataset
 ) -> VectorMixture:
     """Output law at any output dimension, for Monte Carlo estimation."""
-    q = cm.noise.query
-    acc: dict = {}
-    for mask, prob in _dataset_support(cm.missing, dataset):
-        center = tuple(float(v) for v in q(apply_mask(dataset, mask)))
-        acc[center] = acc.get(center, 0.0) + prob
-    items = sorted(acc.items())
+    law = _centre_law(cm, dataset)
     return VectorMixture(
-        weights=np.array([w for _, w in items]),
-        centers=np.array([c for c, _ in items]),
+        weights=np.array([w for _, w in law]),
+        centers=np.array([c for c, _ in law]),
         family=cm.noise.family,
         scale=cm.noise.scale,
-    )
-
-
-def mc_delta_vector(
-    P: VectorMixture, Q: VectorMixture, epsilon: float, n_samples: int, seed: int
-) -> DivergenceEstimate:
-    """Monte Carlo divergence between two vector noise mixtures (log-space)."""
-    if n_samples < 1000:
-        raise ValueError("need at least 1000 samples for the CI to mean anything")
-    rng = substream(seed, _KEY_MC, 0)
-    x = P.sample(rng, n_samples)
-    log_p = P.log_density(x)
-    log_q = Q.log_density(x)
-    with np.errstate(over="ignore"):
-        stat = np.clip(1.0 - np.exp(epsilon + log_q - log_p), 0.0, None)
-    est = float(np.mean(stat))
-    half = _Z99 * float(np.std(stat, ddof=1)) / math.sqrt(n_samples)
-    return DivergenceEstimate(
-        value=min(est, 1.0),
-        method=METHOD_MC,
-        epsilon_at=epsilon,
-        ci=(max(est - half, 0.0), min(est + half, 1.0)),
-        seed=seed,
     )
 
 

@@ -98,6 +98,17 @@ def _build_query(spec: dict) -> FwlQuery:
 # --- scenario loading -----------------------------------------------------------
 
 
+def _finite(value, field: str) -> float:
+    """``value`` as a finite float, or a SchemaError naming ``field``."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        raise SchemaError(f"scenario.{field}: expected a number, got {value!r}") from None
+    if not math.isfinite(x):
+        raise SchemaError(f"scenario.{field}: must be finite, got {x!r}")
+    return x
+
+
 class Scenario:
     """Validated view of a scenario file."""
 
@@ -109,7 +120,7 @@ class Scenario:
         if "seed" not in raw:
             raise SchemaError("scenario.seed: a seed is mandatory")
         self.seed = int(raw["seed"])
-        self.bound_B = float(self._need("bound_B"))
+        self.bound_B = _finite(self._need("bound_B"), "bound_B")
 
     def _need(self, key):
         if key not in self.raw:
@@ -137,9 +148,11 @@ class Scenario:
         return _build_query(self._need("query"))
 
     def mechanism(self, n: int) -> DatasetMechanism:
-        return DatasetMechanism(
-            feature_mechanism_from_spec(self._need("mechanism")), n=n
-        )
+        try:
+            feature_mech = feature_mechanism_from_spec(self._need("mechanism"))
+        except SchemaError as exc:
+            raise SchemaError(f"scenario.mechanism.{exc}") from None
+        return DatasetMechanism(feature_mech, n=n)
 
     def dataset(self) -> CompleteDataset:
         spec = self._need("dataset")
@@ -164,6 +177,10 @@ class Scenario:
         left = self.dataset()
         spec = self._need("neighbor")
         row = int(spec["row"])
+        if not 0 <= row < left.n:
+            raise SchemaError(
+                f"scenario.neighbor.row: {row} is out of range for {left.n} rows"
+            )
         replacement = tuple(float(v) for v in spec["replacement"])
         right = left.substitute(row, replacement)
         pair = is_neighbor(left, right)
@@ -173,11 +190,27 @@ class Scenario:
 
     def epsilon_grid(self):
         eps, _ = self.budget
-        return [float(e) for e in self.raw.get("epsilon_grid", [eps])]
+        return [
+            _finite(e, f"epsilon_grid[{i}]")
+            for i, e in enumerate(self.raw.get("epsilon_grid", [eps]))
+        ]
+
+    def audit_options(self) -> dict:
+        """The audit block as ``verify_amplification`` keywords, numbers checked."""
+        spec = self.raw.get("audit", {})
+        claim = spec.get("claim")
+        if claim is not None:
+            claim = {k: _finite(claim.get(k), f"audit.claim.{k}") for k in ("epsilon", "delta")}
+        return {
+            "method": spec.get("method", "exact"),
+            "tol": _finite(spec.get("tolerance", 1e-9), "audit.tolerance"),
+            "n_samples": int(_finite(spec.get("samples", 100_000), "audit.samples")),
+            "claim": claim,
+        }
 
     def declared_rho(self, missing: DatasetMechanism) -> float:
         if "rho" in self.raw:
-            rho = float(self.raw["rho"])
+            rho = _finite(self.raw["rho"], "rho")
             if not verify_rho(missing, rho):
                 raise SchemaError(
                     f"scenario.rho: declared bound {rho} is violated by the "
@@ -302,17 +335,12 @@ def _cmd_audit(scn: Scenario, out_dir: Path, stem: str, fmt: str) -> int:
     missing = scn.mechanism(n=query.n)
     scn.declared_rho(missing)  # validates any declared bound
     pair = scn.neighbor_pair()
-    audit_spec = scn.raw.get("audit", {})
-    method = audit_spec.get("method", "exact")
     table = verify_amplification(
         ComposedMechanism(noise=mech, missing=missing),
         pair,
         scn.epsilon_grid(),
-        method=method,
-        tol=float(audit_spec.get("tolerance", 1e-9)),
-        n_samples=int(audit_spec.get("samples", 100_000)),
         seed=scn.seed,
-        claim=audit_spec.get("claim"),
+        **scn.audit_options(),
     )
     rows = _audit_rows_to_dicts(table)
     emit_report({"rows": rows}, "csv", out_dir / f"{stem}_audit.csv")

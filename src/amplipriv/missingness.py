@@ -503,6 +503,20 @@ def table_score(
     joined bin indices key into ``score_table``.
     """
     cuts = [sorted(float(t) for t in ts) for ts in thresholds]
+    table = {}
+    for key, row in score_table.items():
+        row = tuple(float(s) for s in row)
+        if len(row) != n_candidates:
+            raise SchemaError(
+                f"score_table: row '{key}' has {len(row)} scores for "
+                f"{n_candidates} candidates"
+            )
+        if any(s < 0 for s in row) or not abs(math.fsum(row) - 1.0) <= _PROB_TOL:
+            raise SchemaError(
+                f"score_table: row '{key}' must be nonnegative and sum to 1, "
+                f"got {list(row)!r}"
+            )
+        table[key] = row
 
     def score(anchor_values: tuple) -> tuple:
         if len(anchor_values) != len(cuts):
@@ -510,12 +524,9 @@ def table_score(
         key = ",".join(
             str(bisect_right(cuts[i], v)) for i, v in enumerate(anchor_values)
         )
-        if key not in score_table:
-            raise SchemaError(f"score_table has no entry for bin key '{key}'")
-        row = score_table[key]
-        if len(row) != n_candidates:
-            raise SchemaError("score_table row length does not match candidates")
-        return tuple(float(s) for s in row)
+        if key not in table:
+            raise SchemaError(f"score_table: no entry for bin key '{key}'")
+        return table[key]
 
     return score
 
@@ -523,7 +534,7 @@ def table_score(
 def feature_mechanism_from_spec(spec: dict) -> FeatureMechanism:
     """Parse the JSON mechanism spec format."""
     if not isinstance(spec, dict) or "kind" not in spec:
-        raise SchemaError("mechanism spec must be an object with a 'kind' field")
+        raise SchemaError("kind: a mechanism spec is an object with a 'kind' field")
     kind = spec["kind"]
     if isinstance(kind, str) and kind.lower().startswith("mnar"):
         raise UnsupportedMechanismError(
@@ -538,6 +549,8 @@ def feature_mechanism_from_spec(spec: dict) -> FeatureMechanism:
         return McarPattern([(p["mask"], p["prob"]) for p in spec["patterns"]])
     if kind == "mar_anchored":
         candidates = spec["candidates"]
+        if not candidates:
+            raise SchemaError("candidates: need at least one candidate mask")
         score = table_score(
             spec["thresholds"], spec["score_table"], len(candidates)
         )
@@ -548,7 +561,7 @@ def feature_mechanism_from_spec(spec: dict) -> FeatureMechanism:
             candidates=candidates,
             score=score,
         )
-    raise SchemaError(f"unknown mechanism kind '{kind}'")
+    raise SchemaError(f"kind: unknown mechanism kind '{kind}'")
 
 
 def load_mechanism_spec(path) -> FeatureMechanism:

@@ -2,10 +2,12 @@
 missing-data mechanism: draw mask, apply it, run the query, add noise.
 
 Calibration always uses the complete-data constant; amplification from
-missingness is accounted afterwards, never re-calibrated away. Noise sampling
-goes through explicit inverse-CDF (Laplace) and pair-transform (Gaussian)
-routines on a counter-based uniform stream so outputs are bit-reproducible
-across platforms for a fixed seed.
+missingness is accounted afterwards, never re-calibrated away. Each noise
+family is one entry of ``FAMILIES``: a unit draw (inverse CDF for Laplace,
+Box-Muller pairs for Gaussian) on a counter-based uniform stream, so outputs
+are bit-reproducible across platforms for a fixed seed, plus the
+log-normaliser, penalty and tail mass that every density and divergence in
+the package reads.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -29,6 +31,63 @@ GAUSSIAN_MARGIN = 1.0 + 1e-6
 
 LAPLACE = "laplace"
 GAUSSIAN = "gaussian"
+
+
+def _laplace_draw(rng: np.random.Generator, shape: tuple) -> np.ndarray:
+    u = np.clip(rng.random(shape), 1e-300, 1.0 - 1e-16)
+    return np.where(u < 0.5, np.log(2.0 * u), -np.log(2.0 * (1.0 - u)))
+
+
+def _gaussian_draw(rng: np.random.Generator, shape: tuple) -> np.ndarray:
+    k = math.prod(shape)
+    pairs = (k + 1) // 2
+    u1 = np.clip(rng.random(pairs), 1e-300, 1.0)
+    u2 = rng.random(pairs)
+    r = np.sqrt(-2.0 * np.log(u1))
+    theta = 2.0 * math.pi * u2
+    return np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:k].reshape(shape)
+
+
+def _half_square(z: np.ndarray) -> np.ndarray:
+    z *= z
+    z *= 0.5
+    return z
+
+
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
+@dataclass(frozen=True)
+class NoiseFamily:
+    """One noise family at unit scale.
+
+    A coordinate at centre c and scale s has log-density
+    ``-log_norm(s) - penalty((x - c) / s)``. ``penalty`` works in place on a
+    float array; ``tail(|z|)`` is the mass beyond |z| on the far side of the
+    centre, computed directly so tail masses far below 1e-16 keep their digits.
+    """
+
+    draw: Callable[[np.random.Generator, tuple], np.ndarray]
+    log_norm: Callable[[float], float]
+    penalty: Callable[[np.ndarray], np.ndarray]
+    tail: Callable[[np.ndarray], np.ndarray]
+
+
+# table order is the column order, and so the summation order, of mixture kernels
+FAMILIES = {
+    GAUSSIAN: NoiseFamily(
+        draw=_gaussian_draw,
+        log_norm=lambda s: math.log(s * math.sqrt(2.0 * math.pi)),
+        penalty=_half_square,
+        tail=lambda z: 0.5 * _erfc(z / math.sqrt(2.0)).astype(float),
+    ),
+    LAPLACE: NoiseFamily(
+        draw=_laplace_draw,
+        log_norm=lambda s: math.log(2.0 * s),
+        penalty=lambda z: np.abs(z, out=z),
+        tail=lambda z: 0.5 * np.exp(-z),
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -57,7 +116,7 @@ class NoiseMechanism:
     bound_B: float
 
     def __post_init__(self):
-        if self.family not in (LAPLACE, GAUSSIAN):
+        if self.family not in FAMILIES:
             raise ValueError(f"unknown noise family '{self.family}'")
         if self.scale <= 0:
             raise ValueError("noise scale must be positive")
@@ -125,30 +184,11 @@ def calibrate_gaussian(
     )
 
 
-def _laplace_noise(rng: np.random.Generator, k: int, scale: float) -> np.ndarray:
-    u = np.clip(rng.random(k), 1e-300, 1.0 - 1e-16)
-    return np.where(u < 0.5, scale * np.log(2.0 * u), -scale * np.log(2.0 * (1.0 - u)))
-
-
-def _gaussian_noise(rng: np.random.Generator, k: int, scale: float) -> np.ndarray:
-    pairs = (k + 1) // 2
-    u1 = np.clip(rng.random(pairs), 1e-300, 1.0)
-    u2 = rng.random(pairs)
-    r = np.sqrt(-2.0 * np.log(u1))
-    theta = 2.0 * math.pi * u2
-    z = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:k]
-    return scale * z
-
-
 def run_mechanism(m: NoiseMechanism, data: IncompleteDataset, seed: int) -> np.ndarray:
     """Release f(data) plus i.i.d. noise of the declared family and scale."""
     center = m.query(data)
     rng = substream(seed, _KEY_NOISE, 0)
-    if m.family == LAPLACE:
-        noise = _laplace_noise(rng, m.query.output_dim, m.scale)
-    else:
-        noise = _gaussian_noise(rng, m.query.output_dim, m.scale)
-    return center + noise
+    return center + m.scale * FAMILIES[m.family].draw(rng, (m.query.output_dim,))
 
 
 @dataclass(frozen=True)
@@ -170,25 +210,15 @@ def run_composed(cm: ComposedMechanism, data: CompleteDataset, seed: int) -> Com
     return ComposedRun(output=out, mask_used=mask)
 
 
-def output_density(m: NoiseMechanism, data: IncompleteDataset, point) -> float:
-    """Exact product density of the mechanism's output at a point."""
-    return math.exp(log_output_density(m, data, point))
-
-
 def log_output_density(m: NoiseMechanism, data: IncompleteDataset, point) -> float:
+    """Exact log product density of the mechanism's output at a point."""
     center = m.query(data)
     t = np.asarray(point, dtype=float).reshape(-1)
     if t.shape != center.shape:
         raise DimensionError("point dimension does not match the query output")
-    resid = t - center
-    if m.family == LAPLACE:
-        return float(
-            -np.sum(np.abs(resid)) / m.scale - len(t) * math.log(2.0 * m.scale)
-        )
-    return float(
-        -np.sum(resid * resid) / (2.0 * m.scale**2)
-        - len(t) * math.log(m.scale * math.sqrt(2.0 * math.pi))
-    )
+    fam = FAMILIES[m.family]
+    z = fam.penalty((t - center) / m.scale)
+    return float(-np.sum(z) - len(t) * fam.log_norm(m.scale))
 
 
 def release_record(

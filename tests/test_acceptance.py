@@ -34,8 +34,7 @@ from amplipriv import (
     linear_combination,
     lipschitz_postprocess,
     make_standard_query,
-    mc_delta_estimate,
-    mc_delta_mixtures,
+    mc_delta_vector,
     mix_discrete,
     sensitivity_masked,
     tightness_counterexample,
@@ -290,16 +289,9 @@ def test_c09_estimator_cross_validation():
     quadrature across random mixture pairs."""
     with criterion("C9 estimator cross-validation", 120.0):
         # closed-form Gaussian oracle at the total-variation point
-        def sampler(rng, size):
-            return rng.standard_normal(size)
-
-        def p_density(x):
-            return np.exp(-x * x / 2) / math.sqrt(2 * math.pi)
-
-        def q_density(x):
-            return np.exp(-((x - 1.0) ** 2) / 2) / math.sqrt(2 * math.pi)
-
-        est = mc_delta_estimate(sampler, p_density, q_density, 0.0, 10**6, seed=909)
+        p_unit = MixtureSpec(((1.0, "gaussian", 0.0, 1.0),))
+        q_unit = MixtureSpec(((1.0, "gaussian", 1.0, 1.0),))
+        est = mc_delta_vector(p_unit, q_unit, 0.0, 10**6, seed=909)
         assert est.ci[0] <= GAUSS_TV_UNIT_SHIFT <= est.ci[1]
 
         rng = np.random.default_rng(910)
@@ -318,7 +310,7 @@ def test_c09_estimator_cross_validation():
             p_mix, q_mix = rand_mixture(), rand_mixture()
             eps = float(rng.uniform(0.0, 1.0))
             exact = hockey_stick_mixture_1d(p_mix, q_mix, eps, tol=1e-9)
-            mc = mc_delta_mixtures(p_mix, q_mix, eps, n_samples=10**5, seed=trial)
+            mc = mc_delta_vector(p_mix, q_mix, eps, n_samples=10**5, seed=trial)
             half = (mc.ci[1] - mc.ci[0]) / 2
             assert abs(mc.value - exact.value) <= 3 * half + 1e-9
 

@@ -180,6 +180,44 @@ class TestSchemaDiagnostics:
         assert run(command, path, tmp_path) == 1
         assert "scenario.budget.epsilon" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", [
+        "bound_B", "rho", "epsilon_grid[1]", "audit.tolerance", "audit.samples",
+        "audit.claim.epsilon", "audit.claim.delta",
+    ])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_nonfinite_numbers_rejected(self, tmp_path, laplace_scn, capsys, field, value):
+        scn = json.loads(laplace_scn.read_text())
+        scn["audit"]["claim"] = {"epsilon": 0.5, "delta": 0.01}
+        scn["audit"]["samples"] = 2000
+        if field == "epsilon_grid[1]":
+            scn["epsilon_grid"][1] = value
+        else:
+            *parents, leaf = field.split(".")
+            node = scn
+            for key in parents:
+                node = node[key]
+            node[leaf] = value
+        path = tmp_path / "nonfinite.json"
+        path.write_text(json.dumps(scn))
+        assert run("audit", path, tmp_path) == 1
+        assert f"scenario.{field}: must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, edit", [
+        ("scenario.mechanism.score_table",
+         lambda scn: scn["mechanism"]["score_table"].update({"1": [0.2, 0.7]})),
+        ("scenario.mechanism.candidates",
+         lambda scn: scn["mechanism"].update(candidates=[])),
+        ("scenario.neighbor.row", lambda scn: scn["neighbor"].update(row=7)),
+    ])
+    def test_malformed_scenario_names_the_field(self, tmp_path, laplace_scn, capsys,
+                                                field, edit):
+        scn = json.loads(laplace_scn.read_text())
+        edit(scn)
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(scn))
+        assert run("audit", path, tmp_path) == 1
+        assert field in capsys.readouterr().err
+
 
 class TestCsvDataset:
     def test_dataset_from_csv_file(self, tmp_path, laplace_scn):

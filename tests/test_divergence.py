@@ -11,10 +11,10 @@ from amplipriv import (
     DiscreteDistribution,
     MixtureSpec,
     SupportError,
+    VectorMixture,
     hockey_stick_discrete,
     hockey_stick_mixture_1d,
-    mc_delta_estimate,
-    mc_delta_mixtures,
+    mc_delta_vector,
     mix_discrete,
 )
 
@@ -163,6 +163,11 @@ class TestQuadrature:
         with pytest.raises(ValueError):
             hockey_stick_mixture_1d(p, p, 0.5, tol=-1.0)
 
+    def test_nan_tol_rejected(self):
+        p = MixtureSpec(((1.0, "gaussian", 0.0, 1.0),))
+        with pytest.raises(ValueError):
+            hockey_stick_mixture_1d(p, p, 0.5, tol=math.nan)
+
     def test_mixture_vs_mc_consistency(self):
         rng = np.random.default_rng(7)
         for trial in range(6):
@@ -182,7 +187,7 @@ class TestQuadrature:
             p, q = rand_mixture(), rand_mixture()
             eps = float(rng.uniform(0, 1))
             exact = hockey_stick_mixture_1d(p, q, eps, tol=1e-9)
-            mc = mc_delta_mixtures(p, q, eps, n_samples=200_000, seed=trial)
+            mc = mc_delta_vector(p, q, eps, n_samples=200_000, seed=trial)
             half = (mc.ci[1] - mc.ci[0]) / 2
             assert abs(mc.value - exact.value) <= 3 * half + 1e-9
 
@@ -190,46 +195,86 @@ class TestQuadrature:
 class TestMonteCarlo:
     def test_identical_distributions_contain_zero(self):
         p = MixtureSpec(((1.0, "gaussian", 0.0, 1.0),))
-        est = mc_delta_mixtures(p, p, 0.5, n_samples=50_000, seed=1)
+        est = mc_delta_vector(p, p, 0.5, n_samples=50_000, seed=1)
         assert est.value == pytest.approx(0.0, abs=1e-12)
         assert est.ci[0] == 0.0
 
     def test_gaussian_oracle_in_ci(self):
         p = MixtureSpec(((1.0, "gaussian", 0.0, 1.0),))
         q = MixtureSpec(((1.0, "gaussian", 1.0, 1.0),))
-        est = mc_delta_mixtures(p, q, 0.0, n_samples=10**6, seed=11)
+        est = mc_delta_vector(p, q, 0.0, n_samples=10**6, seed=11)
         assert est.ci[0] <= GAUSS_TV_UNIT_SHIFT <= est.ci[1]
 
-    def test_zero_density_raises(self):
-        def sampler(rng, size):
-            return rng.uniform(0, 1, size)
+    def test_interval_covers_tiny_delta(self):
+        # delta = 1.0e-8, far below 1 / n: the interval must still hold it
+        p = MixtureSpec(((1.0, "gaussian", 0.0, 1.0),))
+        q = MixtureSpec(((1.0, "gaussian", 1.0, 1.0),))
+        eps = 5.7761
+        exact = gauss_delta(1.0, 1.0, eps)
+        assert exact == pytest.approx(1.0e-8, rel=1e-4)
+        for seed in range(40):
+            est = mc_delta_vector(p, q, eps, n_samples=20_000, seed=seed)
+            assert est.ci[0] <= exact <= est.ci[1]
 
-        with pytest.raises(SupportError):
-            mc_delta_estimate(
-                sampler,
-                p_density=lambda x: np.full_like(x, 1.0),
-                q_density=lambda x: np.zeros_like(x),
-                epsilon=0.1,
-                n_samples=2000,
-                seed=0,
-            )
+    def test_vanishing_q_counts_in_full(self):
+        # q underflows to zero at every point P draws: delta is 1
+        p = MixtureSpec(((1.0, "gaussian", 0.0, 1.0),))
+        q = MixtureSpec(((1.0, "gaussian", 1e4, 1.0),))
+        est = mc_delta_vector(p, q, 1.0, n_samples=2000, seed=0)
+        assert est.value == 1.0
 
     def test_too_few_samples_rejected(self):
         p = MixtureSpec(((1.0, "gaussian", 0.0, 1.0),))
         with pytest.raises(ValueError):
-            mc_delta_mixtures(p, p, 0.1, n_samples=10, seed=0)
+            mc_delta_vector(p, p, 0.1, n_samples=10, seed=0)
 
     def test_atoms_rejected(self):
         p = MixtureSpec(((1.0, "point_mass", 0.0, 0.0),))
         with pytest.raises(SupportError):
-            mc_delta_mixtures(p, p, 0.1, n_samples=2000, seed=0)
+            mc_delta_vector(p, p, 0.1, n_samples=2000, seed=0)
 
     def test_deterministic_given_seed(self):
         p = MixtureSpec(((1.0, "gaussian", 0.0, 1.0),))
         q = MixtureSpec(((1.0, "gaussian", 0.5, 1.0),))
-        a = mc_delta_mixtures(p, q, 0.2, n_samples=20_000, seed=4)
-        b = mc_delta_mixtures(p, q, 0.2, n_samples=20_000, seed=4)
+        a = mc_delta_vector(p, q, 0.2, n_samples=20_000, seed=4)
+        b = mc_delta_vector(p, q, 0.2, n_samples=20_000, seed=4)
         assert a.value == b.value and a.ci == b.ci
+
+
+def direct_log_density(x, weights, family, centers, scale):
+    """Unblocked (N x m x k) log-sum-exp of a product-noise mixture."""
+    z = np.abs(x[:, None, :] - centers[None, :, :]) / scale
+    k = centers.shape[1]
+    if family == "laplace":
+        comp = -z.sum(axis=2) - k * math.log(2.0 * scale)
+    else:
+        comp = -0.5 * (z * z).sum(axis=2) - k * math.log(scale * math.sqrt(2.0 * math.pi))
+    comp = comp + np.log(weights)
+    peak = comp.max(axis=1)
+    return peak + np.log(np.exp(comp - peak[:, None]).sum(axis=1))
+
+
+class TestMixtureKernel:
+    @pytest.mark.parametrize("family", ["laplace", "gaussian"])
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 1000])
+    def test_blocked_matches_direct(self, family, k, n):
+        rng = np.random.default_rng(n + 10 * k)
+        weights = rng.uniform(0.1, 1.0, 37)
+        weights /= weights.sum()
+        centers = rng.uniform(-2.0, 2.0, (37, k))
+        x = rng.uniform(-6.0, 6.0, (n, k))
+        vm = VectorMixture(weights=weights, centers=centers, family=family, scale=0.7)
+        got = vm.log_density(x)
+        want = direct_log_density(x, weights, family, centers, 0.7)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        if k == 1:
+            spec = MixtureSpec(
+                tuple((w, family, c, 0.7) for w, c in zip(weights, centers[:, 0]))
+            )
+            np.testing.assert_allclose(
+                got, spec.log_density(x[:, 0]), rtol=1e-12, atol=0.0
+            )
 
 
 class TestConvexityIdentities:

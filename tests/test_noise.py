@@ -17,8 +17,8 @@ from amplipriv import (
     calibrate_gaussian,
     calibrate_laplace,
     lipschitz_postprocess,
+    log_output_density,
     make_standard_query,
-    output_density,
     release_record,
     run_composed,
     run_mechanism,
@@ -90,6 +90,29 @@ class TestRunMechanism:
         assert np.array_equal(a, b)
         c = run_mechanism(mech, data, seed=8)
         assert not np.array_equal(a, c)
+
+    # released values pinned bit for bit: (family, k, seed) -> repr of each output
+    GOLDEN = {
+        ("laplace", 1, 0): ["2.4630466104226505"],
+        ("laplace", 1, 2024): ["-1.4938457883286582"],
+        ("gaussian", 1, 0): ["-1.1313947416003676"],
+        ("gaussian", 1, 2024): ["-10.194755729103457"],
+        ("laplace", 3, 0): ["6.8891398312679515", "-1.0825065240403617", "1.3187421409938158"],
+        ("laplace", 3, 2024): ["-4.981537364985975", "-0.28512506814767286", "-1.349011761158713"],
+        ("gaussian", 3, 0): ["-2.253885567634312", "-12.6422649195736", "-4.057104688068903"],
+        ("gaussian", 3, 2024): ["-10.790639422095921", "13.932234635843647", "30.253594004810772"],
+    }
+
+    @pytest.mark.parametrize("family, k, seed", sorted(GOLDEN))
+    def test_released_noise_is_pinned(self, family, k, seed):
+        q = make_standard_query("linear", matrices=[np.eye(k)], n=1, d=k)
+        data = CompleteDataset((tuple([0.25, -0.5, 0.125][:k]),)).as_incomplete()
+        if family == "laplace":
+            mech = calibrate_laplace(q, 1.0, 0.5)
+        else:
+            mech = calibrate_gaussian(q, 1.0, 1e-5, 0.5)
+        out = run_mechanism(mech, data, seed)
+        assert [repr(float(v)) for v in out] == self.GOLDEN[(family, k, seed)]
 
     @pytest.mark.parametrize("family", ["laplace", "gaussian"])
     def test_component_variance(self, family):
@@ -170,7 +193,7 @@ class TestOutputDensity:
         q = make_standard_query("bounded_mean", n=2, d=1)
         mech = calibrate_laplace(q, epsilon=1.0, B=1.0)  # b = 1
         data = CompleteDataset(((0.0,), (0.0,))).as_incomplete()
-        assert output_density(mech, data, [0.0]) == pytest.approx(0.5)
+        assert math.exp(log_output_density(mech, data, [0.0])) == pytest.approx(0.5)
 
     def test_gaussian_at_center(self):
         q = make_standard_query("linear", matrices=[np.array([[1.0]])], n=1, d=1)
@@ -180,7 +203,7 @@ class TestOutputDensity:
             C_used=mech.C_used, bound_B=0.5,
         )
         data = CompleteDataset(((0.0,),)).as_incomplete()
-        assert output_density(forced, data, [0.0]) == pytest.approx(
+        assert math.exp(log_output_density(forced, data, [0.0])) == pytest.approx(
             0.3989422804014327, abs=1e-12
         )
 
@@ -190,8 +213,8 @@ class TestOutputDensity:
         data = CompleteDataset(((0.4,), (0.8,))).as_incomplete()
         center = q(data)[0]
         for t in (0.1, 0.5, 2.0):
-            assert output_density(mech, data, [center + t]) == pytest.approx(
-                output_density(mech, data, [center - t])
+            assert math.exp(log_output_density(mech, data, [center + t])) == pytest.approx(
+                math.exp(log_output_density(mech, data, [center - t]))
             )
 
     def test_mixture_law_pointwise(self):
@@ -205,11 +228,11 @@ class TestOutputDensity:
         z = CompleteDataset(((1.0,),))
         mix = composed_output_mixture(cm, z)
         for t in np.linspace(-2, 3, 21):
-            manual = 0.5 * output_density(
+            manual = 0.5 * math.exp(log_output_density(
                 mech, apply_mask(z, MaskMatrix((Mask((0,)),))), [t]
-            ) + 0.5 * output_density(
+            )) + 0.5 * math.exp(log_output_density(
                 mech, apply_mask(z, MaskMatrix((Mask((1,)),))), [t]
-            )
+            ))
             assert mix.density(np.array([t]))[0] == pytest.approx(manual, abs=1e-10)
 
 
@@ -221,7 +244,6 @@ class TestFixedMaskCertificate:
             Mask,
             MaskMatrix,
             apply_mask,
-            log_output_density,
             lipschitz_postprocess,
             sensitivity_masked,
         )
