@@ -61,6 +61,8 @@ AUDIT_CSV_HEADER = "epsilon,bound,empirical,method,tolerance,verdict"
 
 
 def _post_map(entry: dict, query: FwlQuery):
+    """(map, Lipschitz constant, output dim) of a named map. Every map acts on
+    the last axis, so it takes one output vector (k,) or a stack (M, k)."""
     name = entry.get("map")
     if name == "identity":
         return (lambda v: v), 1.0, query.output_dim
@@ -69,13 +71,13 @@ def _post_map(entry: dict, query: FwlQuery):
         return (lambda v: factor * v), abs(factor), query.output_dim
     if name == "project":
         idx = [int(i) for i in entry["indices"]]
-        return (lambda v: v[idx]), 1.0, len(idx)
+        return (lambda v: v[..., idx]), 1.0, len(idx)
     if name == "clamp":
         lo, hi = float(entry["lo"]), float(entry["hi"])
         return (lambda v: np.clip(v, lo, hi)), 1.0, query.output_dim
     if name == "sum":
         lam = 1.0 if query.norm_p == 1 else math.sqrt(query.output_dim)
-        return (lambda v: np.array([v.sum()])), lam, 1
+        return (lambda v: v.sum(axis=-1, keepdims=True)), lam, 1
     raise SchemaError(f"unknown post-processing map '{name}'")
 
 
@@ -313,13 +315,14 @@ def _cmd_amplify(scn: Scenario, out_dir: Path, stem: str, fmt: str) -> int:
     query = scn.query()
     mech = _calibrated(scn, query)
     missing = scn.mechanism(n=query.n)
-    ps = p_star(missing)
+    cls = classify(missing.feature_mech)
+    ps = p_star(missing, cls)
     rho = scn.declared_rho(missing)
     bounds = sensitivity_masked(query, scn.bound_B, rho)
     eps, delta = scn.budget
     report = amplify_fwl(eps, delta, ps, bounds, family=scn.family)
     payload = report.to_json_dict()
-    payload["mechanism_class"] = classify(missing.feature_mech).value
+    payload["mechanism_class"] = cls.value
     emit_report(payload, "json", out_dir / f"{stem}_amplify.json")
     print(
         f"amplified: epsilon {report.base.epsilon!r} -> "

@@ -272,6 +272,13 @@ def hockey_stick_mixture_1d(
     bracket width times that bounds the mass a misplaced root moves. The CDF
     sums add 8 ulp of (1 + e^eps) per interval. The result does not depend on
     ``tol``, which is validated only.
+
+    The bound assumes the sign grid sees every sign change. Past 40 of the
+    widest scales beyond the outer centres the grid takes the sign of the
+    last grid point to hold out to infinity, and two sign changes inside one
+    grid step (1/8 of the finest scale, wider where a piece between centres
+    would need more than 4096 steps) cancel unseen. ``tolerance`` covers
+    neither case.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")

@@ -10,11 +10,13 @@ makes p_star a single well-defined constant across neighbor pairs.
 from __future__ import annotations
 
 import enum
+import itertools
 import json
 import math
+import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -33,7 +35,6 @@ _KEY_MASK_ROW = 0
 _KEY_NOISE = 1
 _KEY_TRIAL = 2
 _KEY_MC = 3
-_KEY_CLASSIFY = 4
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
@@ -414,14 +415,16 @@ def sample_mask(
     return MaskMatrix(rows)
 
 
-def p_star(mech: DatasetMechanism) -> float:
+def p_star(mech: DatasetMechanism, cls: Optional[MechanismClass] = None) -> float:
     """Probability that a given record is at least partially observed.
 
     Equals 1 - P[F(.) = all-ones mask]; the all-ones probability is constant
     across samples for MCAR/MAR mechanisms, so this is a single number. Raises
-    for anything classified MNAR, where no such constant exists.
+    for anything classified MNAR, where no such constant exists. ``cls`` is the
+    mechanism's class when the caller has already classified it.
     """
-    cls = classify(mech.feature_mech)
+    if cls is None:
+        cls = classify(mech.feature_mech)
     if cls is MechanismClass.MNAR:
         raise UnsupportedMechanismError(
             "p_star requires an MCAR or MAR mechanism: under MNAR the mask law "
@@ -443,6 +446,19 @@ def tight_rho(mech: DatasetMechanism) -> float:
     return mech.feature_mech.max_observed_count() / mech.d
 
 
+class _ProbeStream(random.Random):
+    """A seeded stdlib stream for the certificate's probes. ``random(size)``
+    returns an array, as ``FeatureMechanism.draw`` asks of a numpy Generator,
+    so classifying never loads ``numpy.random`` (nor, through it, OpenSSL)."""
+
+    def random(self, size=None):
+        draw = super().random
+        return draw() if size is None else np.array([draw() for _ in range(size)])
+
+    def point(self, bound: float, d: int) -> tuple:
+        return tuple(self.uniform(-bound, bound) for _ in range(d))
+
+
 def classify(
     mech: FeatureMechanism, trials: int = 64, bound: float = 1.0, seed: int = 20240
 ) -> MechanismClass:
@@ -454,19 +470,18 @@ def classify(
     not that it is MNAR, so it raises. The MCAR/MAR split is decided by probing
     whether the mask law reacts to any coordinate change at all.
     """
-    rng = substream(seed, _KEY_CLASSIFY, 0)
+    rng = _ProbeStream(seed)
     d = mech.d
     probe_masks = [Mask(tuple([1] * d)), Mask(tuple([0] * d))]
-    z0 = tuple(rng.uniform(-bound, bound, d))
+    z0 = rng.point(bound, d)
     for _ in range(8):
         probe_masks.append(mech.draw(z0, rng))
 
     for t in range(trials):
-        z = tuple(rng.uniform(-bound, bound, d))
+        z = rng.point(bound, d)
         m = probe_masks[t % len(probe_masks)]
         z_alt = tuple(
-            z[j] if m.bits[j] == 0 else float(rng.uniform(-bound, bound))
-            for j in range(d)
+            z[j] if m.bits[j] == 0 else rng.uniform(-bound, bound) for j in range(d)
         )
         p1 = mech.mask_probability(z, m)
         p2 = mech.mask_probability(z_alt, m)
@@ -483,10 +498,9 @@ def classify(
         return sorted((m.bits, p) for m, p in mech.support(z))
 
     # probe for any data dependence at all; none found means degenerate MCAR
-    ref_table = _table(tuple(rng.uniform(-bound, bound, d)))
+    ref_table = _table(rng.point(bound, d))
     for _ in range(trials):
-        z = tuple(rng.uniform(-bound, bound, d))
-        if _table(z) != ref_table:
+        if _table(rng.point(bound, d)) != ref_table:
             return MechanismClass.MAR
     return MechanismClass.MCAR
 
@@ -551,9 +565,17 @@ def feature_mechanism_from_spec(spec: dict) -> FeatureMechanism:
         candidates = spec["candidates"]
         if not candidates:
             raise SchemaError("candidates: need at least one candidate mask")
-        score = table_score(
-            spec["thresholds"], spec["score_table"], len(candidates)
-        )
+        thresholds, table = spec["thresholds"], spec["score_table"]
+        score = table_score(thresholds, table, len(candidates))
+        # every bin an anchor value can fall in: the count of thresholds <= it
+        bins = [
+            sorted({0} | {bisect_right(cuts, t) for t in cuts})
+            for cuts in (sorted(float(t) for t in ts) for ts in thresholds)
+        ]
+        for key in itertools.product(*bins):
+            key = ",".join(map(str, key))
+            if key not in table:
+                raise SchemaError(f"score_table: no entry for bin key '{key}'")
         return MarAnchoredPattern(
             d=len(candidates[0]),
             anchor=spec["anchor"],

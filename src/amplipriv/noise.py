@@ -12,7 +12,6 @@ the package reads.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -229,6 +228,8 @@ def release_record(
     audit: bool = False,
 ) -> dict:
     """JSON-ready release; audit mode is the only way the mask leaves the run."""
+    import hashlib  # here, so that programs that release nothing never load OpenSSL
+
     commitment = hashlib.sha256(str(int(seed)).encode()).hexdigest()
     record = {
         "output": [repr(float(v)) for v in np.asarray(output).reshape(-1)],

@@ -12,6 +12,7 @@ off the sorted constants alone.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -34,6 +35,8 @@ class FwlQuery:
 
     ``norm_p`` is the norm the inequality is declared for; a query valid under
     the l1 norm is automatically valid under l2 with the same constants.
+    ``batch``, when given, evaluates a stack of masked datasets at once (see
+    ``evaluate_batch``); every catalog query has one.
     """
 
     evaluate: Callable[[IncompleteDataset], np.ndarray]
@@ -43,6 +46,7 @@ class FwlQuery:
     n: int
     d: int
     descriptor: dict = field(default_factory=dict)
+    batch: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         L = np.asarray(self.constants_L, dtype=float)
@@ -66,6 +70,36 @@ class FwlQuery:
         if out.shape != (self.output_dim,):
             raise DimensionError(
                 f"query evaluator returned shape {out.shape}, expected ({self.output_dim},)"
+            )
+        return out
+
+    def evaluate_batch(self, values: np.ndarray, na: np.ndarray) -> np.ndarray:
+        """The query on M masked datasets at once, as an (M, output_dim) array.
+
+        ``values`` (M, n, d) holds the cells with NA filled by 0.0 and ``na``
+        (M, n, d) is True where a cell is NA, the layout of ``values_filled``
+        and ``na_mask``. Row m equals the query on dataset m bit for bit.
+        Without a ``batch`` evaluator each dataset is built and evaluated in
+        turn.
+        """
+        values = np.asarray(values, dtype=float)
+        na = np.asarray(na, dtype=bool)
+        if values.shape[1:] != (self.n, self.d) or na.shape != values.shape:
+            raise DimensionError(
+                f"query expects (M, {self.n}, {self.d}) values and NA flags, got "
+                f"{values.shape} and {na.shape}"
+            )
+        if self.batch is None:
+            out = np.array([
+                self(IncompleteDataset(np.where(ms, None, vs).tolist()))
+                for vs, ms in zip(values, na)
+            ]).reshape(len(values), self.output_dim)
+        else:
+            out = np.asarray(self.batch(values, na), dtype=float)
+        if out.shape != (len(values), self.output_dim):
+            raise DimensionError(
+                f"batch evaluator returned shape {out.shape}, expected "
+                f"({len(values)}, {self.output_dim})"
             )
         return out
 
@@ -95,6 +129,18 @@ def _norm(v: np.ndarray, p: int) -> float:
 
 
 # --- standard catalog -------------------------------------------------------
+#
+# Each catalog query is written once, over a stack of M masked datasets, and
+# evaluates one dataset as a stack of one. Every operation acts on each
+# dataset's slice alone, so row m of the result does not depend on the rest of
+# the stack (tests/test_queries.py checks this bit for bit).
+
+
+def _catalog(batch, L, norm_p: int, k: int, n: int, d: int, descriptor: dict) -> FwlQuery:
+    def evaluate(data: IncompleteDataset) -> np.ndarray:
+        return batch(data.values_filled[None], data.na_mask[None])[0]
+
+    return FwlQuery(evaluate, L, norm_p, k, n, d, descriptor, batch=batch)
 
 
 def _linear_query(matrices: Sequence[np.ndarray], n: int, d: int) -> FwlQuery:
@@ -110,44 +156,41 @@ def _linear_query(matrices: Sequence[np.ndarray], n: int, d: int) -> FwlQuery:
     stacked = np.stack(mats)  # (n, k, d)
     L = np.abs(stacked).sum(axis=1).max(axis=0)  # max_i ||B_i e_j||_1
 
-    def evaluate(data: IncompleteDataset) -> np.ndarray:
-        vals = data.values_filled
-        return np.einsum("ikd,id->k", stacked, vals)
+    def batch(values, na):
+        return np.einsum("ikd,mid->mk", stacked, values)
 
-    return FwlQuery(evaluate, L, 1, k, n, d, {"kind": "linear"})
+    return _catalog(batch, L, 1, k, n, d, {"kind": "linear"})
 
 
 def _bounded_mean_query(n: int, d: int) -> FwlQuery:
-    def evaluate(data: IncompleteDataset) -> np.ndarray:
-        return data.values_filled.sum(axis=0) / n
+    def batch(values, na):
+        return values.sum(axis=-2) / n
 
     L = np.full(d, 1.0 / n)
-    return FwlQuery(evaluate, L, 1, d, n, d, {"kind": "bounded_mean"})
+    return _catalog(batch, L, 1, d, n, d, {"kind": "bounded_mean"})
 
 
 def _clipped_mean_query(n: int, d: int, clip: float) -> FwlQuery:
     if clip <= 0:
         raise ValueError("clip bound must be positive")
 
-    def evaluate(data: IncompleteDataset) -> np.ndarray:
-        vals = np.clip(data.values_filled, -clip, clip)
-        vals = np.where(data.na_mask, 0.0, vals)
-        return vals.sum(axis=0) / n
+    def batch(values, na):
+        vals = np.where(na, 0.0, np.clip(values, -clip, clip))
+        return vals.sum(axis=-2) / n
 
     L = np.full(d, 1.0 / n)
-    return FwlQuery(evaluate, L, 1, d, n, d, {"kind": "clipped_mean", "clip": clip})
+    return _catalog(batch, L, 1, d, n, d, {"kind": "clipped_mean", "clip": clip})
 
 
 def _covariance_query(n: int, d: int, B: float) -> FwlQuery:
     if B <= 0:
         raise ValueError("covariance query needs a positive entry bound B")
 
-    def evaluate(data: IncompleteDataset) -> np.ndarray:
-        vals = data.values_filled
-        return (vals.T @ vals / n).reshape(-1)
+    def batch(values, na):
+        return (np.swapaxes(values, -1, -2) @ values / n).reshape(len(values), d * d)
 
     L = np.full(d, 2.0 * B * d / n)
-    return FwlQuery(evaluate, L, 1, d * d, n, d, {"kind": "covariance", "B": B})
+    return _catalog(batch, L, 1, d * d, n, d, {"kind": "covariance", "B": B})
 
 
 def _mean_projection_query(n: int, d: int, projection: np.ndarray) -> FwlQuery:
@@ -155,11 +198,11 @@ def _mean_projection_query(n: int, d: int, projection: np.ndarray) -> FwlQuery:
     if P.ndim != 2 or P.shape[1] != d:
         raise DimensionError("projection must be k x d")
 
-    def evaluate(data: IncompleteDataset) -> np.ndarray:
-        return P @ (data.values_filled.sum(axis=0) / n)
+    def batch(values, na):
+        return (P @ (values.sum(axis=-2) / n)[..., None])[..., 0]
 
     L = np.sqrt((P * P).sum(axis=0)) / n  # ||P e_j||_2 / n
-    return FwlQuery(evaluate, L, 2, P.shape[0], n, d, {"kind": "mean_projection"})
+    return _catalog(batch, L, 2, P.shape[0], n, d, {"kind": "mean_projection"})
 
 
 def _histogram_query(
@@ -176,7 +219,7 @@ def _histogram_query(
     constant: two values straddling a bin edge move a full 2/n of mass while
     their gap is arbitrarily small. Hat memberships with unit overlap change
     at rate 1/width per bin and at most two bins are active, so the constants
-    2 / (n * width) hold exactly.
+    2 / (n * width) hold exactly. An NA cell is a member of no bin.
     """
     if hi <= lo or bins < 1:
         raise ValueError("histogram needs hi > lo and bins >= 1")
@@ -185,24 +228,19 @@ def _histogram_query(
         raise ValueError("histogram feature indices out of range")
     width = (hi - lo) / bins
     centers = lo + width * (np.arange(bins) + 0.5)
+    cols = list(feats)
 
-    def evaluate(data: IncompleteDataset) -> np.ndarray:
-        vals = data.values_filled
-        obs = ~data.na_mask
-        out = np.empty(len(feats) * bins)
-        for pos, j in enumerate(feats):
-            col = vals[:, j][obs[:, j]]
-            member = np.clip(
-                1.0 - np.abs(col[:, None] - centers[None, :]) / width, 0.0, None
-            )
-            out[pos * bins : (pos + 1) * bins] = member.sum(axis=0) / n
-        return out
+    def batch(values, na):
+        vals = values[..., cols, None]  # (M, n, features, 1)
+        member = np.clip(1.0 - np.abs(vals - centers) / width, 0.0, None)
+        member = np.where(na[..., cols, None], 0.0, member)
+        return (member.sum(axis=-3) / n).reshape(len(values), len(feats) * bins)
 
     L = np.zeros(d)
     for j in feats:
         L[j] = 2.0 / (n * width)
-    return FwlQuery(
-        evaluate, L, 1, len(feats) * bins, n, d,
+    return _catalog(
+        batch, L, 1, len(feats) * bins, n, d,
         {"kind": "histogram", "bins": bins, "lo": lo, "hi": hi},
     )
 
@@ -231,6 +269,18 @@ def make_standard_query(kind: str, **params) -> FwlQuery:
 # --- closure combinators -----------------------------------------------------
 
 
+def _acts_on_rows(mapping, points: np.ndarray, images: list) -> bool:
+    """Whether ``mapping`` sends the rows of ``points`` to the stacked
+    ``images`` bit for bit, which shows that it maps each row of the last axis
+    on its own."""
+    try:
+        want = np.stack(images)
+        got = np.asarray(mapping(points), dtype=float)
+    except Exception:  # a map written for one vector may reject a stack
+        return False
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def lipschitz_postprocess(
     q: FwlQuery,
     mapping: Callable[[np.ndarray], np.ndarray],
@@ -244,15 +294,22 @@ def lipschitz_postprocess(
 
     The Lipschitz claim is the caller's; it is spot-checked on random point
     pairs and a violation raises rather than producing silently invalid
-    constants.
+    constants. The composed query evaluates stacks of datasets at once when
+    ``q`` does and ``mapping``, applied to all spot-check points stacked as
+    rows, returns their images stacked as rows (as ``v.sum(axis=-1,
+    keepdims=True)`` does); otherwise it evaluates one dataset at a time.
     """
     if Lambda < 0:
         raise ValueError("Lambda must be nonnegative")
-    rng = substream(seed, _KEY_TRIAL, 0)
+    rng = random.Random(seed)
+    # rows 2t and 2t + 1 are the t-th spot-check pair
+    points = np.array([
+        [rng.uniform(-check_radius, check_radius) for _ in range(q.output_dim)]
+        for _ in range(2 * spot_checks)
+    ]).reshape(2 * spot_checks, q.output_dim)
     k_out = output_dim
-    for _ in range(spot_checks):
-        x = rng.uniform(-check_radius, check_radius, q.output_dim)
-        y = rng.uniform(-check_radius, check_radius, q.output_dim)
+    images = []
+    for x, y in zip(points[0::2], points[1::2]):
         fx = np.atleast_1d(np.asarray(mapping(x), dtype=float))
         fy = np.atleast_1d(np.asarray(mapping(y), dtype=float))
         if k_out is None:
@@ -263,11 +320,18 @@ def lipschitz_postprocess(
             raise LipschitzContractError(
                 f"map moved points by {lhs:.6g} > Lambda * input distance {rhs:.6g}"
             )
+        images += [fx, fy]
     if k_out is None:
         k_out = int(np.atleast_1d(np.asarray(mapping(np.zeros(q.output_dim)))).size)
 
     def evaluate(data: IncompleteDataset) -> np.ndarray:
         return np.atleast_1d(np.asarray(mapping(q(data)), dtype=float))
+
+    batch = None
+    if q.batch is not None and images and _acts_on_rows(mapping, points, images):
+
+        def batch(values, na):
+            return mapping(q.batch(values, na))
 
     return FwlQuery(
         evaluate,
@@ -277,6 +341,7 @@ def lipschitz_postprocess(
         q.n,
         q.d,
         {"kind": "postprocess", "lambda": Lambda, "inner": q.descriptor},
+        batch=batch,
     )
 
 
@@ -299,6 +364,12 @@ def linear_combination(queries: Sequence[FwlQuery], coeffs: Sequence[float]) -> 
     def evaluate(data: IncompleteDataset) -> np.ndarray:
         return sum(a * q(data) for a, q in zip(coeffs, queries))
 
+    batch = None
+    if all(q.batch is not None for q in queries):
+
+        def batch(values, na):
+            return sum(a * q.batch(values, na) for a, q in zip(coeffs, queries))
+
     return FwlQuery(
         evaluate,
         L,
@@ -307,6 +378,7 @@ def linear_combination(queries: Sequence[FwlQuery], coeffs: Sequence[float]) -> 
         q0.n,
         q0.d,
         {"kind": "linear_combination", "coeffs": coeffs},
+        batch=batch,
     )
 
 

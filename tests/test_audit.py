@@ -309,3 +309,74 @@ class TestTightnessCounterexample:
             tightness_counterexample(1.5, 1e-3)
         with pytest.raises(ValueError):
             tightness_counterexample(0.5, 0.0)
+
+
+class TestArrayEnumeration:
+    def test_support_arrays_match_row_by_row_product(self):
+        import itertools
+
+        from amplipriv import audit
+
+        mech = DatasetMechanism(
+            MarAnchoredPattern(
+                d=4, anchor=(0,), q_all=0.15,
+                candidates=[(0, 1, 1, 1), (0, 0, 1, 0), (0, 1, 0, 0)],
+                score=lambda av: (0.3, 0.6, 0.1) if av[0] >= 0 else (0.7, 0.1, 0.2),
+            ),
+            n=3,
+        )
+        data = CompleteDataset(
+            ((0.3, -0.2, 0.5, -0.5), (-0.4, 0.1, 0.2, 0.3), (0.1, 0.1, -0.3, 0.2))
+        )
+        masks, probs = audit._support_arrays(mech, data)
+        per_row = [list(mech.feature_mech.support(r)) for r in data.rows]
+        combos = list(itertools.product(*per_row))
+        assert masks.shape == (len(combos), 3, 4)
+        for mask, prob, combo in zip(masks, probs.tolist(), combos):
+            want = 1.0
+            for _, p in combo:
+                want *= p
+            assert prob == want  # the same running product, bit for bit
+            assert mask.astype(int).tolist() == [list(m.bits) for m, _ in combo]
+
+    @pytest.mark.parametrize("grid", [[1.0], [0.25, 0.5, 1.0, 0.75, 0.125]])
+    @pytest.mark.parametrize("method", ["exact", "mc"])
+    def test_centre_law_built_once_per_dataset(self, monkeypatch, grid, method):
+        from amplipriv import audit
+
+        calls = []
+        real = audit._centre_law
+
+        def counting(cm, dataset):
+            calls.append(dataset)
+            return real(cm, dataset)
+
+        monkeypatch.setattr(audit, "_centre_law", counting)
+        B = 0.5
+        q = sum_query(2, 4, B)
+        cm = ComposedMechanism(
+            noise=calibrate_laplace(q, epsilon=1.0, B=B), missing=anchored_mechanism(2, 4)
+        )
+        pair = neighbor_pair()
+        table = verify_amplification(cm, pair, grid, method=method, n_samples=2000)
+        assert len(table.rows) == len(grid)
+        assert calls == [pair.left, pair.right]
+
+    def test_hoisted_law_matches_per_epsilon_mixtures(self):
+        B = 0.5
+        q = sum_query(2, 4, B)
+        cm = ComposedMechanism(
+            noise=calibrate_laplace(q, epsilon=1.0, B=B), missing=anchored_mechanism(2, 4)
+        )
+        pair = neighbor_pair()
+        grid = [0.25, 0.5, 1.0]
+        table = verify_amplification(cm, pair, grid, method="exact", tol=1e-7)
+        for eps, row in zip(grid, table.rows):
+            sub = ComposedMechanism(noise=calibrate_laplace(q, eps, B), missing=cm.missing)
+            est = hockey_stick_mixture_1d(
+                composed_output_mixture(sub, pair.left),
+                composed_output_mixture(sub, pair.right),
+                row.epsilon_eval,
+                tol=1e-7,
+            )
+            assert (row.empirical, row.tolerance) == (est.value, est.tolerance)

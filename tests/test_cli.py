@@ -1,6 +1,10 @@
 """Scenario runner: exit codes, report formats, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -208,6 +212,10 @@ class TestSchemaDiagnostics:
         ("scenario.mechanism.candidates",
          lambda scn: scn["mechanism"].update(candidates=[])),
         ("scenario.neighbor.row", lambda scn: scn["neighbor"].update(row=7)),
+        # checked when the spec is parsed, not when an anchor first lands in bin 1
+        pytest.param("scenario.mechanism.score_table: no entry for bin key '1'",
+                     lambda scn: scn["mechanism"]["score_table"].pop("1"),
+                     id="missing-bin-key"),
     ])
     def test_malformed_scenario_names_the_field(self, tmp_path, laplace_scn, capsys,
                                                 field, edit):
@@ -217,6 +225,56 @@ class TestSchemaDiagnostics:
         path.write_text(json.dumps(scn))
         assert run("audit", path, tmp_path) == 1
         assert field in capsys.readouterr().err
+
+
+class TestExactAuditFootprint:
+    def test_oversized_support_refused_before_allocating(self, tmp_path, capsys):
+        # 3 rows of 6 Bernoulli features: 64^3 = 262144 mask matrices
+        rows = [[0.1 * (i + j) - 0.4 for j in range(6)] for i in range(3)]
+        scn = {
+            "seed": 1, "bound_B": 0.5, "dataset": {"inline": rows},
+            "neighbor": {"row": 0, "replacement": [0.5] * 6},
+            "mechanism": {"kind": "mcar_bernoulli", "pi": [0.5] * 6},
+            "query": {"kind": "clipped_mean", "params": {"n": 3, "d": 6, "clip": 0.5},
+                      "post": [{"map": "sum"}]},
+            "family": "laplace", "budget": {"epsilon": 1.0, "delta": 0.0},
+            "epsilon_grid": [1.0], "audit": {"method": "exact"},
+        }
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(scn))
+        tracemalloc.start()
+        try:
+            code = run("audit", path, tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert "mask support has 262144 elements" in capsys.readouterr().err
+        # the (M, n, d) mask stack alone would take 4.7 MB
+        assert peak < 2_000_000
+
+    @pytest.mark.parametrize("command, loaded", [
+        ("audit", ""),
+        ("amplify", ""),
+        # a release draws noise and hashes its seed: the probe does see modules
+        ("simulate", "numpy.random,hashlib,_hashlib"),
+    ])
+    def test_no_rng_or_openssl_without_a_release(self, tmp_path, laplace_scn, command, loaded):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        probe = (
+            "import sys\n"
+            "from amplipriv.cli import run_scenario\n"
+            "assert run_scenario(sys.argv[1], sys.argv[2], sys.argv[3]) == 0\n"
+            "print('loaded:' + ','.join(m for m in ('numpy.random', 'hashlib', '_hashlib')"
+            " if m in sys.modules))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe, command, str(laplace_scn), str(tmp_path)],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout
+        assert out.splitlines()[-1] == "loaded:" + loaded
 
 
 class TestCsvDataset:

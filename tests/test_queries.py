@@ -277,3 +277,104 @@ class TestVerifyFwl:
         for q in (level1, level2, level3):
             report = verify_fwl(q, trials=300, B=1.0, seed=5)
             assert report.max_violation <= 1e-12
+
+
+def _random_masked_stack(rng, n, d, masks=40):
+    """A complete dataset, a random (M, n, d) mask stack and the masked values."""
+    data = CompleteDataset(tuple(map(tuple, rng.uniform(-1.0, 1.0, (n, d)))))
+    na = rng.random((masks, n, d)) < 0.4
+    return data, na, np.where(na, 0.0, data.to_array())
+
+
+def _per_mask(q, data, na):
+    return np.array([
+        q(apply_mask(data, MaskMatrix(tuple(Mask(tuple(int(b) for b in r)) for r in m))))
+        for m in na
+    ])
+
+
+def _catalog_cases():
+    rng = np.random.default_rng(3)
+    for n, d in ((1, 1), (3, 4), (9, 1), (9, 3)):
+        k = 2
+        yield make_standard_query("bounded_mean", n=n, d=d)
+        yield make_standard_query("clipped_mean", n=n, d=d, clip=0.6)
+        yield make_standard_query("covariance", n=n, d=d, B=1.0)
+        yield make_standard_query("mean_projection", n=n, d=d, projection=rng.normal(size=(k, d)))
+        yield make_standard_query("linear", n=n, d=d, matrices=[rng.normal(size=(k, d))])
+        yield make_standard_query(
+            "linear", n=n, d=d, matrices=[rng.normal(size=(k, d)) for _ in range(n)]
+        )
+        for bins in (1, 3):
+            yield make_standard_query("histogram", n=n, d=d, lo=-1.0, hi=1.0, bins=bins)
+        yield make_standard_query("histogram", n=n, d=d, lo=-0.5, hi=1.0, bins=2, features=[0])
+
+
+def _named_map_cases():
+    from amplipriv.cli import _build_query
+
+    for kind, params in (
+        ("clipped_mean", {"n": 3, "d": 4, "clip": 0.6}),
+        ("mean_projection", {"n": 9, "d": 3, "projection": [[0.3, -0.8, 0.5], [1.0, 0.2, -0.4]]}),
+    ):
+        for post in (
+            [{"map": "identity"}],
+            [{"map": "scale", "factor": -0.7}],
+            [{"map": "project", "indices": [1, 0]}],
+            [{"map": "clamp", "lo": -0.1, "hi": 0.2}],
+            [{"map": "sum"}],
+            [{"map": "clamp", "lo": -0.1, "hi": 0.2}, {"map": "scale", "factor": 3.0}, {"map": "sum"}],
+        ):
+            yield _build_query({"kind": kind, "params": params, "post": post})
+
+
+class TestBatchEvaluation:
+    """``evaluate_batch`` row m is the query on masked dataset m, bit for bit."""
+
+    @pytest.mark.parametrize("q", list(_catalog_cases()), ids=lambda q: q.descriptor["kind"])
+    def test_catalog_kinds(self, q):
+        assert q.batch is not None
+        data, na, values = _random_masked_stack(np.random.default_rng(q.n * 10 + q.d), q.n, q.d)
+        got = q.evaluate_batch(values, na)
+        want = _per_mask(q, data, na)
+        assert got.shape == want.shape == (len(na), q.output_dim)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("q", list(_named_map_cases()), ids=lambda q: q.descriptor["inner"]["kind"])
+    def test_named_post_maps(self, q):
+        assert q.batch is not None  # every named map acts on the last axis
+        data, na, values = _random_masked_stack(np.random.default_rng(11), q.n, q.d)
+        assert q.evaluate_batch(values, na).tobytes() == _per_mask(q, data, na).tobytes()
+
+    def test_linear_combination(self):
+        a = make_standard_query("clipped_mean", n=3, d=2, clip=0.4)
+        b = make_standard_query("bounded_mean", n=3, d=2)
+        q = linear_combination([a, b], [0.3, -1.7])
+        assert q.batch is not None
+        data, na, values = _random_masked_stack(np.random.default_rng(5), 3, 2)
+        assert q.evaluate_batch(values, na).tobytes() == _per_mask(q, data, na).tobytes()
+
+    def test_hand_built_query_falls_back(self):
+        from amplipriv import FwlQuery
+
+        def evaluate(data):
+            vals = data.values_filled
+            return np.array([vals.max() - vals.min(), float(data.na_mask.sum())])
+
+        q = FwlQuery(evaluate, np.ones(3), 1, 2, 2, 3)
+        assert q.batch is None
+        data, na, values = _random_masked_stack(np.random.default_rng(6), 2, 3)
+        assert q.evaluate_batch(values, na).tobytes() == _per_mask(q, data, na).tobytes()
+
+    def test_map_not_acting_on_rows_falls_back(self):
+        base = make_standard_query("clipped_mean", n=2, d=3, clip=0.5)
+        # sums the whole stack, not each row: shown not to act row by row
+        q = lipschitz_postprocess(base, lambda v: np.array([v.sum()]), 1.0, output_dim=1)
+        assert q.batch is None
+        data, na, values = _random_masked_stack(np.random.default_rng(8), 2, 3)
+        assert q.evaluate_batch(values, na).tobytes() == _per_mask(q, data, na).tobytes()
+
+    def test_shape_mismatch_rejected(self):
+        q = make_standard_query("bounded_mean", n=2, d=3)
+        with pytest.raises(DimensionError):
+            q.evaluate_batch(np.zeros((4, 3, 2)), np.zeros((4, 3, 2), dtype=bool))
