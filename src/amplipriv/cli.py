@@ -22,6 +22,7 @@ import numpy as np
 from .accountant import amplify_fwl
 from .audit import tightness_counterexample, verify_amplification
 from .datasets import CompleteDataset, is_neighbor, load_dataset_csv
+from .divergence import MC_MIN_SAMPLES
 from .errors import BudgetRangeError, SchemaError, UnsupportedMechanismError
 from .missingness import (
     DatasetMechanism,
@@ -111,6 +112,21 @@ def _finite(value, field: str) -> float:
     return x
 
 
+def _require(ok: bool, field: str, rule: str) -> None:
+    """A SchemaError naming ``field`` and the ``rule`` it breaks, unless ``ok``."""
+    if not ok:
+        raise SchemaError(f"scenario.{field}: {rule}")
+
+
+def _integer(value, field: str) -> int:
+    """``value`` as an int, or a SchemaError naming ``field``; never truncates."""
+    if isinstance(value, int):
+        return value
+    x = _finite(value, field)
+    _require(x.is_integer(), field, f"expected an integer, got {value!r}")
+    return int(x)
+
+
 class Scenario:
     """Validated view of a scenario file."""
 
@@ -121,7 +137,8 @@ class Scenario:
         self.base_dir = base_dir
         if "seed" not in raw:
             raise SchemaError("scenario.seed: a seed is mandatory")
-        self.seed = int(raw["seed"])
+        self.seed = _integer(raw["seed"], "seed")
+        _require(self.seed >= 0, "seed", f"must be nonnegative, got {self.seed}")
         self.bound_B = _finite(self._need("bound_B"), "bound_B")
 
     def _need(self, key):
@@ -192,21 +209,36 @@ class Scenario:
 
     def epsilon_grid(self):
         eps, _ = self.budget
-        return [
+        grid = [
             _finite(e, f"epsilon_grid[{i}]")
             for i, e in enumerate(self.raw.get("epsilon_grid", [eps]))
         ]
+        _require(bool(grid), "epsilon_grid", "must list at least one epsilon")
+        for i, e in enumerate(grid):
+            _require(e > 0, f"epsilon_grid[{i}]", f"must be positive, got {e!r}")
+        return grid
 
     def audit_options(self) -> dict:
-        """The audit block as ``verify_amplification`` keywords, numbers checked."""
+        """The audit block as ``verify_amplification`` keywords, fields checked."""
         spec = self.raw.get("audit", {})
+        _require(isinstance(spec, dict), "audit", "must be a JSON object")
+        method = spec.get("method", "exact")
+        _require(method in ("exact", "mc"), "audit.method",
+                 f"unknown method {method!r}, expected 'exact' or 'mc'")
+        n_samples = _integer(spec.get("samples", 100_000), "audit.samples")
+        _require(n_samples >= MC_MIN_SAMPLES, "audit.samples",
+                 f"need at least {MC_MIN_SAMPLES}, got {n_samples}")
         claim = spec.get("claim")
         if claim is not None:
-            claim = {k: _finite(claim.get(k), f"audit.claim.{k}") for k in ("epsilon", "delta")}
+            _require(isinstance(claim, dict), "audit.claim", "must be a JSON object")
+            eps, delta = (_finite(claim.get(k), f"audit.claim.{k}") for k in ("epsilon", "delta"))
+            _require(eps >= 0, "audit.claim.epsilon", f"must be nonnegative, got {eps!r}")
+            _require(0 <= delta <= 1, "audit.claim.delta", f"must lie in [0, 1], got {delta!r}")
+            claim = {"epsilon": eps, "delta": delta}
         return {
-            "method": spec.get("method", "exact"),
+            "method": method,
             "tol": _finite(spec.get("tolerance", 1e-9), "audit.tolerance"),
-            "n_samples": int(_finite(spec.get("samples", 100_000), "audit.samples")),
+            "n_samples": n_samples,
             "claim": claim,
         }
 

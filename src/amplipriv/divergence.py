@@ -3,7 +3,11 @@ float error on one-dimensional mixtures, Monte Carlo everywhere else.
 
 The 1-D ``MixtureSpec`` and the k-D ``VectorMixture`` share one product-noise
 kernel for log-densities and samples, built on the family table in ``noise``;
-the one Monte Carlo estimator, ``mc_delta_vector``, takes either.
+the one Monte Carlo estimator, ``mc_delta_vector``, takes either. The kernel
+walks the points in blocks and, within a block, the k coordinates in order:
+each coordinate's penalties fill one contiguous (points x components) buffer,
+summed into the first in coordinate order, so a k-D evaluation costs k passes
+over 2-D buffers and a 1-D one a single pass.
 
 The divergence at level e^eps is sup_S (P(S) - e^eps Q(S)); the optimal S is
 the set where the signed mass p - e^eps q is positive, so the discrete case is
@@ -29,6 +33,7 @@ from .noise import FAMILIES
 
 _NORM_TOL = 1e-12
 _MC_ALPHA = 0.01  # Monte Carlo intervals are two-sided at 99%
+MC_MIN_SAMPLES = 1000  # fewer and the interval is too wide to mean anything
 
 METHOD_EXACT = "exact_discrete"
 METHOD_QUADRATURE = "quadrature"
@@ -36,7 +41,9 @@ METHOD_MC = "monte_carlo"
 
 POINT_MASS = "point_mass"
 
-_BLOCK = 256  # points per (points x components) evaluation, to bound memory
+# points per (points x components) buffer, to bound memory; it also groups the
+# quadrature's fsum blocks, so changing it moves the last bits of exact reports
+_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -77,6 +84,14 @@ def mix_discrete(components: Sequence) -> DiscreteDistribution:
     )
 
 
+def _check_weights(weights: list) -> None:
+    if not all(w >= 0 for w in weights):  # False for NaN too
+        raise ValueError("mixture weights must be nonnegative")
+    total = math.fsum(weights)
+    if abs(total - 1.0) > _NORM_TOL:
+        raise ValueError(f"mixture weights sum to {total}, expected 1")
+
+
 class _ProductNoise:
     """A finite mixture of product noise: component i adds i.i.d. noise of
     family f_i and scale s_i to every coordinate of its centre c_i. Point-mass
@@ -102,7 +117,8 @@ class _ProductNoise:
                     for i in idx
                 ]
         self.log_coef = np.array(log_coef)
-        self.kernel_centers = self.centers[cols].T  # (k, m), components innermost
+        # per coordinate, one contiguous row of the kernel's m component centres
+        self.kernel_centers = tuple(np.ascontiguousarray(self.centers[cols].T))
         self.kernel_scales = self.scales[cols]
 
     def log_density(self, x: np.ndarray) -> np.ndarray:
@@ -111,12 +127,20 @@ class _ProductNoise:
         out = np.full(len(x), -np.inf)
         if self.log_coef.size:
             for i in range(0, len(x), _BLOCK):
-                # one (points x k x components) buffer, updated in place
-                z = x[i : i + _BLOCK, :, None] - self.kernel_centers
-                z /= self.kernel_scales
-                for fam, lo, hi in self.spans:
-                    fam.penalty(z[:, :, lo:hi])
-                pen = z[:, 0] if z.shape[1] == 1 else z.sum(axis=1)
+                # coordinate by coordinate, one contiguous (points x components)
+                # buffer each, added into the first in coordinate order; a
+                # second buffer is made only from the second coordinate on
+                pen = buf = None
+                for j, centers in enumerate(self.kernel_centers):
+                    z = np.subtract(x[i : i + _BLOCK, j, None], centers, out=buf)
+                    z /= self.kernel_scales
+                    for fam, lo, hi in self.spans:
+                        fam.penalty(z[:, lo:hi])
+                    if pen is None:
+                        pen = z
+                    else:
+                        pen += z
+                        buf = z
                 np.subtract(self.log_coef, pen, out=pen)
                 peak = pen.max(axis=1, keepdims=True)
                 pen -= peak
@@ -149,16 +173,12 @@ class MixtureSpec:
             weight = float(weight)
             center = float(center)
             scale = float(scale)
-            if weight < 0:
-                raise ValueError("mixture weights must be nonnegative")
             if family not in FAMILIES and family != POINT_MASS:
                 raise ValueError(f"unknown mixture family '{family}'")
-            if family != POINT_MASS and scale <= 0:
-                raise ValueError("continuous components need a positive scale")
+            if family != POINT_MASS and not 0 < scale < math.inf:
+                raise ValueError("continuous components need a finite positive scale")
             comps.append((weight, family, center, scale))
-        total = math.fsum(w for w, _, _, _ in comps)
-        if abs(total - 1.0) > _NORM_TOL:
-            raise ValueError(f"mixture weights sum to {total}, expected 1")
+        _check_weights([w for w, _, _, _ in comps])
         object.__setattr__(self, "components", tuple(comps))
 
     @property
@@ -196,6 +216,26 @@ class VectorMixture:
     centers: np.ndarray
     family: str
     scale: float
+
+    def __post_init__(self):
+        weights = np.asarray(self.weights, dtype=float)
+        centers = np.asarray(self.centers, dtype=float)
+        if weights.ndim != 1:
+            raise ValueError("mixture weights must be a vector")
+        _check_weights(weights.tolist())
+        if centers.ndim != 2 or len(centers) != len(weights):
+            raise ValueError(
+                f"centers must be (m, k) with m = {len(weights)} components, "
+                f"got shape {centers.shape}"
+            )
+        if self.family not in FAMILIES:
+            raise ValueError(f"unknown mixture family '{self.family}'")
+        scale = float(self.scale)
+        if not 0 < scale < math.inf:
+            raise ValueError("continuous components need a finite positive scale")
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "centers", centers)
+        object.__setattr__(self, "scale", scale)
 
     @cached_property
     def _noise(self) -> _ProductNoise:
@@ -385,8 +425,12 @@ def mc_delta_vector(P, Q, epsilon: float, n_samples: int, seed: int) -> Divergen
     """
     if any(isinstance(M, MixtureSpec) and M.atoms for M in (P, Q)):
         raise SupportError("Monte Carlo estimation needs density-only mixtures")
-    if n_samples < 1000:
-        raise ValueError("need at least 1000 samples for the CI to mean anything")
+    if not 0 <= epsilon < math.inf:
+        raise ValueError("epsilon must be finite and nonnegative")
+    if n_samples < MC_MIN_SAMPLES:
+        raise ValueError(
+            f"need at least {MC_MIN_SAMPLES} samples for the CI to mean anything"
+        )
     rng = substream(seed, _KEY_MC, 0)
     x = P.sample(rng, n_samples)
     log_p = P.log_density(x)

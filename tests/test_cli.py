@@ -216,6 +216,35 @@ class TestSchemaDiagnostics:
         pytest.param("scenario.mechanism.score_table: no entry for bin key '1'",
                      lambda scn: scn["mechanism"]["score_table"].pop("1"),
                      id="missing-bin-key"),
+        pytest.param("scenario.audit.samples: need at least 1000",
+                     lambda scn: scn["audit"].update(samples=10), id="samples-too-few"),
+        pytest.param("scenario.audit.samples: need at least 1000",
+                     lambda scn: scn["audit"].update(samples=-5), id="samples-negative"),
+        pytest.param("scenario.audit.samples: expected an integer",
+                     lambda scn: scn["audit"].update(samples=1500.7), id="samples-fractional"),
+        pytest.param("scenario.audit.method: unknown method 'bootstrap'",
+                     lambda scn: scn["audit"].update(method="bootstrap"), id="unknown-method"),
+        pytest.param("scenario.epsilon_grid[0]: must be positive",
+                     lambda scn: scn.update(epsilon_grid=[-1.0]), id="negative-grid-epsilon"),
+        pytest.param("scenario.epsilon_grid: must list at least one epsilon",
+                     lambda scn: scn.update(epsilon_grid=[]), id="empty-grid"),
+        pytest.param("scenario.seed: expected a number, got 'abc'",
+                     lambda scn: scn.update(seed="abc"), id="seed-not-a-number"),
+        pytest.param("scenario.seed: must be nonnegative",
+                     lambda scn: scn.update(seed=-3), id="seed-negative"),
+        pytest.param("scenario.audit: must be a JSON object",
+                     lambda scn: scn.update(audit=["mc"]), id="audit-not-an-object"),
+        pytest.param("scenario.audit.claim: must be a JSON object",
+                     lambda scn: scn["audit"].update(claim=0.5), id="claim-not-an-object"),
+        pytest.param("scenario.audit.claim.epsilon: must be nonnegative",
+                     lambda scn: scn["audit"].update(claim={"epsilon": -1, "delta": 0.1}),
+                     id="negative-claim-epsilon"),
+        pytest.param("scenario.audit.claim.delta: must lie in [0, 1]",
+                     lambda scn: scn["audit"].update(claim={"epsilon": 1, "delta": 1.5}),
+                     id="claim-delta-above-one"),
+        pytest.param("scenario.audit.claim.delta: must lie in [0, 1]",
+                     lambda scn: scn["audit"].update(claim={"epsilon": 1, "delta": -0.1}),
+                     id="negative-claim-delta"),
     ])
     def test_malformed_scenario_names_the_field(self, tmp_path, laplace_scn, capsys,
                                                 field, edit):

@@ -233,6 +233,27 @@ class TestMonteCarlo:
         with pytest.raises(SupportError):
             mc_delta_vector(p, p, 0.1, n_samples=2000, seed=0)
 
+    @pytest.mark.parametrize("epsilon", [-1.0, math.nan, math.inf])
+    def test_invalid_epsilon_rejected(self, epsilon):
+        p = MixtureSpec(((1.0, "gaussian", 0.0, 1.0),))
+        with pytest.raises(ValueError, match="epsilon must be finite and nonnegative"):
+            mc_delta_vector(p, p, epsilon, n_samples=2000, seed=0)
+
+    def test_pinned_vector_estimate(self):
+        # 64-component, k = 3 Laplace pair; value and interval to the last bit
+        rng = np.random.default_rng(64)
+        weights = rng.uniform(0.1, 1.0, (2, 64))
+        weights /= weights.sum(axis=1, keepdims=True)
+        centers = rng.uniform(-1.0, 1.0, (2, 64, 3))
+        centers[1] += 0.5
+        p, q = (
+            VectorMixture(weights=weights[i], centers=centers[i], family="laplace", scale=0.8)
+            for i in (0, 1)
+        )
+        est = mc_delta_vector(p, q, 0.25, n_samples=20_000, seed=2024)
+        assert repr(est.value) == "0.20600537380186307"
+        assert repr(est.ci) == "(0.19923253450774636, 0.21277821309597977)"
+
     def test_deterministic_given_seed(self):
         p = MixtureSpec(((1.0, "gaussian", 0.0, 1.0),))
         q = MixtureSpec(((1.0, "gaussian", 0.5, 1.0),))
@@ -254,7 +275,46 @@ def direct_log_density(x, weights, family, centers, scale):
     return peak + np.log(np.exp(comp - peak[:, None]).sum(axis=1))
 
 
+def cube_log_density(noise, x, block=256):
+    """The kernel as one (points x k x components) buffer per block of points,
+    summed over the coordinate axis: the layout the coordinate-outer kernel
+    must reproduce bit for bit."""
+    centers = np.array(noise.kernel_centers)  # (k, m)
+    out = np.full(len(x), -np.inf)
+    for i in range(0, len(x), block):
+        z = x[i : i + block, :, None] - centers
+        z /= noise.kernel_scales
+        for fam, lo, hi in noise.spans:
+            fam.penalty(z[:, :, lo:hi])
+        pen = z[:, 0] if z.shape[1] == 1 else z.sum(axis=1)
+        pen = noise.log_coef - pen
+        peak = pen.max(axis=1, keepdims=True)
+        out[i : i + block] = peak[:, 0] + np.log(np.exp(pen - peak).sum(axis=1))
+    return out
+
+
 class TestMixtureKernel:
+    # a mixed-family mixture is a 1-D MixtureSpec
+    @pytest.mark.parametrize("family, k", [
+        *((f, k) for k in (1, 2, 3, 5) for f in ("laplace", "gaussian")), ("mixed", 1),
+    ])
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 1000])
+    def test_matches_cube_kernel_bit_for_bit(self, family, k, n):
+        rng = np.random.default_rng(1000 * k + n)
+        weights = rng.uniform(0.1, 1.0, 41)
+        weights /= weights.sum()
+        centers = rng.uniform(-2.0, 2.0, (41, k))
+        x = rng.uniform(-6.0, 6.0, (n, k))
+        if family == "mixed":
+            families = rng.choice(["gaussian", "laplace"], 41)
+            scales = rng.uniform(0.3, 2.0, 41)
+            mix = MixtureSpec(tuple(zip(weights, families, centers[:, 0], scales)))
+            got = mix.log_density(x[:, 0])
+        else:
+            mix = VectorMixture(weights=weights, centers=centers, family=family, scale=0.7)
+            got = mix.log_density(x)
+        assert np.array_equal(got, cube_log_density(mix._noise, x))
+
     @pytest.mark.parametrize("family", ["laplace", "gaussian"])
     @pytest.mark.parametrize("k", [1, 3])
     @pytest.mark.parametrize("n", [1, 255, 256, 257, 1000])
@@ -275,6 +335,41 @@ class TestMixtureKernel:
             np.testing.assert_allclose(
                 got, spec.log_density(x[:, 0]), rtol=1e-12, atol=0.0
             )
+
+
+class TestMixtureValidation:
+    @pytest.mark.parametrize("change, message", [
+        (dict(family="cauchy"), "unknown mixture family"),
+        (dict(scale=0.0), "finite positive scale"),
+        (dict(scale=-1.0), "finite positive scale"),
+        (dict(scale=math.nan), "finite positive scale"),
+        (dict(scale=math.inf), "finite positive scale"),
+        (dict(weights=np.array([0.7, 0.7])), "sum to"),
+        (dict(weights=np.array([1.5, -0.5])), "nonnegative"),
+        (dict(weights=np.array([math.nan, 1.0])), "nonnegative"),
+        (dict(centers=np.array([0.0, 1.0])), "centers must be"),
+        (dict(centers=np.zeros((3, 2))), "centers must be"),
+    ])
+    def test_invalid_mixture_rejected(self, change, message):
+        fields = dict(weights=np.array([0.5, 0.5]), centers=np.array([[0.0, 0.0], [1.0, 1.0]]),
+                      family="laplace", scale=1.0)
+        with pytest.raises(ValueError, match=message):
+            VectorMixture(**{**fields, **change})
+
+    @pytest.mark.parametrize("component, message", [
+        ((1.0, "gaussian", 0.0, math.nan), "finite positive scale"),
+        ((1.0, "laplace", 0.0, math.inf), "finite positive scale"),
+        ((math.nan, "laplace", 0.0, 1.0), "nonnegative"),
+    ])
+    def test_invalid_spec_rejected(self, component, message):
+        with pytest.raises(ValueError, match=message):
+            MixtureSpec((component,))
+
+    def test_valid_mixture_keeps_array_fields(self):
+        vm = VectorMixture(weights=[0.25, 0.75], centers=[[0.0], [1.0]], family="gaussian",
+                           scale=2)
+        assert vm.weights.tolist() == [0.25, 0.75]
+        assert vm.centers.shape == (2, 1) and vm.scale == 2.0
 
 
 class TestConvexityIdentities:
