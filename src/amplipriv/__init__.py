@@ -67,14 +67,12 @@ from .missingness import (
     McarBernoulli,
     McarPattern,
     MechanismClass,
-    classify,
     dataset_mask_probability,
     feature_mechanism_from_spec,
     load_mechanism_spec,
     mask_probability,
     p_star,
     sample_mask,
-    table_score,
     tight_rho,
     verify_rho,
 )

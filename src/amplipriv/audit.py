@@ -107,7 +107,7 @@ def mixture_decomposition(
     if not isinstance(left, CompleteDataset) or not isinstance(right, CompleteDataset):
         raise DimensionError("decomposition operates on complete-data neighbor pairs")
     i_star = pair.differing_index if pair.differing_index is not None else 0
-    ps = p_star(missing)  # refuses anything classified MNAR
+    ps = p_star(missing)
 
     w0: dict = {}
     w1: dict = {}
@@ -322,14 +322,15 @@ def tightness_counterexample(
     query = make_standard_query("linear", matrices=[read_matrix], n=n, d=d)
     mech = calibrate_gaussian(query, epsilon, delta, B)
 
-    # candidates all observe feature j0; which one fires depends on its value
+    # candidates all observe feature j0: (0, 1) fires when its value is below 0,
+    # (0, 0) from 0 up
     missing = DatasetMechanism(
         MarAnchoredPattern(
-            d=d,
             anchor=(j0,),
             q_all=0.0,
             candidates=[(0, 1), (0, 0)],
-            score=lambda av: (1.0, 0.0) if av[0] < 0 else (0.0, 1.0),
+            thresholds=[[0.0]],
+            score_table={"0": [1.0, 0.0], "1": [0.0, 1.0]},
         ),
         n=n,
     )

@@ -26,7 +26,6 @@ from .divergence import MC_MIN_SAMPLES
 from .errors import BudgetRangeError, SchemaError, UnsupportedMechanismError
 from .missingness import (
     DatasetMechanism,
-    classify,
     feature_mechanism_from_spec,
     p_star,
     tight_rho,
@@ -347,14 +346,13 @@ def _cmd_amplify(scn: Scenario, out_dir: Path, stem: str, fmt: str) -> int:
     query = scn.query()
     mech = _calibrated(scn, query)
     missing = scn.mechanism(n=query.n)
-    cls = classify(missing.feature_mech)
-    ps = p_star(missing, cls)
+    ps = p_star(missing)
     rho = scn.declared_rho(missing)
     bounds = sensitivity_masked(query, scn.bound_B, rho)
     eps, delta = scn.budget
     report = amplify_fwl(eps, delta, ps, bounds, family=scn.family)
     payload = report.to_json_dict()
-    payload["mechanism_class"] = cls.value
+    payload["mechanism_class"] = missing.feature_mech.mechanism_class.value
     emit_report(payload, "json", out_dir / f"{stem}_amplify.json")
     print(
         f"amplified: epsilon {report.base.epsilon!r} -> "

@@ -97,9 +97,11 @@ class Mask:
     bits: tuple
 
     def __post_init__(self):
-        bits = tuple(int(b) for b in self.bits)
-        if any(b not in (0, 1) for b in bits):
-            raise ValueError("mask bits must be 0 or 1")
+        raw = tuple(self.bits)
+        # checked before int(), which would truncate 1.5 or -0.5 to a valid bit
+        if any(b not in (0, 1) for b in raw):
+            raise ValueError(f"mask bits must be 0 or 1, got {raw!r}")
+        bits = tuple(int(b) for b in raw)
         if len(bits) < 1:
             raise DimensionError("mask needs at least one bit")
         object.__setattr__(self, "bits", bits)

@@ -2,9 +2,11 @@
 quantities that drive amplification: the hiding probability p_star and the
 observed-fraction bound rho.
 
-Every family here is MCAR or MAR by construction. In particular the
-probability of the all-missing mask never depends on the data, which is what
-makes p_star a single well-defined constant across neighbor pairs.
+Every family here is MCAR or MAR by construction, and records which in its
+``mechanism_class`` when it is built. In particular the probability of the
+all-missing mask never depends on the data, which is what makes p_star a
+single well-defined constant across neighbor pairs. MNAR specs are refused
+when they are parsed.
 """
 
 from __future__ import annotations
@@ -13,20 +15,15 @@ import enum
 import itertools
 import json
 import math
-import random
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .datasets import CompleteDataset, Mask, MaskMatrix
-from .errors import (
-    DimensionError,
-    MechanismConsistencyError,
-    SchemaError,
-    UnsupportedMechanismError,
-)
+from .errors import DimensionError, SchemaError, UnsupportedMechanismError
 
 _PROB_TOL = 1e-12
 
@@ -49,13 +46,15 @@ def row_stream(seed: int, row: int) -> np.random.Generator:
 class MechanismClass(enum.Enum):
     MCAR = "MCAR"
     MAR = "MAR"
-    MNAR = "MNAR"
 
 
 class FeatureMechanism:
-    """Per-sample mask law P[F(z) = m]. Subclasses are immutable."""
+    """Per-sample mask law P[F(z) = m]. Subclasses are immutable, and each
+    fixes ``mechanism_class`` when it is built: MCAR when the law ignores the
+    sample, MAR when it reads only features that its masks observe."""
 
     d: int
+    mechanism_class: MechanismClass
 
     def mask_probability(self, sample: Sequence[float], mask: Mask) -> float:
         raise NotImplementedError
@@ -75,28 +74,50 @@ class FeatureMechanism:
     def draw(self, sample: Sequence[float], rng: np.random.Generator) -> Mask:
         raise NotImplementedError
 
-    def data_independent(self) -> bool:
-        """True when the mask law ignores the sample entirely (MCAR family)."""
-        raise NotImplementedError
-
     def _check_sample(self, sample: Sequence[float]):
         if len(sample) != self.d:
             raise DimensionError(f"sample has length {len(sample)}, mechanism d={self.d}")
 
 
-def _mask_from_bits(bits) -> Mask:
-    return bits if isinstance(bits, Mask) else Mask(tuple(bits))
+# Constructor checks raise ValueErrors whose message starts with the argument
+# at fault, which is also the spec field the parser read it from.
+
+
+def _number(value, field: str) -> float:
+    """``value`` as a float, or a ValueError naming ``field``."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{field}: expected a number, got {value!r}") from None
+
+
+def _numbers(values, field: str) -> tuple:
+    """``values`` as a tuple of floats, or a ValueError naming ``field``."""
+    try:
+        return tuple(_number(v, field) for v in values)
+    except TypeError:
+        raise ValueError(f"{field}: expected a list of numbers, got {values!r}") from None
+
+
+def _masks(rows, field: str) -> tuple:
+    """``rows`` as a tuple of Masks, or a ValueError naming ``field``."""
+    try:
+        return tuple(r if isinstance(r, Mask) else Mask(tuple(r)) for r in rows)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{field}: {exc}") from None
 
 
 class McarBernoulli(FeatureMechanism):
     """Each feature goes missing independently with probability pi_j."""
 
+    mechanism_class = MechanismClass.MCAR
+
     def __init__(self, pi: Sequence[float]):
-        pi = tuple(float(p) for p in pi)
+        pi = _numbers(pi, "pi")
         if len(pi) < 1:
-            raise DimensionError("pi must be non-empty")
-        if any(p < 0 or p > 1 for p in pi):
-            raise ValueError("pi entries must lie in [0, 1]")
+            raise DimensionError("pi: must be non-empty")
+        if not all(0 <= p <= 1 for p in pi):
+            raise ValueError(f"pi: entries must lie in [0, 1], got {list(pi)!r}")
         self.pi = pi
         self.d = len(pi)
 
@@ -127,9 +148,6 @@ class McarBernoulli(FeatureMechanism):
         u = rng.random(self.d)
         return Mask(tuple(int(u[j] < self.pi[j]) for j in range(self.d)))
 
-    def data_independent(self):
-        return True
-
 
 class CappedBernoulli(FeatureMechanism):
     """Bernoulli missingness conditioned on observing at most floor(rho*d) features.
@@ -140,18 +158,21 @@ class CappedBernoulli(FeatureMechanism):
     unconditioned Bernoulli support violates.
     """
 
+    mechanism_class = MechanismClass.MCAR
+
     def __init__(self, pi: Sequence[float], rho_cap: float):
         base = McarBernoulli(pi)
+        rho_cap = _number(rho_cap, "rho_cap")
         if not 0 < rho_cap <= 1:
-            raise ValueError("rho_cap must lie in (0, 1]")
+            raise ValueError(f"rho_cap: must lie in (0, 1], got {rho_cap!r}")
         self.pi = base.pi
         self.d = base.d
-        self.rho_cap = float(rho_cap)
+        self.rho_cap = rho_cap
         self.obs_cap = math.floor(self.rho_cap * self.d)
         self._base = base
         self._z = self._truncated_mass()
         if self._z <= 0.0:
-            raise ValueError("truncated support has zero mass under pi")
+            raise ValueError("rho_cap: the capped support has zero mass under pi")
 
     def _truncated_mass(self) -> float:
         # Poisson-binomial: P[#observed <= cap] with observe prob 1 - pi_j.
@@ -185,32 +206,31 @@ class CappedBernoulli(FeatureMechanism):
             if m.observed_count <= self.obs_cap:
                 return m
 
-    def data_independent(self):
-        return True
-
 
 class McarPattern(FeatureMechanism):
     """Finite list of masks with fixed, data-independent probabilities."""
 
+    mechanism_class = MechanismClass.MCAR
+
     def __init__(self, patterns: Sequence):
+        try:
+            bits, probs = zip(*[(b, p) for b, p in patterns])
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"patterns: need a non-empty list of (mask, probability) pairs, got {patterns!r}"
+            ) from None
+        masks, probs = _masks(bits, "patterns"), _numbers(probs, "patterns")
+        if any(m.d != masks[0].d for m in masks):
+            raise DimensionError("patterns: masks must share one length")
+        if not all(0 <= p <= 1 for p in probs):
+            raise ValueError(f"patterns: probabilities must lie in [0, 1], got {list(probs)!r}")
         merged: dict = {}
-        d = None
-        for bits, prob in patterns:
-            m = _mask_from_bits(bits)
-            if d is None:
-                d = m.d
-            elif m.d != d:
-                raise DimensionError("pattern masks must share a common length")
-            prob = float(prob)
-            if prob < 0:
-                raise ValueError("pattern probabilities must be nonnegative")
+        for m, prob in zip(masks, probs):
             merged[m.bits] = merged.get(m.bits, 0.0) + prob
-        if d is None:
-            raise ValueError("pattern list must be non-empty")
         total = math.fsum(merged.values())
         if abs(total - 1.0) > _PROB_TOL:
-            raise ValueError(f"pattern probabilities sum to {total}, expected 1")
-        self.d = d
+            raise ValueError(f"patterns: probabilities sum to {total}, expected 1")
+        self.d = masks[0].d
         self.patterns = tuple((Mask(b), p) for b, p in sorted(merged.items()))
         self._index = {m.bits: p for m, p in self.patterns}
         self._cum = np.cumsum([p for _, p in self.patterns])
@@ -236,86 +256,102 @@ class McarPattern(FeatureMechanism):
         idx = min(idx, len(self.patterns) - 1)
         return self.patterns[idx][0]
 
-    def data_independent(self):
-        return True
-
 
 class MarAnchoredPattern(FeatureMechanism):
     """MAR family: an always-observed anchor set drives pattern choice.
 
     With probability ``q_all`` the row is fully missing (a data-independent
-    atom); otherwise a scoring rule maps the anchor values to a distribution
-    over candidate masks, each of which observes every anchor feature. Because
-    scores read only coordinates that every candidate observes, the mask law
-    depends on observed values alone, so the family is MAR by construction and
-    the all-missing probability is one constant.
+    atom); otherwise the anchor values pick a row of ``score_table``, a
+    distribution over the candidate masks, each of which observes every anchor
+    feature. The i-th anchor feature in sorted order falls in bin b, the count
+    of ``thresholds[i]`` at or below its value, and the comma-joined bins key
+    the table. Because the scores read only features that every candidate
+    observes, the mask law depends on observed values alone, so the family is
+    MAR by construction and the all-missing probability is one constant. It
+    is MCAR when every bin an anchor value can reach gives the same law.
     """
 
     def __init__(
         self,
-        d: int,
         anchor: Sequence[int],
         q_all: float,
         candidates: Sequence,
-        score: Callable[[tuple], Sequence[float]],
+        thresholds: Sequence[Sequence[float]],
+        score_table: dict,
     ):
-        if d < 1:
-            raise DimensionError("d must be >= 1")
-        anchor = tuple(sorted(set(int(j) for j in anchor)))
-        if any(j < 0 or j >= d for j in anchor):
-            raise ValueError("anchor indices out of range")
-        if not 0 <= q_all <= 1:
-            raise ValueError("q_all must lie in [0, 1]")
-        cands = tuple(_mask_from_bits(b) for b in candidates)
+        cands = _masks(candidates, "candidates")
         if not cands:
-            raise ValueError("candidate list must be non-empty")
-        for m in cands:
-            if m.d != d:
-                raise DimensionError("candidate masks must have length d")
-            if any(m.bits[j] == 1 for j in anchor):
-                raise ValueError("every candidate must observe the full anchor set")
+            raise ValueError("candidates: need at least one candidate mask")
+        d = cands[0].d
+        if any(m.d != d for m in cands):
+            raise DimensionError("candidates: masks must share one length")
         if len(set(m.bits for m in cands)) != len(cands):
-            raise ValueError("candidate masks must be distinct")
+            raise ValueError("candidates: masks must be distinct")
+        try:
+            anchor = tuple(sorted({operator.index(j) for j in anchor}))
+        except TypeError:
+            raise ValueError(f"anchor: expected feature indices, got {anchor!r}") from None
+        if any(j < 0 or j >= d for j in anchor):
+            raise ValueError(f"anchor: indices must lie in [0, {d}), got {list(anchor)!r}")
+        if any(m.bits[j] == 1 for m in cands for j in anchor):
+            raise ValueError("candidates: every candidate must observe the full anchor set")
+        q_all = _number(q_all, "q_all")
+        if not 0 <= q_all <= 1:
+            raise ValueError(f"q_all: must lie in [0, 1], got {q_all!r}")
+        try:
+            cuts = tuple(tuple(sorted(map(float, ts))) for ts in thresholds)
+            ok = len(cuts) == len(anchor) and all(map(math.isfinite, itertools.chain(*cuts)))
+        except (TypeError, ValueError):
+            ok = False
+        if not ok:
+            raise ValueError(
+                "thresholds: need one list of finite numbers per anchor feature, "
+                f"got {thresholds!r}"
+            )
+        if not isinstance(score_table, dict):
+            raise ValueError(f"score_table: expected an object of score rows, got {score_table!r}")
+        table = {}
+        for key, row in score_table.items():
+            row = _numbers(row, "score_table")
+            if (len(row) != len(cands) or not all(s >= 0 for s in row)
+                    or not abs(math.fsum(row) - 1.0) <= _PROB_TOL):
+                raise ValueError(
+                    f"score_table: row '{key}' must hold {len(cands)} nonnegative "
+                    f"scores summing to 1, got {list(row)!r}"
+                )
+            table[key] = row
+        # every bin an anchor value can fall in: the count of cuts <= it
+        bins = [sorted({0} | {bisect_right(c, t) for t in c}) for c in cuts]
+        self._rows = {}
+        for key in itertools.product(*bins):
+            name = ",".join(map(str, key))
+            if name not in table:
+                raise ValueError(f"score_table: no entry for bin key '{name}'")
+            self._rows[key] = table[name]
         self.d = d
         self.anchor = anchor
-        self.q_all = float(q_all)
+        self.q_all = q_all
         self.candidates = cands
-        self._score = score
+        self._cuts = cuts
         self._all_ones = tuple([1] * d)
+        laws = {tuple(self._law(row)) for row in self._rows.values()}
+        self.mechanism_class = MechanismClass.MCAR if len(laws) == 1 else MechanismClass.MAR
 
     def scores_for(self, sample: Sequence[float]) -> tuple:
-        anchor_values = tuple(float(sample[j]) for j in self.anchor)
-        raw = tuple(float(s) for s in self._score(anchor_values))
-        if len(raw) != len(self.candidates):
-            raise MechanismConsistencyError(
-                "scoring rule returned a vector of the wrong length"
-            )
-        if any(s < 0 for s in raw):
-            raise MechanismConsistencyError("scores must be nonnegative")
-        total = math.fsum(raw)
-        if abs(total - 1.0) > _PROB_TOL:
-            raise MechanismConsistencyError(f"scores sum to {total}, expected 1")
-        return raw
+        """The score row keyed by the bins of the sample's anchor values."""
+        bins = (bisect_right(c, sample[j]) for c, j in zip(self._cuts, self.anchor))
+        return self._rows[tuple(bins)]
 
     def mask_probability(self, sample, mask):
         self._check_sample(sample)
-        if mask.bits == self._all_ones:
-            base = self.q_all
-            # a fully-missing candidate is possible only with an empty anchor
-            for m, s in zip(self.candidates, self.scores_for(sample)):
-                if m.bits == self._all_ones:
-                    base += (1.0 - self.q_all) * s
-            return base
-        for m, s in zip(self.candidates, self.scores_for(sample)):
-            if m.bits == mask.bits:
-                return (1.0 - self.q_all) * s
-        return 0.0
+        return dict(self.support(sample)).get(mask, 0.0)
 
     def support(self, sample):
-        scores = self.scores_for(sample)
-        emitted_all_ones = 0.0
-        if self.q_all > 0.0:
-            emitted_all_ones = self.q_all
+        return self._law(self.scores_for(sample))
+
+    def _law(self, scores: tuple) -> list:
+        """(Mask, probability) pairs of positive probability under one score row."""
+        emitted_all_ones = self.q_all
         out = []
         for m, s in zip(self.candidates, scores):
             p = (1.0 - self.q_all) * s
@@ -329,20 +365,14 @@ class MarAnchoredPattern(FeatureMechanism):
         return out
 
     def all_missing_probability(self):
-        q = self.q_all
-        if not self.anchor:
-            # empty anchor: scores cannot depend on anything, evaluate once
-            for m, s in zip(self.candidates, self.scores_for((0.0,) * self.d)):
-                if m.bits == self._all_ones:
-                    q += (1.0 - self.q_all) * s
-        return q
+        # candidates observe the anchor, so an all-missing candidate needs an
+        # empty anchor, and then the table has a single row: the all-missing
+        # mass is the same in every row's law
+        law = dict(self._law(next(iter(self._rows.values()))))
+        return law.get(Mask(self._all_ones), 0.0)
 
     def max_observed_count(self):
-        best = 0 if self.q_all > 0.0 else None
-        for m in self.candidates:
-            c = m.observed_count
-            best = c if best is None else max(best, c)
-        return best
+        return max(m.observed_count for m in self.candidates)
 
     def draw(self, sample, rng):
         if rng.random() < self.q_all:
@@ -352,9 +382,6 @@ class MarAnchoredPattern(FeatureMechanism):
         idx = int(np.searchsorted(cum, rng.random(), side="right"))
         idx = min(idx, len(self.candidates) - 1)
         return self.candidates[idx]
-
-    def data_independent(self):
-        return not self.anchor
 
 
 @dataclass(frozen=True)
@@ -415,22 +442,13 @@ def sample_mask(
     return MaskMatrix(rows)
 
 
-def p_star(mech: DatasetMechanism, cls: Optional[MechanismClass] = None) -> float:
+def p_star(mech: DatasetMechanism) -> float:
     """Probability that a given record is at least partially observed.
 
-    Equals 1 - P[F(.) = all-ones mask]; the all-ones probability is constant
-    across samples for MCAR/MAR mechanisms, so this is a single number. Raises
-    for anything classified MNAR, where no such constant exists. ``cls`` is the
-    mechanism's class when the caller has already classified it.
+    Equals 1 - P[F(.) = all-ones mask]. Every family here is MCAR or MAR by
+    construction, so the all-ones probability is constant across samples and
+    this is a single number.
     """
-    if cls is None:
-        cls = classify(mech.feature_mech)
-    if cls is MechanismClass.MNAR:
-        raise UnsupportedMechanismError(
-            "p_star requires an MCAR or MAR mechanism: under MNAR the mask law "
-            "may depend on unobserved values and the hiding probability is not "
-            "a constant across neighbor pairs"
-        )
     return 1.0 - mech.feature_mech.all_missing_probability()
 
 
@@ -446,107 +464,12 @@ def tight_rho(mech: DatasetMechanism) -> float:
     return mech.feature_mech.max_observed_count() / mech.d
 
 
-class _ProbeStream(random.Random):
-    """A seeded stdlib stream for the certificate's probes. ``random(size)``
-    returns an array, as ``FeatureMechanism.draw`` asks of a numpy Generator,
-    so classifying never loads ``numpy.random`` (nor, through it, OpenSSL)."""
-
-    def random(self, size=None):
-        draw = super().random
-        return draw() if size is None else np.array([draw() for _ in range(size)])
-
-    def point(self, bound: float, d: int) -> tuple:
-        return tuple(self.uniform(-bound, bound) for _ in range(d))
-
-
-def classify(
-    mech: FeatureMechanism, trials: int = 64, bound: float = 1.0, seed: int = 20240
-) -> MechanismClass:
-    """Classify a feature mechanism as MCAR or MAR.
-
-    Runs a randomized certificate: for sampled (z, z', m) triples with z and z'
-    agreeing on the observed coordinates of m, the mask probabilities must
-    match exactly. A violation means the mechanism's construction is broken,
-    not that it is MNAR, so it raises. The MCAR/MAR split is decided by probing
-    whether the mask law reacts to any coordinate change at all.
-    """
-    rng = _ProbeStream(seed)
-    d = mech.d
-    probe_masks = [Mask(tuple([1] * d)), Mask(tuple([0] * d))]
-    z0 = rng.point(bound, d)
-    for _ in range(8):
-        probe_masks.append(mech.draw(z0, rng))
-
-    for t in range(trials):
-        z = rng.point(bound, d)
-        m = probe_masks[t % len(probe_masks)]
-        z_alt = tuple(
-            z[j] if m.bits[j] == 0 else rng.uniform(-bound, bound) for j in range(d)
-        )
-        p1 = mech.mask_probability(z, m)
-        p2 = mech.mask_probability(z_alt, m)
-        if p1 != p2:
-            raise MechanismConsistencyError(
-                "mask probability changed with unobserved coordinates only: "
-                "the mechanism violates its MAR construction"
-            )
-
-    if mech.data_independent():
-        return MechanismClass.MCAR
-
-    def _table(z):
-        return sorted((m.bits, p) for m, p in mech.support(z))
-
-    # probe for any data dependence at all; none found means degenerate MCAR
-    ref_table = _table(rng.point(bound, d))
-    for _ in range(trials):
-        if _table(rng.point(bound, d)) != ref_table:
-            return MechanismClass.MAR
-    return MechanismClass.MCAR
-
-
 # --- JSON mechanism specs ---------------------------------------------------
 
 
-def table_score(
-    thresholds: Sequence[Sequence[float]], score_table: dict, n_candidates: int
-) -> Callable[[tuple], tuple]:
-    """Build a scoring rule from per-anchor-coordinate thresholds and a table.
-
-    Each anchor value is discretized to the count of thresholds <= value; the
-    joined bin indices key into ``score_table``.
-    """
-    cuts = [sorted(float(t) for t in ts) for ts in thresholds]
-    table = {}
-    for key, row in score_table.items():
-        row = tuple(float(s) for s in row)
-        if len(row) != n_candidates:
-            raise SchemaError(
-                f"score_table: row '{key}' has {len(row)} scores for "
-                f"{n_candidates} candidates"
-            )
-        if any(s < 0 for s in row) or not abs(math.fsum(row) - 1.0) <= _PROB_TOL:
-            raise SchemaError(
-                f"score_table: row '{key}' must be nonnegative and sum to 1, "
-                f"got {list(row)!r}"
-            )
-        table[key] = row
-
-    def score(anchor_values: tuple) -> tuple:
-        if len(anchor_values) != len(cuts):
-            raise DimensionError("anchor value count does not match thresholds")
-        key = ",".join(
-            str(bisect_right(cuts[i], v)) for i, v in enumerate(anchor_values)
-        )
-        if key not in table:
-            raise SchemaError(f"score_table: no entry for bin key '{key}'")
-        return table[key]
-
-    return score
-
-
 def feature_mechanism_from_spec(spec: dict) -> FeatureMechanism:
-    """Parse the JSON mechanism spec format."""
+    """Parse the JSON mechanism spec format. A malformed spec raises a
+    SchemaError whose message starts with the field at fault."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise SchemaError("kind: a mechanism spec is an object with a 'kind' field")
     kind = spec["kind"]
@@ -555,34 +478,30 @@ def feature_mechanism_from_spec(spec: dict) -> FeatureMechanism:
             f"mechanism kind '{kind}': amplification accounting requires an MCAR "
             "or MAR mechanism (the mask law must not depend on unobserved values)"
         )
-    if kind == "mcar_bernoulli":
-        return McarBernoulli(spec["pi"])
-    if kind == "capped_bernoulli":
-        return CappedBernoulli(spec["pi"], spec["rho_cap"])
-    if kind == "mcar_pattern":
-        return McarPattern([(p["mask"], p["prob"]) for p in spec["patterns"]])
-    if kind == "mar_anchored":
-        candidates = spec["candidates"]
-        if not candidates:
-            raise SchemaError("candidates: need at least one candidate mask")
-        thresholds, table = spec["thresholds"], spec["score_table"]
-        score = table_score(thresholds, table, len(candidates))
-        # every bin an anchor value can fall in: the count of thresholds <= it
-        bins = [
-            sorted({0} | {bisect_right(cuts, t) for t in cuts})
-            for cuts in (sorted(float(t) for t in ts) for ts in thresholds)
-        ]
-        for key in itertools.product(*bins):
-            key = ",".join(map(str, key))
-            if key not in table:
-                raise SchemaError(f"score_table: no entry for bin key '{key}'")
-        return MarAnchoredPattern(
-            d=len(candidates[0]),
-            anchor=spec["anchor"],
-            q_all=spec["q_all"],
-            candidates=candidates,
-            score=score,
-        )
+
+    def field(key):
+        if key not in spec:
+            raise SchemaError(f"{key}: missing required field")
+        return spec[key]
+
+    try:
+        if kind == "mcar_bernoulli":
+            return McarBernoulli(field("pi"))
+        if kind == "capped_bernoulli":
+            return CappedBernoulli(field("pi"), field("rho_cap"))
+        if kind == "mcar_pattern":
+            try:
+                pairs = [(p["mask"], p["prob"]) for p in field("patterns")]
+            except (KeyError, TypeError):
+                raise SchemaError(
+                    "patterns: each entry is an object with 'mask' and 'prob'"
+                ) from None
+            return McarPattern(pairs)
+        if kind == "mar_anchored":
+            keys = ("anchor", "q_all", "candidates", "thresholds", "score_table")
+            return MarAnchoredPattern(**{key: field(key) for key in keys})
+    except ValueError as exc:  # each constructor check names its field first
+        raise SchemaError(str(exc)) from None
     raise SchemaError(f"kind: unknown mechanism kind '{kind}'")
 
 

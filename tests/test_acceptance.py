@@ -131,11 +131,11 @@ def test_c03_laplace_quadrature_audit():
         q = sum_query(2, 4, B)
         missing = DatasetMechanism(
             MarAnchoredPattern(
-                d=4,
                 anchor=(0,),
                 q_all=0.0,
                 candidates=[(0, 1, 1, 1), (0, 0, 1, 1)],
-                score=lambda av: (0.3, 0.7) if av[0] >= 0 else (0.8, 0.2),
+                thresholds=[[0.0]],
+                score_table={"1": [0.3, 0.7], "0": [0.8, 0.2]},
             ),
             n=2,
         )

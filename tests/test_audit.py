@@ -33,14 +33,14 @@ def sum_query(n, d, B):
     return lipschitz_postprocess(base, lambda v: np.array([v.sum()]), 1.0, output_dim=1)
 
 
-def anchored_mechanism(n, d):
+def anchored_mechanism(n):
     return DatasetMechanism(
         MarAnchoredPattern(
-            d=d,
             anchor=(0,),
             q_all=0.0,
             candidates=[(0, 1, 1, 1), (0, 0, 1, 1)],
-            score=lambda av: (0.3, 0.7) if av[0] >= 0 else (0.8, 0.2),
+            thresholds=[[0.0]],
+            score_table={"1": [0.3, 0.7], "0": [0.8, 0.2]},
         ),
         n=n,
     )
@@ -83,11 +83,11 @@ class TestMixtureDecomposition:
     def test_mar_hidden_tables_bit_exact_over_random_pairs(self):
         mech = DatasetMechanism(
             MarAnchoredPattern(
-                d=4,
                 anchor=(0,),
                 q_all=0.25,
                 candidates=[(0, 1, 1, 1), (0, 0, 1, 1)],
-                score=lambda av: (0.3, 0.7) if av[0] >= 0 else (0.8, 0.2),
+                thresholds=[[0.0]],
+                score_table={"1": [0.3, 0.7], "0": [0.8, 0.2]},
             ),
             n=2,
         )
@@ -102,7 +102,7 @@ class TestMixtureDecomposition:
             assert abs(dec.p_star - 0.75) < 1e-15
 
     def test_p_star_one_has_empty_hidden_table(self):
-        mech = anchored_mechanism(2, 4)
+        mech = anchored_mechanism(2)
         dec = mixture_decomposition(mech, neighbor_pair())
         assert dec.p_star == 1.0 and dec.w0 == {}
 
@@ -179,7 +179,7 @@ class TestVerifyAmplification:
         q = sum_query(2, 4, B)
         cm = ComposedMechanism(
             noise=calibrate_laplace(q, epsilon=1.0, B=B),
-            missing=anchored_mechanism(2, 4),
+            missing=anchored_mechanism(2),
         )
         table = verify_amplification(
             cm, neighbor_pair(), [0.25, 0.5, 1.0], method="exact", tol=1e-7
@@ -214,7 +214,7 @@ class TestVerifyAmplification:
         q = sum_query(2, 4, B)
         cm = ComposedMechanism(
             noise=calibrate_laplace(q, epsilon=1.0, B=B),
-            missing=anchored_mechanism(2, 4),
+            missing=anchored_mechanism(2),
         )
         table = verify_amplification(
             cm, neighbor_pair(), [1.0], method="mc", n_samples=50_000, seed=2
@@ -228,7 +228,7 @@ class TestVerifyAmplification:
         q = make_standard_query("clipped_mean", n=2, d=4, clip=B)
         cm = ComposedMechanism(
             noise=calibrate_laplace(q, epsilon=1.0, B=B),
-            missing=anchored_mechanism(2, 4),
+            missing=anchored_mechanism(2),
         )
         pair = neighbor_pair()
         with pytest.raises(DimensionError):
@@ -245,7 +245,7 @@ class TestVerifyAmplification:
         q = sum_query(2, 4, B)
         cm = ComposedMechanism(
             noise=calibrate_laplace(q, epsilon=1.0, B=B),
-            missing=anchored_mechanism(2, 4),
+            missing=anchored_mechanism(2),
         )
         pair = neighbor_pair()
         pv = composed_vector_mixture(cm, pair.left)
@@ -263,7 +263,7 @@ class TestVerifyAmplification:
         q = sum_query(2, 4, B)
         cm = ComposedMechanism(
             noise=calibrate_laplace(q, epsilon=1.0, B=B),
-            missing=anchored_mechanism(2, 4),
+            missing=anchored_mechanism(2),
         )
         table = verify_amplification(
             cm,
@@ -319,9 +319,10 @@ class TestArrayEnumeration:
 
         mech = DatasetMechanism(
             MarAnchoredPattern(
-                d=4, anchor=(0,), q_all=0.15,
+                anchor=(0,), q_all=0.15,
                 candidates=[(0, 1, 1, 1), (0, 0, 1, 0), (0, 1, 0, 0)],
-                score=lambda av: (0.3, 0.6, 0.1) if av[0] >= 0 else (0.7, 0.1, 0.2),
+                thresholds=[[0.0]],
+                score_table={"1": [0.3, 0.6, 0.1], "0": [0.7, 0.1, 0.2]},
             ),
             n=3,
         )
@@ -355,7 +356,7 @@ class TestArrayEnumeration:
         B = 0.5
         q = sum_query(2, 4, B)
         cm = ComposedMechanism(
-            noise=calibrate_laplace(q, epsilon=1.0, B=B), missing=anchored_mechanism(2, 4)
+            noise=calibrate_laplace(q, epsilon=1.0, B=B), missing=anchored_mechanism(2)
         )
         pair = neighbor_pair()
         table = verify_amplification(cm, pair, grid, method=method, n_samples=2000)
@@ -366,7 +367,7 @@ class TestArrayEnumeration:
         B = 0.5
         q = sum_query(2, 4, B)
         cm = ComposedMechanism(
-            noise=calibrate_laplace(q, epsilon=1.0, B=B), missing=anchored_mechanism(2, 4)
+            noise=calibrate_laplace(q, epsilon=1.0, B=B), missing=anchored_mechanism(2)
         )
         pair = neighbor_pair()
         grid = [0.25, 0.5, 1.0]

@@ -1,13 +1,18 @@
 """Scenario runner: exit codes, report formats, reproducibility."""
 
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amplipriv.cli import AUDIT_CSV_HEADER, build_parser, main, run_scenario
 
@@ -245,6 +250,34 @@ class TestSchemaDiagnostics:
         pytest.param("scenario.audit.claim.delta: must lie in [0, 1]",
                      lambda scn: scn["audit"].update(claim={"epsilon": 1, "delta": -0.1}),
                      id="negative-claim-delta"),
+        pytest.param("scenario.mechanism.anchor: missing required field",
+                     lambda scn: scn["mechanism"].pop("anchor"), id="missing-anchor"),
+        pytest.param("scenario.mechanism.q_all: missing required field",
+                     lambda scn: scn["mechanism"].pop("q_all"), id="missing-q_all"),
+        pytest.param("scenario.mechanism.pi: missing required field",
+                     lambda scn: scn.update(mechanism={"kind": "mcar_bernoulli"}),
+                     id="missing-pi"),
+        pytest.param("scenario.mechanism.q_all: expected a number, got 'x'",
+                     lambda scn: scn["mechanism"].update(q_all="x"), id="q_all-not-a-number"),
+        pytest.param("scenario.mechanism.q_all: must lie in [0, 1], got 2.0",
+                     lambda scn: scn["mechanism"].update(q_all=2), id="q_all-above-one"),
+        pytest.param("scenario.mechanism.anchor: indices must lie in [0, 4)",
+                     lambda scn: scn["mechanism"].update(anchor=[9]), id="anchor-out-of-range"),
+        pytest.param("scenario.mechanism.candidates: masks must be distinct",
+                     lambda scn: scn["mechanism"].update(candidates=[[0, 1, 1, 1]] * 2),
+                     id="duplicate-candidates"),
+        pytest.param("scenario.mechanism.candidates: mask bits must be 0 or 1",
+                     lambda scn: scn["mechanism"].update(candidates=[[0, 1, 1, 2], [0, 0, 1, 1]]),
+                     id="candidate-bit-two"),
+        pytest.param("scenario.mechanism.patterns: probabilities sum to 0.5",
+                     lambda scn: scn.update(mechanism={"kind": "mcar_pattern", "patterns": [
+                         {"mask": [0, 0, 1, 1], "prob": 0.25},
+                         {"mask": [1, 1, 1, 1], "prob": 0.25}]}),
+                     id="pattern-sum-half"),
+        pytest.param("scenario.mechanism.rho_cap: must lie in (0, 1]",
+                     lambda scn: scn.update(mechanism={"kind": "capped_bernoulli",
+                                                       "pi": [0.5] * 4, "rho_cap": 0}),
+                     id="rho_cap-zero"),
     ])
     def test_malformed_scenario_names_the_field(self, tmp_path, laplace_scn, capsys,
                                                 field, edit):
@@ -254,6 +287,80 @@ class TestSchemaDiagnostics:
         path.write_text(json.dumps(scn))
         assert run("audit", path, tmp_path) == 1
         assert field in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("command", ["amplify", "audit", "simulate"])
+    @pytest.mark.parametrize("field, mechanism", [
+        ("pi", {"kind": "mcar_bernoulli", "pi": [float("nan"), 0.5, 0.5, 0.5]}),
+        ("pi", {"kind": "capped_bernoulli", "pi": [float("nan"), 0.5, 0.5, 0.5],
+                "rho_cap": 0.5}),
+        ("patterns", {"kind": "mcar_pattern", "patterns": [
+            {"mask": [0, 0, 1, 1], "prob": float("nan")}, {"mask": [1, 1, 1, 1], "prob": 1.0}]}),
+        ("thresholds", {"kind": "mar_anchored", "anchor": [0], "q_all": 0.0,
+                        "candidates": [[0, 1, 1, 1], [0, 0, 1, 1]],
+                        "thresholds": [[float("nan")]],
+                        "score_table": {"1": [0.3, 0.7], "0": [0.8, 0.2]}}),
+    ], ids=["bernoulli-pi", "capped-pi", "pattern-prob", "threshold"])
+    def test_nan_mechanism_field_named(self, tmp_path, laplace_scn, capsys, command,
+                                       field, mechanism):
+        scn = json.loads(laplace_scn.read_text())
+        scn["mechanism"] = mechanism  # written as NaN
+        scn.pop("rho")
+        path = tmp_path / "nan_mechanism.json"
+        path.write_text(json.dumps(scn))
+        assert run(command, path, tmp_path) == 1
+        out, err = capsys.readouterr()
+        assert f"scenario.mechanism.{field}: " in err
+        assert "nan" not in out
+
+
+def _mechanism_paths(node, path=()):
+    """The path of every dict entry and list item below ``node``."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield path + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _mechanism_paths(child, path + (key,))
+
+
+class TestMechanismFuzz:
+    SHIPPED = json.loads((SCENARIOS / "laplace_mean_rho05.json").read_text())
+    PATHS = list(_mechanism_paths(SHIPPED["mechanism"]))
+    VALUES = [float("nan"), float("inf"), float("-inf"), "abc", [0.5], -1, -0.5, 2, 1.5]
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        command=st.sampled_from(["amplify", "simulate"]),
+        path=st.sampled_from(PATHS),
+        value=st.one_of(st.none(), st.sampled_from(VALUES)),  # None drops the entry
+    )
+    def test_mutated_mechanism_exits_cleanly(self, tmp_path_factory, command, path, value):
+        """A mutated mechanism block either runs or exits 1 naming the field
+        at fault: never a traceback, and never a NaN result."""
+        scn = json.loads(json.dumps(self.SHIPPED))
+        *parents, leaf = path
+        node = scn["mechanism"]
+        for key in parents:
+            node = node[key]
+        if value is None:
+            del node[leaf]
+        else:
+            node[leaf] = value
+        out_dir = tmp_path_factory.mktemp("fuzz")
+        scn_path = out_dir / "fuzz.json"
+        scn_path.write_text(json.dumps(scn))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(command, scn_path, out_dir)
+        nan = re.compile(r"\bnan\b", re.IGNORECASE)
+        assert not nan.search(out.getvalue())
+        if code == 0:
+            for report in out_dir.glob("fuzz_*.json"):
+                assert not nan.search(report.read_text())
+        else:
+            # a valid but different mechanism may break the declared rho
+            assert code == 1
+            assert err.getvalue().startswith(("error: scenario.mechanism.", "error: scenario.rho:"))
 
 
 class TestExactAuditFootprint:

@@ -180,6 +180,12 @@ class TestDatasetValidation:
         with pytest.raises(ValueError):
             IncompleteDataset(((None, float("nan")),))
 
+    @pytest.mark.parametrize("bit", [2, 1.5, -0.5, float("nan"), float("inf"), "1"])
+    def test_mask_bits_are_zero_or_one(self, bit):
+        # int() would turn 1.5 and -0.5 into valid bits
+        with pytest.raises(ValueError, match="mask bits must be 0 or 1"):
+            Mask((0, bit))
+
 
 class TestCsvRoundTrip:
     def test_complete_bit_exact(self, tmp_path):

@@ -1,9 +1,14 @@
 """Mechanism families: probabilities, sampling, p_star, rho, classification."""
 
 import itertools
+import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from amplipriv import (
@@ -17,29 +22,24 @@ from amplipriv import (
     McarBernoulli,
     McarPattern,
     MechanismClass,
-    MechanismConsistencyError,
     SchemaError,
     UnsupportedMechanismError,
-    classify,
     dataset_mask_probability,
     feature_mechanism_from_spec,
     mask_probability,
     p_star,
     sample_mask,
-    table_score,
     tight_rho,
     verify_rho,
 )
 
 
-def sign_score(av):
-    return (1.0, 0.0) if av[0] >= 0 else (0.0, 1.0)
+# the first candidate when the anchor value is >= 0, the second below it
+SIGN_SCORE = {"thresholds": [[0.0]], "score_table": {"1": [1.0, 0.0], "0": [0.0, 1.0]}}
 
 
 def mar_example():
-    return MarAnchoredPattern(
-        d=2, anchor=(0,), q_all=0.2, candidates=[(0, 0), (0, 1)], score=sign_score
-    )
+    return MarAnchoredPattern(anchor=(0,), q_all=0.2, candidates=[(0, 0), (0, 1)], **SIGN_SCORE)
 
 
 def all_masks(d):
@@ -200,8 +200,7 @@ class TestPStar:
     def test_mar_without_atom_is_one(self):
         mech = DatasetMechanism(
             MarAnchoredPattern(
-                d=2, anchor=(0,), q_all=0.0, candidates=[(0, 0), (0, 1)],
-                score=sign_score,
+                anchor=(0,), q_all=0.0, candidates=[(0, 0), (0, 1)], **SIGN_SCORE
             ),
             n=2,
         )
@@ -237,23 +236,6 @@ class TestPStar:
                             mass += p1 * p2
                 assert abs(mass - expected) < 1e-12
 
-    def test_mnar_rejected(self):
-        class TrulyMnar(McarBernoulli):
-            # missingness of feature 0 depends on its own (unobserved) value
-            def mask_probability(self, sample, mask):
-                p0 = 0.9 if sample[0] > 0 else 0.1
-                prob = p0 if mask.bits[0] == 1 else 1 - p0
-                for p, b in zip(self.pi[1:], mask.bits[1:]):
-                    prob *= p if b == 1 else 1 - p
-                return prob
-
-            def data_independent(self):
-                return False
-
-        mech = DatasetMechanism(TrulyMnar((0.5, 0.5)), n=1)
-        with pytest.raises((UnsupportedMechanismError, MechanismConsistencyError)):
-            p_star(mech)
-
 
 class TestVerifyRho:
     def test_unrestricted_bernoulli_fails_half(self):
@@ -277,33 +259,94 @@ class TestVerifyRho:
         assert tight_rho(mech) == 0.5
 
 
+def two_anchor_example():
+    # thresholds pair with the anchors in sorted order: feature 0 takes
+    # [0.5, -0.25] and feature 2 takes [0.0]
+    return MarAnchoredPattern(
+        anchor=(2, 0), q_all=0.1,
+        candidates=[(0, 1, 0, 1), (0, 0, 0, 1), (0, 1, 0, 0)],
+        thresholds=[[0.5, -0.25], [0.0]],
+        score_table={
+            "0,0": [0.2, 0.3, 0.5], "0,1": [1.0, 0.0, 0.0], "1,0": [0.0, 0.5, 0.5],
+            "1,1": [0.25, 0.25, 0.5], "2,0": [0.6, 0.4, 0.0], "2,1": [0.1, 0.1, 0.8],
+        },
+    )
+
+
+FAMILIES = {
+    "bernoulli": lambda: McarBernoulli((0.3, 0.9, 0.0)),
+    "capped": lambda: CappedBernoulli((0.5, 0.2, 0.7), rho_cap=2 / 3),
+    "pattern": lambda: McarPattern([((0, 1, 1), 0.25), ((1, 1, 1), 0.5), ((0, 0, 0), 0.25)]),
+    # with no anchor an all-missing candidate is allowed
+    "mar-empty-anchor": lambda: MarAnchoredPattern(
+        anchor=(), q_all=0.1, candidates=[(0, 1, 1), (1, 1, 1), (0, 0, 0)],
+        thresholds=[], score_table={"": [0.2, 0.3, 0.5]},
+    ),
+    "mar-one-anchor": mar_example,
+    "mar-two-anchors": two_anchor_example,
+}
+
+# on and around every threshold above, signed zeros included
+COORDINATE = st.one_of(
+    st.floats(-2.0, 2.0), st.sampled_from([-0.25, 0.0, -0.0, 0.5, 5e-324, -5e-324])
+)
+
+
 class TestClassify:
     def test_bernoulli_is_mcar(self):
-        assert classify(McarBernoulli((0.2, 0.9))) is MechanismClass.MCAR
+        assert McarBernoulli((0.2, 0.9)).mechanism_class is MechanismClass.MCAR
 
     def test_anchored_with_dependent_scores_is_mar(self):
-        assert classify(mar_example()) is MechanismClass.MAR
+        assert mar_example().mechanism_class is MechanismClass.MAR
 
     def test_anchored_with_constant_scores_is_mcar(self):
         mech = MarAnchoredPattern(
-            d=2, anchor=(0,), q_all=0.1, candidates=[(0, 0), (0, 1)],
-            score=lambda av: (0.5, 0.5),
+            anchor=(0,), q_all=0.1, candidates=[(0, 0), (0, 1)],
+            thresholds=[[0.0, 3.0]],
+            score_table={"0": [0.5, 0.5], "1": [0.5, 0.5], "2": [0.5, 0.5]},
         )
-        assert classify(mech) is MechanismClass.MCAR
-
-    def test_certificate_failure_raises(self):
-        class Broken(McarBernoulli):
-            # leaks dependence on a coordinate the mask does not observe
-            def mask_probability(self, sample, mask):
-                bump = 0.01 if sample[0] > 0 else 0.0
-                return super().mask_probability(sample, mask) + bump
-
-        with pytest.raises(MechanismConsistencyError):
-            classify(Broken((0.5, 0.5)))
+        assert mech.mechanism_class is MechanismClass.MCAR
 
     def test_mcar_never_labeled_mnar(self):
+        assert set(MechanismClass) == {MechanismClass.MCAR, MechanismClass.MAR}
         for mech in (McarBernoulli((0.3, 0.3)), McarPattern([((0, 0), 1.0)])):
-            assert classify(mech) is not MechanismClass.MNAR
+            assert mech.mechanism_class is MechanismClass.MCAR
+
+    @pytest.mark.parametrize("build, expected", [
+        (FAMILIES["capped"], MechanismClass.MCAR),
+        (FAMILIES["pattern"], MechanismClass.MCAR),
+        (FAMILIES["mar-empty-anchor"], MechanismClass.MCAR),
+        (FAMILIES["mar-two-anchors"], MechanismClass.MAR),
+        # the rows differ, but q_all = 1 hides every row whatever its bin
+        (lambda: MarAnchoredPattern(anchor=(0,), q_all=1.0, candidates=[(0, 0), (0, 1)],
+                                    **SIGN_SCORE), MechanismClass.MCAR),
+        # only anchor values >= 5 reach the second row: still MAR
+        (lambda: MarAnchoredPattern(
+            anchor=(0,), q_all=0.0, candidates=[(0, 0), (0, 1)], thresholds=[[5.0]],
+            score_table={"0": [0.5, 0.5], "1": [0.5000000000000001, 0.4999999999999999]},
+        ), MechanismClass.MAR),
+        (lambda: feature_mechanism_from_spec(json.loads(
+            (Path(__file__).resolve().parent.parent / "scenarios" / "laplace_mean_rho05.json")
+            .read_text())["mechanism"]), MechanismClass.MAR),
+    ], ids=["capped", "pattern", "empty-anchor", "two-anchors", "all-hidden", "far-bin",
+            "shipped-spec"])
+    def test_mechanism_class_table(self, build, expected):
+        assert build().mechanism_class is expected
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_law_ignores_unobserved_features(self, family, data):
+        """The MAR property: z and z' that agree on m's observed features give
+        m the same probability, bit for bit, and the law is normalised."""
+        mech = FAMILIES[family]()
+        z = data.draw(st.tuples(*[COORDINATE] * mech.d))
+        mask = Mask(data.draw(st.tuples(*[st.integers(0, 1)] * mech.d)))
+        z_alt = tuple(data.draw(COORDINATE) if b else v for v, b in zip(z, mask.bits))
+        assert mech.mask_probability(z, mask) == mech.mask_probability(z_alt, mask)
+        assert abs(math.fsum(p for _, p in mech.support(z)) - 1.0) <= 1e-12
+        # so the hiding probability is one constant
+        assert mech.mask_probability(z, Mask((1,) * mech.d)) == mech.all_missing_probability()
 
 
 class TestHiddenMaskCoincidence:
@@ -359,10 +402,10 @@ class TestSpecParsing:
         with pytest.raises(SchemaError):
             feature_mechanism_from_spec({"kind": "bogus"})
 
-    def test_table_score_missing_key(self):
-        score = table_score([[0.0]], {"0": [1.0, 0.0]}, 2)
-        with pytest.raises(SchemaError):
-            score((5.0,))
+    def test_missing_bin_key_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="no entry for bin key '1'"):
+            MarAnchoredPattern(anchor=(0,), q_all=0.0, candidates=[(0, 0), (0, 1)],
+                               thresholds=[[0.0]], score_table={"0": [1.0, 0.0]})
 
 
 class TestValidation:
@@ -377,13 +420,30 @@ class TestValidation:
     def test_candidates_must_observe_anchor(self):
         with pytest.raises(ValueError):
             MarAnchoredPattern(
-                d=2, anchor=(0,), q_all=0.0, candidates=[(1, 0)], score=lambda av: (1.0,)
+                anchor=(0,), q_all=0.0, candidates=[(1, 0)],
+                thresholds=[[]], score_table={"0": [1.0]},
             )
 
-    def test_bad_scores_raise_on_use(self):
-        mech = MarAnchoredPattern(
-            d=2, anchor=(0,), q_all=0.0, candidates=[(0, 0), (0, 1)],
-            score=lambda av: (0.9, 0.3),
-        )
-        with pytest.raises(MechanismConsistencyError):
-            mask_probability(mech, (0.0, 0.0), Mask((0, 0)))
+    @pytest.mark.parametrize("row", [[0.9, 0.3], [1.0], [1.2, -0.2], [float("nan"), 1.0]],
+                             ids=["sum-above-one", "short", "negative", "nan"])
+    def test_bad_scores_rejected_at_construction(self, row):
+        with pytest.raises(ValueError, match="score_table: row '1'"):
+            MarAnchoredPattern(anchor=(0,), q_all=0.0, candidates=[(0, 0), (0, 1)],
+                               thresholds=[[0.0]], score_table={"0": [1.0, 0.0], "1": row})
+
+    @pytest.mark.parametrize("build, field", [
+        (lambda: McarBernoulli([float("nan"), 0.5]), "pi"),
+        (lambda: CappedBernoulli([float("nan"), 0.5], 0.5), "pi"),
+        (lambda: McarPattern([((0, 0), float("nan")), ((1, 1), 1.0)]), "patterns"),
+        (lambda: MarAnchoredPattern(anchor=(0,), q_all=float("nan"), candidates=[(0, 0)],
+                                    thresholds=[[]], score_table={"0": [1.0]}), "q_all"),
+        (lambda: MarAnchoredPattern(anchor=(0,), q_all=0.0, candidates=[(0, 0), (0, 1)],
+                                    thresholds=[[float("nan")]],
+                                    score_table=SIGN_SCORE["score_table"]), "thresholds"),
+        (lambda: MarAnchoredPattern(anchor=(0,), q_all=0.0, candidates=[(0, 0), (0, 1)],
+                                    thresholds=[[0.0], [1.0]],
+                                    score_table=SIGN_SCORE["score_table"]), "thresholds"),
+    ], ids=["bernoulli-pi", "capped-pi", "pattern-prob", "q_all", "threshold", "threshold-count"])
+    def test_nan_and_misshapen_fields_rejected(self, build, field):
+        with pytest.raises(ValueError, match=f"^{field}: "):
+            build()
