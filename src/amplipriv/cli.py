@@ -84,12 +84,19 @@ def _post_map(entry: dict, query: FwlQuery):
 def _build_query(spec: dict) -> FwlQuery:
     if "kind" not in spec:
         raise SchemaError("query spec needs a 'kind' field")
-    params = dict(spec.get("params", {}))
+    params = spec.get("params", {})
+    _require(isinstance(params, dict), "query.params", "must be a JSON object")
+    params = dict(params)
     if spec["kind"] == "linear" and "matrices" in params:
         params["matrices"] = [np.asarray(m, dtype=float) for m in params["matrices"]]
     if spec["kind"] == "mean_projection" and "projection" in params:
         params["projection"] = np.asarray(params["projection"], dtype=float)
-    q = make_standard_query(spec["kind"], **params)
+    try:
+        q = make_standard_query(spec["kind"], **params)
+    except TypeError as exc:  # a missing, unknown or ill-typed parameter
+        raise SchemaError(
+            f"scenario.query.params: do not fit kind {spec['kind']!r}: {exc}"
+        ) from None
     for entry in spec.get("post", []):
         mapping, lam, k_out = _post_map(entry, q)
         lam = float(entry.get("lipschitz", lam))
@@ -148,12 +155,14 @@ class Scenario:
     @property
     def budget(self):
         b = self._need("budget")
-        eps = float(b["epsilon"])
+        _require(isinstance(b, dict), "budget", "must be a JSON object")
+        _require("epsilon" in b, "budget.epsilon", "missing required field")
+        eps = _finite(b["epsilon"], "budget.epsilon")
         try:
             PrivacyBudget(eps)
         except BudgetRangeError as exc:
             raise SchemaError(f"scenario.budget.epsilon: {exc}") from None
-        return eps, float(b.get("delta", 0.0))
+        return eps, _finite(b.get("delta", 0.0), "budget.delta")
 
     @property
     def family(self) -> str:
@@ -175,8 +184,14 @@ class Scenario:
     def dataset(self) -> CompleteDataset:
         spec = self._need("dataset")
         if "inline" in spec:
+            rows = spec["inline"]
+            _require(isinstance(rows, list) and all(isinstance(r, list) for r in rows),
+                     "dataset.inline", "expected a list of rows of numbers")
             return CompleteDataset(
-                tuple(tuple(float(v) for v in row) for row in spec["inline"]),
+                tuple(
+                    tuple(_finite(v, f"dataset.inline[{i}][{j}]") for j, v in enumerate(row))
+                    for i, row in enumerate(rows)
+                ),
                 bound_B=self.bound_B,
             )
         if "csv" in spec:
@@ -199,7 +214,12 @@ class Scenario:
             raise SchemaError(
                 f"scenario.neighbor.row: {row} is out of range for {left.n} rows"
             )
-        replacement = tuple(float(v) for v in spec["replacement"])
+        replacement = spec.get("replacement")
+        _require(isinstance(replacement, list), "neighbor.replacement",
+                 f"expected a list of numbers, got {replacement!r}")
+        replacement = tuple(
+            _finite(v, f"neighbor.replacement[{i}]") for i, v in enumerate(replacement)
+        )
         right = left.substitute(row, replacement)
         pair = is_neighbor(left, right)
         if pair is None:

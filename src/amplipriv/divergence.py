@@ -4,10 +4,17 @@ float error on one-dimensional mixtures, Monte Carlo everywhere else.
 The 1-D ``MixtureSpec`` and the k-D ``VectorMixture`` share one product-noise
 kernel for log-densities and samples, built on the family table in ``noise``;
 the one Monte Carlo estimator, ``mc_delta_vector``, takes either. The kernel
-walks the points in blocks and, within a block, the k coordinates in order:
-each coordinate's penalties fill one contiguous (points x components) buffer,
-summed into the first in coordinate order, so a k-D evaluation costs k passes
-over 2-D buffers and a 1-D one a single pass.
+evaluates one or more mixtures at the same points. It walks the points in
+blocks and, within a block, the k coordinates in order: per coordinate, one
+penalty table holds the distinct (family, scale, centre) columns of all the
+mixtures, so P and Q, which share most centres and have few distinct values
+per coordinate, fill it once (an audit-sized Monte Carlo pair has 64
+components each but at most 6 columns per coordinate). Each mixture gathers
+its columns from the tables, sums them in coordinate order and takes its
+log-sum-exp; the result is bit-identical to evaluating each mixture alone.
+The Monte Carlo estimator and the 1-D quadrature evaluate P and Q through one
+such joint kernel per call; a single mixture's ``log_density`` uses a kernel
+over itself, built once and cached.
 
 The divergence at level e^eps is sup_S (P(S) - e^eps Q(S)); the optimal S is
 the set where the signed mass p - e^eps q is positive, so the discrete case is
@@ -21,13 +28,14 @@ mass that root error can move plus the float error of the sums.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import SupportError
+from .errors import DimensionError, SupportError
 from .missingness import substream, _KEY_MC
 from .noise import FAMILIES
 
@@ -104,7 +112,8 @@ class _ProductNoise:
         # position of each component's family in the table, -1 for atoms
         names = list(FAMILIES)
         self.codes = np.array([names.index(f) if f in FAMILIES else -1 for f in families])
-        # continuous components of positive weight, grouped by family
+        # the kernel's columns: continuous components of positive weight,
+        # grouped by family
         k = self.centers.shape[1]
         cols, log_coef, self.spans = [], [], []
         for j, fam in enumerate(FAMILIES.values()):
@@ -120,33 +129,16 @@ class _ProductNoise:
         # per coordinate, one contiguous row of the kernel's m component centres
         self.kernel_centers = tuple(np.ascontiguousarray(self.centers[cols].T))
         self.kernel_scales = self.scales[cols]
+        self.kernel_codes = self.codes[cols]
+
+    @cached_property
+    def _kernel(self) -> _Kernel:
+        return _Kernel((self,))
 
     def log_density(self, x: np.ndarray) -> np.ndarray:
         """Log-density at the rows of ``x`` (n, k): finite far into the tails
         where the plain density underflows, -inf when there is no density."""
-        out = np.full(len(x), -np.inf)
-        if self.log_coef.size:
-            for i in range(0, len(x), _BLOCK):
-                # coordinate by coordinate, one contiguous (points x components)
-                # buffer each, added into the first in coordinate order; a
-                # second buffer is made only from the second coordinate on
-                pen = buf = None
-                for j, centers in enumerate(self.kernel_centers):
-                    z = np.subtract(x[i : i + _BLOCK, j, None], centers, out=buf)
-                    z /= self.kernel_scales
-                    for fam, lo, hi in self.spans:
-                        fam.penalty(z[:, lo:hi])
-                    if pen is None:
-                        pen = z
-                    else:
-                        pen += z
-                        buf = z
-                np.subtract(self.log_coef, pen, out=pen)
-                peak = pen.max(axis=1, keepdims=True)
-                pen -= peak
-                np.exp(pen, out=pen)
-                out[i : i + _BLOCK] = peak[:, 0] + np.log(pen.sum(axis=1))
-        return out
+        return self._kernel(x)[0]
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """A choice over components, then one unit draw per family."""
@@ -158,6 +150,74 @@ class _ProductNoise:
             if sel.size:
                 noise = fam.draw(rng, (sel.size, out.shape[1]))
                 out[sel] += self.scales[idx[sel], None] * noise
+        return out
+
+
+class _Kernel:
+    """Log-densities of one or more product-noise mixtures of one dimension k
+    at the same points, from one penalty table per block and coordinate over
+    their distinct (family, scale, centre) columns, grouped by family: x - c,
+    then / s, then the family penalty, one row per column. Values are
+    bit-identical to evaluating each mixture alone: equal columns (centres
+    -0.0 and 0.0 too) give equal penalties, and each mixture sums its
+    gathered rows in coordinate order and its components along contiguous
+    (points x components) rows.
+    """
+
+    def __init__(self, noises: Sequence[_ProductNoise]):
+        self.tables, gathers = [], []
+        for j in range(noises[0].centers.shape[1]):
+            keys = [
+                list(zip(n.kernel_codes.tolist(), n.kernel_scales.tolist(),
+                         n.kernel_centers[j].tolist()))
+                for n in noises
+            ]
+            cols = sorted(set().union(*keys))  # family code first: families contiguous
+            row = {key: u for u, key in enumerate(cols)}
+            spans = []
+            for code, fam in enumerate(FAMILIES.values()):
+                lo, hi = bisect_left(cols, (code,)), bisect_left(cols, (code + 1,))
+                if lo < hi:
+                    spans.append((fam, lo, hi))
+            self.tables.append((
+                np.array([c for _, _, c in cols]).reshape(-1, 1),
+                np.array([s for _, s, _ in cols]).reshape(-1, 1),
+                spans,
+            ))
+            gathers.append([np.array([row[key] for key in ks], dtype=np.intp) for ks in keys])
+        # per mixture, its coefficients and its rows of each coordinate's table
+        self.mixtures = [
+            (n.log_coef[:, None], rows) for n, rows in zip(noises, zip(*gathers))
+        ]
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        """Each mixture's log-density at the rows of ``x`` (n, k), one row each."""
+        out = np.full((len(self.mixtures), len(x)), -np.inf)
+        for i in range(0, len(x), _BLOCK):
+            xb = x[i : i + _BLOCK]
+            tables = []
+            for j, (centers, scales, spans) in enumerate(self.tables):
+                t = np.subtract(xb[:, j], centers)
+                t /= scales
+                for fam, lo, hi in spans:
+                    fam.penalty(t[lo:hi])
+                tables.append(t)
+            for r, (log_coef, rows) in enumerate(self.mixtures):
+                if not log_coef.size:
+                    continue
+                pen = tables[0].take(rows[0], axis=0, mode="clip")
+                buf = None
+                for t, idx in zip(tables[1:], rows[1:]):
+                    buf = t.take(idx, axis=0, out=buf, mode="clip")
+                    pen += buf
+                np.subtract(log_coef, pen, out=pen)
+                peak = pen.max(axis=0)
+                pen -= peak
+                np.exp(pen, out=pen)
+                # summed along C-contiguous (points x components) rows: numpy's
+                # pairwise row sums, which an F-ordered view would not reproduce
+                total = np.ascontiguousarray(pen.T).sum(axis=1)
+                np.add(peak, np.log(total), out=out[r, i : i + _BLOCK])
         return out
 
 
@@ -358,7 +418,9 @@ def hockey_stick_mixture_1d(
     pieces.append(np.array(breakpoints[-1:]))
     grid = np.concatenate(pieces)
 
-    positive = P.log_density(grid) > epsilon + Q.log_density(grid)  # False if both -inf
+    kernel = _Kernel((P._noise, Q._noise))  # P and Q together, at every point below
+    log_p, log_q = kernel(grid[:, None])
+    positive = log_p > epsilon + log_q  # False if both -inf
     idx = np.flatnonzero(positive[:-1] != positive[1:])
     a, b = grid[idx], grid[idx + 1]
     a_positive = positive[idx]
@@ -368,10 +430,12 @@ def hockey_stick_mixture_1d(
         live = (a < mid) & (mid < b)
         if not live.any():
             break
-        same = (P.log_density(mid) > epsilon + Q.log_density(mid)) == a_positive
+        log_p, log_q = kernel(mid[:, None])
+        same = (log_p > epsilon + log_q) == a_positive
         a = np.where(live & same, mid, a)
         b = np.where(live & ~same, mid, b)
-    dens = P.density(a) + P.density(b) + alpha * (Q.density(a) + Q.density(b))
+    (p_a, q_a), (p_b, q_b) = (np.exp(kernel(t[:, None])) for t in (a, b))
+    dens = p_a + p_b + alpha * (q_a + q_b)
     root_err = float(np.sum(0.5 * (b - a) * dens))
 
     # interval k runs from edge k to edge k + 1; past a root it takes the
@@ -414,8 +478,8 @@ def hockey_stick_mixture_1d(
 
 def mc_delta_vector(P, Q, epsilon: float, n_samples: int, seed: int) -> DivergenceEstimate:
     """Estimate the divergence as E_P[(1 - e^eps q/p)_+] between two mixtures
-    (``MixtureSpec`` or ``VectorMixture``), through their ``sample`` and
-    ``log_density`` methods.
+    (``MixtureSpec`` or ``VectorMixture``) of one output dimension: samples
+    from P's ``sample``, both log-densities from one joint kernel.
 
     The likelihood ratio is formed in log space, so a point where q underflows
     or vanishes counts in full. The statistic lies in [0, 1], and its 99%
@@ -425,6 +489,9 @@ def mc_delta_vector(P, Q, epsilon: float, n_samples: int, seed: int) -> Divergen
     """
     if any(isinstance(M, MixtureSpec) and M.atoms for M in (P, Q)):
         raise SupportError("Monte Carlo estimation needs density-only mixtures")
+    k, k_q = (M._noise.centers.shape[1] for M in (P, Q))
+    if k != k_q:
+        raise DimensionError(f"P has output dimension {k} but Q has output dimension {k_q}")
     if not 0 <= epsilon < math.inf:
         raise ValueError("epsilon must be finite and nonnegative")
     if n_samples < MC_MIN_SAMPLES:
@@ -433,8 +500,7 @@ def mc_delta_vector(P, Q, epsilon: float, n_samples: int, seed: int) -> Divergen
         )
     rng = substream(seed, _KEY_MC, 0)
     x = P.sample(rng, n_samples)
-    log_p = P.log_density(x)
-    log_q = Q.log_density(x)
+    log_p, log_q = _Kernel((P._noise, Q._noise))(x.reshape(n_samples, k))
     if np.any(~np.isfinite(log_p)):
         raise SupportError("P log-density was not finite at a sampled point")
     with np.errstate(over="ignore"):

@@ -263,12 +263,13 @@ class MarAnchoredPattern(FeatureMechanism):
     With probability ``q_all`` the row is fully missing (a data-independent
     atom); otherwise the anchor values pick a row of ``score_table``, a
     distribution over the candidate masks, each of which observes every anchor
-    feature. The i-th anchor feature in sorted order falls in bin b, the count
-    of ``thresholds[i]`` at or below its value, and the comma-joined bins key
-    the table. Because the scores read only features that every candidate
-    observes, the mask law depends on observed values alone, so the family is
-    MAR by construction and the all-missing probability is one constant. It
-    is MCAR when every bin an anchor value can reach gives the same law.
+    feature. Anchor indices are strictly increasing; the i-th anchor feature
+    falls in bin b, the count of ``thresholds[i]`` at or below its value, and
+    the comma-joined bins key the table. Because the scores read only
+    features that every candidate observes, the mask law depends on observed
+    values alone, so the family is MAR by construction and the all-missing
+    probability is one constant. It is MCAR when every bin an anchor value
+    can reach gives the same law.
     """
 
     def __init__(
@@ -288,11 +289,16 @@ class MarAnchoredPattern(FeatureMechanism):
         if len(set(m.bits for m in cands)) != len(cands):
             raise ValueError("candidates: masks must be distinct")
         try:
-            anchor = tuple(sorted({operator.index(j) for j in anchor}))
+            anchor = tuple(operator.index(j) for j in anchor)
         except TypeError:
             raise ValueError(f"anchor: expected feature indices, got {anchor!r}") from None
         if any(j < 0 or j >= d for j in anchor):
             raise ValueError(f"anchor: indices must lie in [0, {d}), got {list(anchor)!r}")
+        # thresholds[i] bins anchor[i]: sorting here would re-pair them silently
+        if any(a >= b for a, b in zip(anchor, anchor[1:])):
+            raise ValueError(
+                f"anchor: indices must be strictly increasing, got {list(anchor)!r}"
+            )
         if any(m.bits[j] == 1 for m in cands for j in anchor):
             raise ValueError("candidates: every candidate must observe the full anchor set")
         q_all = _number(q_all, "q_all")

@@ -278,6 +278,36 @@ class TestSchemaDiagnostics:
                      lambda scn: scn.update(mechanism={"kind": "capped_bernoulli",
                                                        "pi": [0.5] * 4, "rho_cap": 0}),
                      id="rho_cap-zero"),
+        # read in this order, the first thresholds list would bin feature 2
+        pytest.param("scenario.mechanism.anchor: indices must be strictly increasing",
+                     lambda scn: scn["mechanism"].update(
+                         anchor=[2, 0], thresholds=[[0.0], [0.0]],
+                         candidates=[[0, 1, 0, 1], [0, 0, 0, 1]]),
+                     id="anchor-unsorted"),
+        pytest.param("scenario.mechanism.anchor: indices must be strictly increasing",
+                     lambda scn: scn["mechanism"].update(anchor=[0, 0],
+                                                         thresholds=[[0.0], [0.0]]),
+                     id="anchor-duplicate"),
+        pytest.param("scenario.budget.epsilon: missing required field",
+                     lambda scn: scn.update(budget={}), id="budget-empty"),
+        pytest.param("scenario.budget.epsilon: expected a number, got 'one'",
+                     lambda scn: scn["budget"].update(epsilon="one"), id="budget-epsilon-string"),
+        pytest.param("scenario.query.params: do not fit kind 'clipped_mean'",
+                     lambda scn: scn["query"].update(params={}), id="query-params-empty"),
+        pytest.param("scenario.query.params: do not fit kind 'clipped_mean'",
+                     lambda scn: scn["query"]["params"].update(width=3),
+                     id="query-params-unknown"),
+        pytest.param("scenario.neighbor.replacement: expected a list of numbers",
+                     lambda scn: scn["neighbor"].update(replacement="abc"),
+                     id="replacement-string"),
+        pytest.param("scenario.neighbor.replacement[1]: expected a number, got 'x'",
+                     lambda scn: scn["neighbor"]["replacement"].__setitem__(1, "x"),
+                     id="replacement-string-cell"),
+        pytest.param("scenario.dataset.inline[1][2]: expected a number, got 'x'",
+                     lambda scn: scn["dataset"]["inline"][1].__setitem__(2, "x"),
+                     id="inline-string-cell"),
+        pytest.param("scenario.dataset.inline: expected a list of rows",
+                     lambda scn: scn["dataset"].update(inline="rows"), id="inline-string"),
     ])
     def test_malformed_scenario_names_the_field(self, tmp_path, laplace_scn, capsys,
                                                 field, edit):

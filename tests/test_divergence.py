@@ -2,12 +2,14 @@
 identities the amplification argument rests on."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from amplipriv import (
+    DimensionError,
     DiscreteDistribution,
     MixtureSpec,
     SupportError,
@@ -17,6 +19,7 @@ from amplipriv import (
     mc_delta_vector,
     mix_discrete,
 )
+from amplipriv.divergence import _Kernel
 
 GAUSS_TV_UNIT_SHIFT = 0.3829249225480262  # Phi(1/2) - Phi(-1/2), closed form
 
@@ -233,6 +236,19 @@ class TestMonteCarlo:
         with pytest.raises(SupportError):
             mc_delta_vector(p, p, 0.1, n_samples=2000, seed=0)
 
+    def test_dimension_mismatch_rejected(self):
+        rng = np.random.default_rng(3)
+        w = np.full(4, 0.25)
+        k3, k1 = (
+            VectorMixture(weights=w, centers=rng.uniform(-1, 1, (4, k)), family="laplace", scale=1.0)
+            for k in (3, 1)
+        )
+        spec = MixtureSpec(((1.0, "laplace", 0.0, 1.0),))
+        for p, q, dims in ((k3, k1, (3, 1)), (k1, k3, (1, 3)), (spec, k3, (1, 3))):
+            with pytest.raises(DimensionError,
+                               match="P has output dimension %d but Q has output dimension %d" % dims):
+                mc_delta_vector(p, q, 0.5, n_samples=2000, seed=0)
+
     @pytest.mark.parametrize("epsilon", [-1.0, math.nan, math.inf])
     def test_invalid_epsilon_rejected(self, epsilon):
         p = MixtureSpec(((1.0, "gaussian", 0.0, 1.0),))
@@ -335,6 +351,78 @@ class TestMixtureKernel:
             np.testing.assert_allclose(
                 got, spec.log_density(x[:, 0]), rtol=1e-12, atol=0.0
             )
+
+
+def joint_case(case, k, rng):
+    """Two or three mixtures for one joint kernel: overlapping centres on a
+    lattice with both signed zeros, disjoint centres, or a 1-D mixed-family
+    pair; each has a zero-weight component, and scales differ between
+    mixtures (and, in the mixed pair, between components)."""
+    m = 24
+    weights = rng.uniform(0.1, 1.0, (3, m))
+    weights[:, 5] = 0.0
+    weights /= weights.sum(axis=1, keepdims=True)
+    lattice = np.array([-0.5, -0.0, 0.0, 0.25, 0.5])
+    if case == "mixed":
+        parts = [
+            list(zip(rng.choice(["gaussian", "laplace"], m), rng.choice(lattice, m),
+                     rng.uniform(0.3, 2.0, m)))
+            for _ in range(2)
+        ]
+        shared = (parts[0], parts[0][: m // 2] + parts[1][m // 2 :])
+        return [MixtureSpec(tuple((w, *c) for w, c in zip(weights[i], shared[i]))) for i in (0, 1)]
+    family, layout = case.split("-")
+    if layout == "overlap":
+        centers = rng.choice(lattice, (3, m, k))
+        centers[1, m // 2 :] = centers[0, m // 2 :]
+        centers[2] = centers[0]
+        scales = (0.7, 0.7, 1.3)
+    else:
+        centers = np.stack([rng.uniform(-2.0, -1.0, (m, k)), rng.uniform(1.0, 2.0, (m, k))])
+        scales = (0.7, 1.1)
+    return [
+        VectorMixture(weights=w, centers=c, family=family, scale=s)
+        for w, c, s in zip(weights, centers, scales)
+    ]
+
+
+class TestJointKernel:
+    @pytest.mark.parametrize("case, k", [
+        *((f"{f}-{layout}", k) for f in ("laplace", "gaussian")
+          for layout in ("overlap", "disjoint") for k in (1, 3)),
+        ("mixed", 1),
+    ])
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 1000])
+    def test_joint_matches_cube_kernel_bit_for_bit(self, case, k, n):
+        rng = np.random.default_rng(100 * k + n)
+        mixtures = joint_case(case, k, rng)
+        x = rng.uniform(-6.0, 6.0, (n, k))
+        x[: n // 2, 0] = rng.choice([-0.5, -0.0, 0.0, 0.25], n // 2)  # on the centres
+        joint = _Kernel([mix._noise for mix in mixtures])(x)
+        assert joint.shape == (len(mixtures), n)
+        for got, mix in zip(joint, mixtures):
+            assert np.array_equal(got, cube_log_density(mix._noise, x))
+
+    def test_joint_call_memory_is_per_block(self):
+        # an audit-sized pair: 50,000 points, 64 components, k = 3
+        rng = np.random.default_rng(64)
+        p, q = (
+            VectorMixture(weights=np.full(64, 1 / 64), centers=rng.choice([-0.5, 0.0, 0.5], (64, 3)),
+                          family="laplace", scale=1.5)
+            for _ in range(2)
+        )
+        kernel = _Kernel((p._noise, q._noise))
+        x = rng.uniform(-3.0, 3.0, (50_000, 3))
+        tracemalloc.start()
+        try:
+            kernel(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the two output rows take 0.8 MB and one (points x components)
+        # buffer over every point would take 25.6 MB; the temporaries of a
+        # block of points take a few hundred kB
+        assert peak < 3_000_000
 
 
 class TestMixtureValidation:

@@ -260,10 +260,10 @@ class TestVerifyRho:
 
 
 def two_anchor_example():
-    # thresholds pair with the anchors in sorted order: feature 0 takes
+    # thresholds pair with the anchors in order: feature 0 takes
     # [0.5, -0.25] and feature 2 takes [0.0]
     return MarAnchoredPattern(
-        anchor=(2, 0), q_all=0.1,
+        anchor=(0, 2), q_all=0.1,
         candidates=[(0, 1, 0, 1), (0, 0, 0, 1), (0, 1, 0, 0)],
         thresholds=[[0.5, -0.25], [0.0]],
         score_table={
