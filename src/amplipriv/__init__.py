@@ -19,10 +19,8 @@ from .audit import (
     AuditTable,
     MixtureDecomposition,
     TightnessResult,
-    VectorMixture,
     composed_output_mixture,
     composed_vector_mixture,
-    mc_delta_vector,
     mixture_decomposition,
     tightness_counterexample,
     verify_amplification,
@@ -43,9 +41,10 @@ from .datasets import (
 from .divergence import (
     DiscreteDistribution,
     DivergenceEstimate,
-    MixtureSpec,
+    VectorMixture,
     hockey_stick_discrete,
     hockey_stick_mixture_1d,
+    mc_delta_vector,
     mix_discrete,
 )
 from .errors import (

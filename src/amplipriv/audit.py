@@ -26,12 +26,7 @@ import numpy as np
 from .accountant import AmplificationReport, amplify_fwl
 from .datasets import CompleteDataset, Mask, MaskMatrix, NeighborPair
 from .datasets import apply_mask  # noqa: F401  (still importable from here)
-from .divergence import (
-    MixtureSpec,
-    VectorMixture,
-    hockey_stick_mixture_1d,
-    mc_delta_vector,
-)
+from .divergence import VectorMixture, hockey_stick_mixture_1d, mc_delta_vector
 from .errors import DimensionError, MechanismConsistencyError, UnsupportedMechanismError
 from .missingness import (
     DatasetMechanism,
@@ -156,11 +151,7 @@ def _require_scalar(cm: ComposedMechanism) -> None:
         )
 
 
-def _mixture_1d(law: list, mech: NoiseMechanism) -> MixtureSpec:
-    return MixtureSpec(tuple((w, mech.family, c, mech.scale) for (c,), w in law))
-
-
-def _vector_mixture(law: list, mech: NoiseMechanism) -> VectorMixture:
+def _mixture(law: list, mech: NoiseMechanism) -> VectorMixture:
     return VectorMixture(
         weights=np.array([w for _, w in law]),
         centers=np.array([c for c, _ in law]),
@@ -171,17 +162,17 @@ def _vector_mixture(law: list, mech: NoiseMechanism) -> VectorMixture:
 
 def composed_output_mixture(
     cm: ComposedMechanism, dataset: CompleteDataset
-) -> MixtureSpec:
+) -> VectorMixture:
     """Output law of the composed mechanism as a 1-D noise mixture."""
     _require_scalar(cm)
-    return _mixture_1d(_centre_law(cm, dataset), cm.noise)
+    return _mixture(_centre_law(cm, dataset), cm.noise)
 
 
 def composed_vector_mixture(
     cm: ComposedMechanism, dataset: CompleteDataset
 ) -> VectorMixture:
     """Output law at any output dimension, for Monte Carlo estimation."""
-    return _vector_mixture(_centre_law(cm, dataset), cm.noise)
+    return _mixture(_centre_law(cm, dataset), cm.noise)
 
 
 @dataclass(frozen=True)
@@ -261,14 +252,13 @@ def verify_amplification(
         else:
             eps_eval = report.amplified.epsilon
             bound = report.amplified.delta
+        pm, qm = (_mixture(law, mech) for law in laws)
         if method == "exact":
-            pm, qm = (_mixture_1d(law, mech) for law in laws)
             est = hockey_stick_mixture_1d(pm, qm, eps_eval, tol=tol)
             margin = 10.0 * est.tolerance
             verdict = "PASS" if est.value <= bound + margin else "FAIL"
         else:
-            pv, qv = (_vector_mixture(law, mech) for law in laws)
-            est = mc_delta_vector(pv, qv, eps_eval, n_samples=n_samples, seed=seed)
+            est = mc_delta_vector(pm, qm, eps_eval, n_samples=n_samples, seed=seed)
             verdict = "PASS" if est.ci[0] <= bound else "FAIL"
         row = AuditRow(
             epsilon_base=float(eps_base),
@@ -342,8 +332,11 @@ def tightness_counterexample(
 
     pm = composed_output_mixture(composed, left)
     qm = composed_output_mixture(composed, right)
-    base_p = MixtureSpec(((1.0, GAUSSIAN, float(query(left.as_incomplete())[0]), mech.scale),))
-    base_q = MixtureSpec(((1.0, GAUSSIAN, float(query(right.as_incomplete())[0]), mech.scale),))
+    base_p, base_q = (
+        VectorMixture(weights=[1.0], centers=[query(ds.as_incomplete())], family=GAUSSIAN,
+                      scale=mech.scale)
+        for ds in (left, right)
+    )
 
     d_composed = hockey_stick_mixture_1d(pm, qm, epsilon, tol=tol)
     d_base = hockey_stick_mixture_1d(base_p, base_q, epsilon, tol=tol)

@@ -60,28 +60,41 @@ AUDIT_CSV_HEADER = "epsilon,bound,empirical,method,tolerance,verdict"
 # --- named post-processing maps ------------------------------------------------
 
 
-def _post_map(entry: dict, query: FwlQuery):
-    """(map, Lipschitz constant, output dim) of a named map. Every map acts on
-    the last axis, so it takes one output vector (k,) or a stack (M, k)."""
+def _post_map(entry: dict, query: FwlQuery, field: str):
+    """(map, Lipschitz constant, output dim) of the named map ``entry``, the
+    scenario's ``field``. Every map acts on the last axis, so it takes one
+    output vector (k,) or a stack (M, k)."""
+    _require(isinstance(entry, dict), field, "must be a JSON object")
+
+    def need(key):
+        _require(key in entry, f"{field}.{key}", "missing required field")
+        return entry[key]
+
     name = entry.get("map")
     if name == "identity":
         return (lambda v: v), 1.0, query.output_dim
     if name == "scale":
-        factor = float(entry["factor"])
+        factor = _finite(need("factor"), f"{field}.factor")
         return (lambda v: factor * v), abs(factor), query.output_dim
     if name == "project":
-        idx = [int(i) for i in entry["indices"]]
+        indices, k = need("indices"), query.output_dim
+        _require(isinstance(indices, list) and bool(indices), f"{field}.indices",
+                 f"expected a non-empty list of integers, got {indices!r}")
+        idx = [_integer(v, f"{field}.indices[{j}]") for j, v in enumerate(indices)]
+        _require(all(0 <= i < k for i in idx), f"{field}.indices",
+                 f"indices must lie in [0, {k}), got {idx}")
         return (lambda v: v[..., idx]), 1.0, len(idx)
     if name == "clamp":
-        lo, hi = float(entry["lo"]), float(entry["hi"])
+        lo, hi = (_finite(need(key), f"{field}.{key}") for key in ("lo", "hi"))
         return (lambda v: np.clip(v, lo, hi)), 1.0, query.output_dim
     if name == "sum":
         lam = 1.0 if query.norm_p == 1 else math.sqrt(query.output_dim)
         return (lambda v: v.sum(axis=-1, keepdims=True)), lam, 1
-    raise SchemaError(f"unknown post-processing map '{name}'")
+    raise SchemaError(f"scenario.{field}.map: unknown post-processing map {name!r}")
 
 
 def _build_query(spec: dict) -> FwlQuery:
+    _require(isinstance(spec, dict), "query", "must be a JSON object")
     if "kind" not in spec:
         raise SchemaError("query spec needs a 'kind' field")
     params = spec.get("params", {})
@@ -97,9 +110,14 @@ def _build_query(spec: dict) -> FwlQuery:
         raise SchemaError(
             f"scenario.query.params: do not fit kind {spec['kind']!r}: {exc}"
         ) from None
-    for entry in spec.get("post", []):
-        mapping, lam, k_out = _post_map(entry, q)
-        lam = float(entry.get("lipschitz", lam))
+    post = spec.get("post", [])
+    _require(isinstance(post, list), "query.post", f"expected a list of maps, got {post!r}")
+    for i, entry in enumerate(post):
+        field = f"query.post[{i}]"
+        mapping, lam, k_out = _post_map(entry, q, field)
+        if "lipschitz" in entry:
+            lam = _finite(entry["lipschitz"], f"{field}.lipschitz")
+            _require(lam >= 0, f"{field}.lipschitz", f"must be nonnegative, got {lam!r}")
         q = lipschitz_postprocess(q, mapping, lam, output_dim=k_out)
     return q
 
@@ -110,6 +128,8 @@ def _build_query(spec: dict) -> FwlQuery:
 def _finite(value, field: str) -> float:
     """``value`` as a finite float, or a SchemaError naming ``field``."""
     try:
+        if isinstance(value, bool):  # float(True) would read it as 1.0
+            raise TypeError
         x = float(value)
     except (TypeError, ValueError):
         raise SchemaError(f"scenario.{field}: expected a number, got {value!r}") from None
@@ -126,7 +146,7 @@ def _require(ok: bool, field: str, rule: str) -> None:
 
 def _integer(value, field: str) -> int:
     """``value`` as an int, or a SchemaError naming ``field``; never truncates."""
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return value
     x = _finite(value, field)
     _require(x.is_integer(), field, f"expected an integer, got {value!r}")
@@ -183,6 +203,7 @@ class Scenario:
 
     def dataset(self) -> CompleteDataset:
         spec = self._need("dataset")
+        _require(isinstance(spec, dict), "dataset", "must be a JSON object")
         if "inline" in spec:
             rows = spec["inline"]
             _require(isinstance(rows, list) and all(isinstance(r, list) for r in rows),
@@ -195,6 +216,8 @@ class Scenario:
                 bound_B=self.bound_B,
             )
         if "csv" in spec:
+            _require(isinstance(spec["csv"], str), "dataset.csv",
+                     f"expected a file path, got {spec['csv']!r}")
             path = self.base_dir / spec["csv"]
             if not path.exists():
                 raise SchemaError(f"scenario.dataset.csv: no such file {path}")
@@ -209,7 +232,9 @@ class Scenario:
     def neighbor_pair(self):
         left = self.dataset()
         spec = self._need("neighbor")
-        row = int(spec["row"])
+        _require(isinstance(spec, dict), "neighbor", "must be a JSON object")
+        _require("row" in spec, "neighbor.row", "missing required field")
+        row = _integer(spec["row"], "neighbor.row")
         if not 0 <= row < left.n:
             raise SchemaError(
                 f"scenario.neighbor.row: {row} is out of range for {left.n} rows"
@@ -260,6 +285,41 @@ class Scenario:
             "n_samples": n_samples,
             "claim": claim,
         }
+
+    def counterexample_options(self):
+        """The counterexample block as (epsilons, delta), its fields checked;
+        an absent epsilon or delta is the budget's, which the construction
+        itself checks."""
+        spec = self.raw.get("counterexample", {})
+        _require(isinstance(spec, dict), "counterexample", "must be a JSON object")
+
+        def epsilon(value, field):
+            e = _finite(value, field)
+            _require(0 < e <= 1, field, f"must lie in (0, 1], got {e!r}")
+            return e
+
+        eps_list = spec.get("epsilons")
+        if eps_list is not None:
+            _require(isinstance(eps_list, list) and bool(eps_list), "counterexample.epsilons",
+                     f"expected a non-empty list of numbers, got {eps_list!r}")
+            epsilons = [epsilon(e, f"counterexample.epsilons[{i}]") for i, e in enumerate(eps_list)]
+        elif "epsilon" in spec:
+            epsilons = [epsilon(spec["epsilon"], "counterexample.epsilon")]
+        else:
+            epsilons = [self.budget[0]]
+        if "delta" not in spec:
+            return epsilons, self.budget[1]
+        delta = _finite(spec["delta"], "counterexample.delta")
+        _require(0 < delta < 1, "counterexample.delta", f"must lie in (0, 1), got {delta!r}")
+        return epsilons, delta
+
+    @property
+    def release_mask(self) -> bool:
+        """Whether a release also writes its drawn mask (an audit release)."""
+        value = self.raw.get("release_mask", False)
+        _require(isinstance(value, bool), "release_mask",
+                 f"expected true or false, got {value!r}")
+        return value
 
     def declared_rho(self, missing: DatasetMechanism) -> float:
         if "rho" in self.raw:
@@ -425,9 +485,9 @@ def _cmd_simulate(scn: Scenario, out_dir: Path, stem: str, fmt: str) -> int:
     mech = _calibrated(scn, query)
     missing = scn.mechanism(n=query.n)
     data = scn.dataset()
+    audit_mode = scn.release_mask
     cm = ComposedMechanism(noise=mech, missing=missing)
     run = run_composed(cm, data, seed=scn.seed)
-    audit_mode = bool(scn.raw.get("release_mask", False))
     record = release_record(
         mech,
         run.output,
@@ -441,17 +501,13 @@ def _cmd_simulate(scn: Scenario, out_dir: Path, stem: str, fmt: str) -> int:
 
 
 def _cmd_counterexample(scn: Scenario, out_dir: Path, stem: str, fmt: str) -> int:
-    spec = scn.raw.get("counterexample", {})
-    eps_list = spec.get("epsilons")
-    if eps_list is None:
-        eps_list = [float(spec.get("epsilon", scn.budget[0]))]
-    delta = float(spec.get("delta", scn.budget[1]))
+    eps_list, delta = scn.counterexample_options()
     rows = []
     for eps in eps_list:
-        res = tightness_counterexample(float(eps), delta, B=scn.bound_B)
+        res = tightness_counterexample(eps, delta, B=scn.bound_B)
         rows.append(
             {
-                "epsilon": float(eps),
+                "epsilon": eps,
                 "delta": delta,
                 "p_star": res.p_star,
                 "equality_gap": res.equality_gap,

@@ -1,20 +1,22 @@
 """Hockey-stick divergence computation: exact on finite supports, exact up to
 float error on one-dimensional mixtures, Monte Carlo everywhere else.
 
-The 1-D ``MixtureSpec`` and the k-D ``VectorMixture`` share one product-noise
-kernel for log-densities and samples, built on the family table in ``noise``;
-the one Monte Carlo estimator, ``mc_delta_vector``, takes either. The kernel
-evaluates one or more mixtures at the same points. It walks the points in
-blocks and, within a block, the k coordinates in order: per coordinate, one
-penalty table holds the distinct (family, scale, centre) columns of all the
-mixtures, so P and Q, which share most centres and have few distinct values
-per coordinate, fill it once (an audit-sized Monte Carlo pair has 64
-components each but at most 6 columns per coordinate). Each mixture gathers
-its columns from the tables, sums them in coordinate order and takes its
-log-sum-exp; the result is bit-identical to evaluating each mixture alone.
-The Monte Carlo estimator and the 1-D quadrature evaluate P and Q through one
-such joint kernel per call; a single mixture's ``log_density`` uses a kernel
-over itself, built once and cached.
+``VectorMixture`` is the one mixture type: weights over (m, k) centres with
+one noise family and scale from the table in ``noise``, a 1-D law being the
+case k = 1. The quadrature takes two mixtures of dimension 1; the one Monte
+Carlo estimator, ``mc_delta_vector``, takes two of any equal dimension.
+
+Log-densities come from one kernel that evaluates one or more mixtures at the
+same points. It walks the points in blocks and, within a block, the k
+coordinates in order: per coordinate, one penalty table holds the distinct
+(family, scale, centre) columns of all the mixtures, so P and Q, which share
+most centres and have few distinct values per coordinate, fill it once (an
+audit-sized Monte Carlo pair has 64 components each but at most 6 columns per
+coordinate). Each mixture gathers its columns from the tables, sums them in
+coordinate order and takes its log-sum-exp; the result is bit-identical to
+evaluating each mixture alone. The Monte Carlo estimator and the 1-D
+quadrature evaluate P and Q through one such joint kernel per call; a single
+mixture's ``log_density`` uses a kernel over itself, built once and cached.
 
 The divergence at level e^eps is sup_S (P(S) - e^eps Q(S)); the optimal S is
 the set where the signed mass p - e^eps q is positive, so the discrete case is
@@ -46,8 +48,6 @@ MC_MIN_SAMPLES = 1000  # fewer and the interval is too wide to mean anything
 METHOD_EXACT = "exact_discrete"
 METHOD_QUADRATURE = "quadrature"
 METHOD_MC = "monte_carlo"
-
-POINT_MASS = "point_mass"
 
 # points per (points x components) buffer, to bound memory; it also groups the
 # quadrature's fsum blocks, so changing it moves the last bits of exact reports
@@ -92,44 +92,64 @@ def mix_discrete(components: Sequence) -> DiscreteDistribution:
     )
 
 
-def _check_weights(weights: list) -> None:
-    if not all(w >= 0 for w in weights):  # False for NaN too
-        raise ValueError("mixture weights must be nonnegative")
-    total = math.fsum(weights)
-    if abs(total - 1.0) > _NORM_TOL:
-        raise ValueError(f"mixture weights sum to {total}, expected 1")
+@dataclass(frozen=True)
+class VectorMixture:
+    """A finite mixture of product noise, the package's one mixture type:
+    component i adds i.i.d. noise of one family and scale to every coordinate
+    of its centre, row i of ``centers`` (m, k). A 1-D law is the case k = 1.
 
+    When built it holds the kernel's columns: ``code``, the family's position
+    in ``FAMILIES``; ``log_coef``, log w_i - k log_norm(scale) for each
+    positive-weight component in index order; and ``kernel_centers``, per
+    coordinate one contiguous row of those components' centres.
+    """
 
-class _ProductNoise:
-    """A finite mixture of product noise: component i adds i.i.d. noise of
-    family f_i and scale s_i to every coordinate of its centre c_i. Point-mass
-    components draw their centre and carry no density."""
+    weights: np.ndarray
+    centers: np.ndarray
+    family: str
+    scale: float
 
-    def __init__(self, weights, families, centers, scales):
-        self.weights = np.asarray(weights, dtype=float)
-        self.centers = np.asarray(centers, dtype=float)  # (m, k)
-        self.scales = np.asarray(scales, dtype=float)
-        # position of each component's family in the table, -1 for atoms
-        names = list(FAMILIES)
-        self.codes = np.array([names.index(f) if f in FAMILIES else -1 for f in families])
-        # the kernel's columns: continuous components of positive weight,
-        # grouped by family
-        k = self.centers.shape[1]
-        cols, log_coef, self.spans = [], [], []
-        for j, fam in enumerate(FAMILIES.values()):
-            idx = np.flatnonzero((self.codes == j) & (self.weights > 0.0)).tolist()
-            if idx:
-                self.spans.append((fam, len(cols), len(cols) + len(idx)))
-                cols += idx
-                log_coef += [
-                    math.log(self.weights[i]) - k * fam.log_norm(self.scales[i])
-                    for i in idx
-                ]
-        self.log_coef = np.array(log_coef)
-        # per coordinate, one contiguous row of the kernel's m component centres
-        self.kernel_centers = tuple(np.ascontiguousarray(self.centers[cols].T))
-        self.kernel_scales = self.scales[cols]
-        self.kernel_codes = self.codes[cols]
+    def __post_init__(self):
+        weights = np.asarray(self.weights, dtype=float)
+        centers = np.asarray(self.centers, dtype=float)
+        if weights.ndim != 1:
+            raise ValueError("mixture weights must be a vector")
+        if not all(w >= 0 for w in weights.tolist()):  # False for NaN too
+            raise ValueError("mixture weights must be nonnegative")
+        total = math.fsum(weights.tolist())
+        if abs(total - 1.0) > _NORM_TOL:
+            raise ValueError(f"mixture weights sum to {total}, expected 1")
+        if centers.ndim != 2 or len(centers) != len(weights):
+            raise ValueError(
+                f"centers must be (m, k) with m = {len(weights)} components, "
+                f"got shape {centers.shape}"
+            )
+        if self.family not in FAMILIES:
+            raise ValueError(f"unknown mixture family '{self.family}'")
+        scale = float(self.scale)
+        if not 0 < scale < math.inf:
+            raise ValueError("continuous components need a finite positive scale")
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "centers", centers)
+        object.__setattr__(self, "scale", scale)
+        cols = np.flatnonzero(weights > 0.0).tolist()
+        norm = centers.shape[1] * FAMILIES[self.family].log_norm(scale)
+        object.__setattr__(self, "code", list(FAMILIES).index(self.family))
+        object.__setattr__(self, "log_coef", np.array([math.log(weights[i]) - norm for i in cols]))
+        object.__setattr__(self, "kernel_centers", tuple(np.ascontiguousarray(centers[cols].T)))
+
+    @property
+    def components(self) -> tuple:
+        """(weight, family, centre, scale) per component, the centre a float
+        at k = 1 and a tuple otherwise. The benchmark's checks and tracing in
+        ``bench/`` read this view."""
+        if self.centers.shape[1] == 1:
+            centres = self.centers[:, 0].tolist()
+        else:
+            centres = list(map(tuple, self.centers.tolist()))
+        return tuple(
+            (w, self.family, c, self.scale) for w, c in zip(self.weights.tolist(), centres)
+        )
 
     @cached_property
     def _kernel(self) -> _Kernel:
@@ -137,40 +157,35 @@ class _ProductNoise:
 
     def log_density(self, x: np.ndarray) -> np.ndarray:
         """Log-density at the rows of ``x`` (n, k): finite far into the tails
-        where the plain density underflows, -inf when there is no density."""
+        where the plain density underflows."""
         return self._kernel(x)[0]
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """A choice over components, then one unit draw per family."""
+        """``size`` draws (size, k): a choice over the components, then one
+        unit draw of the family."""
         idx = rng.choice(len(self.weights), size=size, p=self.weights)
         out = self.centers[idx]
-        codes = self.codes[idx]
-        for j, fam in enumerate(FAMILIES.values()):
-            sel = np.flatnonzero(codes == j)
-            if sel.size:
-                noise = fam.draw(rng, (sel.size, out.shape[1]))
-                out[sel] += self.scales[idx[sel], None] * noise
+        out += self.scale * FAMILIES[self.family].draw(rng, out.shape)
         return out
 
 
 class _Kernel:
-    """Log-densities of one or more product-noise mixtures of one dimension k
-    at the same points, from one penalty table per block and coordinate over
-    their distinct (family, scale, centre) columns, grouped by family: x - c,
-    then / s, then the family penalty, one row per column. Values are
+    """Log-densities of one or more mixtures of one dimension k at the same
+    points, from one penalty table per block and coordinate over their
+    distinct (family, scale, centre) columns, grouped by family: x - c, then
+    / s, then the family penalty, one row per column. Values are
     bit-identical to evaluating each mixture alone: equal columns (centres
     -0.0 and 0.0 too) give equal penalties, and each mixture sums its
     gathered rows in coordinate order and its components along contiguous
     (points x components) rows.
     """
 
-    def __init__(self, noises: Sequence[_ProductNoise]):
+    def __init__(self, mixtures: Sequence[VectorMixture]):
         self.tables, gathers = [], []
-        for j in range(noises[0].centers.shape[1]):
+        for j in range(mixtures[0].centers.shape[1]):
             keys = [
-                list(zip(n.kernel_codes.tolist(), n.kernel_scales.tolist(),
-                         n.kernel_centers[j].tolist()))
-                for n in noises
+                [(m.code, m.scale, c) for c in m.kernel_centers[j].tolist()]
+                for m in mixtures
             ]
             cols = sorted(set().union(*keys))  # family code first: families contiguous
             row = {key: u for u, key in enumerate(cols)}
@@ -187,12 +202,12 @@ class _Kernel:
             gathers.append([np.array([row[key] for key in ks], dtype=np.intp) for ks in keys])
         # per mixture, its coefficients and its rows of each coordinate's table
         self.mixtures = [
-            (n.log_coef[:, None], rows) for n, rows in zip(noises, zip(*gathers))
+            (m.log_coef[:, None], rows) for m, rows in zip(mixtures, zip(*gathers))
         ]
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """Each mixture's log-density at the rows of ``x`` (n, k), one row each."""
-        out = np.full((len(self.mixtures), len(x)), -np.inf)
+        out = np.empty((len(self.mixtures), len(x)))
         for i in range(0, len(x), _BLOCK):
             xb = x[i : i + _BLOCK]
             tables = []
@@ -203,8 +218,6 @@ class _Kernel:
                     fam.penalty(t[lo:hi])
                 tables.append(t)
             for r, (log_coef, rows) in enumerate(self.mixtures):
-                if not log_coef.size:
-                    continue
                 pen = tables[0].take(rows[0], axis=0, mode="clip")
                 buf = None
                 for t, idx in zip(tables[1:], rows[1:]):
@@ -219,96 +232,6 @@ class _Kernel:
                 total = np.ascontiguousarray(pen.T).sum(axis=1)
                 np.add(peak, np.log(total), out=out[r, i : i + _BLOCK])
         return out
-
-
-@dataclass(frozen=True)
-class MixtureSpec:
-    """A one-dimensional mixture of Laplace, Gaussian and point-mass atoms."""
-
-    components: tuple  # (weight, family, center, scale)
-
-    def __post_init__(self):
-        comps = []
-        for weight, family, center, scale in self.components:
-            weight = float(weight)
-            center = float(center)
-            scale = float(scale)
-            if family not in FAMILIES and family != POINT_MASS:
-                raise ValueError(f"unknown mixture family '{family}'")
-            if family != POINT_MASS and not 0 < scale < math.inf:
-                raise ValueError("continuous components need a finite positive scale")
-            comps.append((weight, family, center, scale))
-        _check_weights([w for w, _, _, _ in comps])
-        object.__setattr__(self, "components", tuple(comps))
-
-    @property
-    def continuous(self) -> tuple:
-        return tuple(c for c in self.components if c[1] != POINT_MASS)
-
-    @property
-    def atoms(self) -> tuple:
-        return tuple(c for c in self.components if c[1] == POINT_MASS)
-
-    @cached_property
-    def _noise(self) -> _ProductNoise:
-        w, f, c, s = zip(*self.components)
-        return _ProductNoise(w, f, np.array(c)[:, None], s)
-
-    def density(self, t):
-        """Density of the continuous part (atoms carry their own mass)."""
-        return np.exp(self.log_density(t))
-
-    def log_density(self, t):
-        """Log-density of the continuous part, elementwise over ``t``."""
-        t = np.asarray(t, dtype=float)
-        return self._noise.log_density(t.reshape(-1, 1)).reshape(t.shape)
-
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return self._noise.sample(rng, size)[:, 0]
-
-
-@dataclass(frozen=True)
-class VectorMixture:
-    """Mixture of k-dimensional product noise of one family and scale around
-    enumerated centers, for Monte Carlo estimation at any output dimension."""
-
-    weights: np.ndarray
-    centers: np.ndarray
-    family: str
-    scale: float
-
-    def __post_init__(self):
-        weights = np.asarray(self.weights, dtype=float)
-        centers = np.asarray(self.centers, dtype=float)
-        if weights.ndim != 1:
-            raise ValueError("mixture weights must be a vector")
-        _check_weights(weights.tolist())
-        if centers.ndim != 2 or len(centers) != len(weights):
-            raise ValueError(
-                f"centers must be (m, k) with m = {len(weights)} components, "
-                f"got shape {centers.shape}"
-            )
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown mixture family '{self.family}'")
-        scale = float(self.scale)
-        if not 0 < scale < math.inf:
-            raise ValueError("continuous components need a finite positive scale")
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "centers", centers)
-        object.__setattr__(self, "scale", scale)
-
-    @cached_property
-    def _noise(self) -> _ProductNoise:
-        m = len(self.weights)
-        return _ProductNoise(
-            self.weights, [self.family] * m, self.centers, np.full(m, self.scale)
-        )
-
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return self._noise.sample(rng, size)
-
-    def log_density(self, x: np.ndarray) -> np.ndarray:
-        return self._noise.log_density(x)
 
 
 @dataclass(frozen=True)
@@ -354,17 +277,17 @@ _EPS = float(np.finfo(float).eps)
 
 
 def hockey_stick_mixture_1d(
-    P: MixtureSpec, Q: MixtureSpec, epsilon: float, tol: float = 1e-9
+    P: VectorMixture, Q: VectorMixture, epsilon: float, tol: float = 1e-9
 ) -> DivergenceEstimate:
-    """Positive-part integral between two 1-D mixtures.
+    """Positive-part integral between two mixtures of output dimension 1.
 
     The sign of log p - eps - log q is read on one grid through every
-    component centre (Laplace densities kink there), spacing 1/8 of the finest
-    scale, spanning 40 of the widest scales beyond the outer centres. All sign
+    component centre (Laplace densities kink there), spacing 1/8 of the finer
+    scale, spanning 40 of the wider scales beyond the outer centres. All sign
     changes are bisected together. Over each interval where p > e^eps q,
     including the two unbounded end intervals, the integral is exact:
-    sum_i w_i mass_i - e^eps sum_j v_j mass_j from component CDFs and survival
-    functions. Atoms are handled exactly on the side.
+    sum_i w_i mass_i - e^eps sum_j v_j mass_j from each mixture's component
+    CDFs and survival functions.
 
     ``tolerance`` bounds the error: each root is bisected to adjacent floats
     inside a bracket holding no centre, so every component is monotone there
@@ -374,9 +297,9 @@ def hockey_stick_mixture_1d(
     ``tol``, which is validated only.
 
     The bound assumes the sign grid sees every sign change. Past 40 of the
-    widest scales beyond the outer centres the grid takes the sign of the
+    wider scales beyond the outer centres the grid takes the sign of the
     last grid point to hold out to infinity, and two sign changes inside one
-    grid step (1/8 of the finest scale, wider where a piece between centres
+    grid step (1/8 of the finer scale, wider where a piece between centres
     would need more than 4096 steps) cancel unseen. ``tolerance`` covers
     neither case.
     """
@@ -384,28 +307,17 @@ def hockey_stick_mixture_1d(
         raise ValueError("tol must be positive")
     if not 0 <= epsilon < math.inf:
         raise ValueError("epsilon must be finite and nonnegative")
+    for name, M in (("P", P), ("Q", Q)):
+        if M.centers.shape[1] != 1:
+            raise DimensionError(
+                f"{name} has output dimension {M.centers.shape[1]}; the quadrature "
+                "needs 1, use Monte Carlo for vector outputs"
+            )
     alpha = math.exp(epsilon)
 
-    # exact atom contribution
-    atom_mass: dict = {}
-    for w, _, center, _ in P.atoms:
-        atom_mass[center] = atom_mass.get(center, 0.0) + w
-    for w, _, center, _ in Q.atoms:
-        atom_mass[center] = atom_mass.get(center, 0.0) - alpha * w
-    atom_part = math.fsum(max(v, 0.0) for v in atom_mass.values())
-
-    continuous = P.continuous + Q.continuous
-    if not continuous:
-        return DivergenceEstimate(
-            value=min(atom_part, 1.0),
-            method=METHOD_QUADRATURE,
-            epsilon_at=epsilon,
-            tolerance=0.0,
-        )
-
-    centers = sorted({c for _, _, c, _ in continuous})
-    max_scale = max(s for _, _, _, s in continuous)
-    min_scale = min(s for _, _, _, s in continuous)
+    # P's centres first: of two signed zeros the set keeps the first seen
+    centers = sorted(set(P.centers[:, 0].tolist() + Q.centers[:, 0].tolist()))
+    max_scale, min_scale = max(P.scale, Q.scale), min(P.scale, Q.scale)
     breakpoints = [
         centers[0] - _TAIL_SCALES * max_scale,
         *centers,
@@ -418,9 +330,9 @@ def hockey_stick_mixture_1d(
     pieces.append(np.array(breakpoints[-1:]))
     grid = np.concatenate(pieces)
 
-    kernel = _Kernel((P._noise, Q._noise))  # P and Q together, at every point below
+    kernel = _Kernel((P, Q))  # P and Q together, at every point below
     log_p, log_q = kernel(grid[:, None])
-    positive = log_p > epsilon + log_q  # False if both -inf
+    positive = log_p > epsilon + log_q
     idx = np.flatnonzero(positive[:-1] != positive[1:])
     a, b = grid[idx], grid[idx + 1]
     a_positive = positive[idx]
@@ -443,27 +355,19 @@ def hockey_stick_mixture_1d(
     edges = np.concatenate(([-np.inf], 0.5 * (a + b), [np.inf]))
     keep = np.flatnonzero(np.concatenate((positive[:1], ~a_positive)))
 
-    center = np.array([c for _, _, c, _ in continuous])
-    scale = np.array([s for _, _, _, s in continuous])
-    family = np.array([f for _, f, _, _ in continuous])
-
-    def tail_mass(z: np.ndarray) -> np.ndarray:
-        out = np.empty_like(z)
-        for name, fam in FAMILIES.items():
-            out[:, family == name] = fam.tail(z[:, family == name])
-        return out
-
-    signed_weight = np.array(
-        [w for w, _, _, _ in P.continuous] + [-alpha * w for w, _, _, _ in Q.continuous]
-    )
-    sums = [atom_part]
+    signed = ((P, P.weights), (Q, -alpha * Q.weights))
+    sums = []
     for i in range(0, keep.size, _BLOCK):
         blk = keep[i : i + _BLOCK]
-        za = (edges[blk, None] - center) / scale
-        zb = (edges[blk + 1, None] - center) / scale
-        ta, tb = tail_mass(np.abs(za)), tail_mass(np.abs(zb))
-        mass = np.where(za >= 0, ta - tb, np.where(zb <= 0, tb - ta, 1.0 - ta - tb))
-        sums.append(math.fsum((mass * signed_weight).ravel().tolist()))
+        terms = []  # one exactly rounded sum per block over both mixtures
+        for M, signed_weight in signed:
+            za = (edges[blk, None] - M.centers[:, 0]) / M.scale
+            zb = (edges[blk + 1, None] - M.centers[:, 0]) / M.scale
+            tail = FAMILIES[M.family].tail
+            ta, tb = tail(np.abs(za)), tail(np.abs(zb))
+            mass = np.where(za >= 0, ta - tb, np.where(zb <= 0, tb - ta, 1.0 - ta - tb))
+            terms += (mass * signed_weight).ravel().tolist()
+        sums.append(math.fsum(terms))
     sum_err = 8.0 * _EPS * (1.0 + alpha) * (idx.size + 1)
     return DivergenceEstimate(
         value=float(min(max(math.fsum(sums), 0.0), 1.0)),
@@ -476,10 +380,12 @@ def hockey_stick_mixture_1d(
 # --- Monte Carlo --------------------------------------------------------------
 
 
-def mc_delta_vector(P, Q, epsilon: float, n_samples: int, seed: int) -> DivergenceEstimate:
+def mc_delta_vector(
+    P: VectorMixture, Q: VectorMixture, epsilon: float, n_samples: int, seed: int
+) -> DivergenceEstimate:
     """Estimate the divergence as E_P[(1 - e^eps q/p)_+] between two mixtures
-    (``MixtureSpec`` or ``VectorMixture``) of one output dimension: samples
-    from P's ``sample``, both log-densities from one joint kernel.
+    of one output dimension k: samples from P's ``sample``, both
+    log-densities from one joint kernel.
 
     The likelihood ratio is formed in log space, so a point where q underflows
     or vanishes counts in full. The statistic lies in [0, 1], and its 99%
@@ -487,9 +393,7 @@ def mc_delta_vector(P, Q, epsilon: float, n_samples: int, seed: int) -> Divergen
     at level 0.005 on each side: valid at every sample size, also when the
     divergence is far below 1 / n_samples.
     """
-    if any(isinstance(M, MixtureSpec) and M.atoms for M in (P, Q)):
-        raise SupportError("Monte Carlo estimation needs density-only mixtures")
-    k, k_q = (M._noise.centers.shape[1] for M in (P, Q))
+    k, k_q = P.centers.shape[1], Q.centers.shape[1]
     if k != k_q:
         raise DimensionError(f"P has output dimension {k} but Q has output dimension {k_q}")
     if not 0 <= epsilon < math.inf:
@@ -500,7 +404,7 @@ def mc_delta_vector(P, Q, epsilon: float, n_samples: int, seed: int) -> Divergen
         )
     rng = substream(seed, _KEY_MC, 0)
     x = P.sample(rng, n_samples)
-    log_p, log_q = _Kernel((P._noise, Q._noise))(x.reshape(n_samples, k))
+    log_p, log_q = _Kernel((P, Q))(x)
     if np.any(~np.isfinite(log_p)):
         raise SupportError("P log-density was not finite at a sampled point")
     with np.errstate(over="ignore"):

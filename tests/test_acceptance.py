@@ -21,7 +21,7 @@ from amplipriv import (
     Mask,
     MaskMatrix,
     McarPattern,
-    MixtureSpec,
+    VectorMixture,
     amplified_epsilon,
     amplify_fwl,
     apply_mask,
@@ -289,23 +289,22 @@ def test_c09_estimator_cross_validation():
     quadrature across random mixture pairs."""
     with criterion("C9 estimator cross-validation", 120.0):
         # closed-form Gaussian oracle at the total-variation point
-        p_unit = MixtureSpec(((1.0, "gaussian", 0.0, 1.0),))
-        q_unit = MixtureSpec(((1.0, "gaussian", 1.0, 1.0),))
+        p_unit, q_unit = (
+            VectorMixture(weights=[1.0], centers=[[c]], family="gaussian", scale=1.0)
+            for c in (0.0, 1.0)
+        )
         est = mc_delta_vector(p_unit, q_unit, 0.0, 10**6, seed=909)
         assert est.ci[0] <= GAUSS_TV_UNIT_SHIFT <= est.ci[1]
 
         rng = np.random.default_rng(910)
         for trial in range(20):
             def rand_mixture():
-                k = int(rng.integers(1, 4))
-                weights = rng.uniform(0.2, 1.0, k)
+                m = int(rng.integers(1, 4))
+                weights = rng.uniform(0.2, 1.0, m)
                 weights /= weights.sum()
-                comps = []
-                for w in weights:
-                    family = "gaussian" if rng.random() < 0.5 else "laplace"
-                    comps.append((float(w), family, float(rng.uniform(-2, 2)),
-                                  float(rng.uniform(0.3, 1.5))))
-                return MixtureSpec(tuple(comps))
+                family = "gaussian" if rng.random() < 0.5 else "laplace"
+                return VectorMixture(weights=weights, centers=rng.uniform(-2, 2, (m, 1)),
+                                     family=family, scale=float(rng.uniform(0.3, 1.5)))
 
             p_mix, q_mix = rand_mixture(), rand_mixture()
             eps = float(rng.uniform(0.0, 1.0))

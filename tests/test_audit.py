@@ -13,6 +13,7 @@ from amplipriv import (
     MarAnchoredPattern,
     McarPattern,
     MechanismConsistencyError,
+    VectorMixture,
     amplify_generic,
     calibrate_gaussian,
     calibrate_laplace,
@@ -161,11 +162,9 @@ class TestVerifyAmplification:
         base_r = q(pair.right.as_incomplete())[0]
         for eps in (0.1, 0.5):
             composed = hockey_stick_mixture_1d(pm, qm, eps, tol=1e-10)
-            from amplipriv import MixtureSpec
-
             base = hockey_stick_mixture_1d(
-                MixtureSpec(((1.0, "gaussian", base_l, noise.scale),)),
-                MixtureSpec(((1.0, "gaussian", base_r, noise.scale),)),
+                *(VectorMixture(weights=[1.0], centers=[[c]], family="gaussian",
+                                scale=noise.scale) for c in (base_l, base_r)),
                 eps,
                 tol=1e-10,
             )

@@ -1,6 +1,7 @@
 """Scenario runner: exit codes, report formats, reproducibility."""
 
 import contextlib
+import functools
 import io
 import json
 import os
@@ -308,6 +309,60 @@ class TestSchemaDiagnostics:
                      id="inline-string-cell"),
         pytest.param("scenario.dataset.inline: expected a list of rows",
                      lambda scn: scn["dataset"].update(inline="rows"), id="inline-string"),
+        pytest.param("scenario.neighbor.row: expected an integer, got 0.7",
+                     lambda scn: scn["neighbor"].update(row=0.7), id="row-fractional"),
+        pytest.param("scenario.neighbor.row: expected a number, got True",
+                     lambda scn: scn["neighbor"].update(row=True), id="row-boolean"),
+        pytest.param("scenario.bound_B: expected a number, got True",
+                     lambda scn: scn.update(bound_B=True), id="bound_B-boolean"),
+        pytest.param("scenario.neighbor.row: missing required field",
+                     lambda scn: scn["neighbor"].pop("row"), id="row-missing"),
+        pytest.param("scenario.neighbor: must be a JSON object",
+                     lambda scn: scn.update(neighbor=[0, [0.5] * 4]), id="neighbor-list"),
+        pytest.param("scenario.query: must be a JSON object",
+                     lambda scn: scn.update(query=3), id="query-number"),
+        pytest.param("scenario.query.post: expected a list of maps",
+                     lambda scn: scn["query"].update(post="sum"), id="post-string"),
+        pytest.param("scenario.query.post[0]: must be a JSON object",
+                     lambda scn: scn["query"].update(post=["sum"]), id="post-entry-string"),
+        pytest.param("scenario.query.post[0].map: unknown post-processing map 'cube'",
+                     lambda scn: scn["query"].update(post=[{"map": "cube"}]),
+                     id="post-unknown-map"),
+        pytest.param("scenario.query.post[0].indices: indices must lie in [0, 4)",
+                     lambda scn: scn["query"].update(post=[{"map": "project", "indices": [5]},
+                                                           {"map": "sum"}]),
+                     id="project-index-out-of-range"),
+        pytest.param("scenario.query.post[0].indices[0]: expected an integer, got 0.5",
+                     lambda scn: scn["query"].update(post=[{"map": "project", "indices": [0.5]}]),
+                     id="project-index-fractional"),
+        pytest.param("scenario.query.post[0].indices: expected a non-empty list of integers",
+                     lambda scn: scn["query"].update(post=[{"map": "project", "indices": []}]),
+                     id="project-indices-empty"),
+        pytest.param("scenario.query.post[0].indices: missing required field",
+                     lambda scn: scn["query"].update(post=[{"map": "project"}]),
+                     id="project-indices-missing"),
+        pytest.param("scenario.query.post[1].factor: missing required field",
+                     lambda scn: scn["query"]["post"].append({"map": "scale"}),
+                     id="scale-factor-missing"),
+        pytest.param("scenario.query.post[1].factor: expected a number, got 'x'",
+                     lambda scn: scn["query"]["post"].append({"map": "scale", "factor": "x"}),
+                     id="scale-factor-string"),
+        pytest.param("scenario.query.post[1].lo: missing required field",
+                     lambda scn: scn["query"]["post"].append({"map": "clamp", "hi": 1.0}),
+                     id="clamp-lo-missing"),
+        pytest.param("scenario.query.post[1].hi: expected a number, got 'x'",
+                     lambda scn: scn["query"]["post"].append({"map": "clamp", "lo": 0, "hi": "x"}),
+                     id="clamp-hi-string"),
+        pytest.param("scenario.query.post[0].lipschitz: expected a number, got 'x'",
+                     lambda scn: scn["query"]["post"][0].update(lipschitz="x"),
+                     id="lipschitz-string"),
+        pytest.param("scenario.query.post[0].lipschitz: must be nonnegative, got -1.0",
+                     lambda scn: scn["query"]["post"][0].update(lipschitz=-1),
+                     id="lipschitz-negative"),
+        pytest.param("scenario.dataset: must be a JSON object",
+                     lambda scn: scn.update(dataset=5), id="dataset-number"),
+        pytest.param("scenario.dataset.csv: expected a file path, got 5",
+                     lambda scn: scn.update(dataset={"csv": 5}), id="dataset-csv-number"),
     ])
     def test_malformed_scenario_names_the_field(self, tmp_path, laplace_scn, capsys,
                                                 field, edit):
@@ -318,6 +373,52 @@ class TestSchemaDiagnostics:
         assert run("audit", path, tmp_path) == 1
         assert field in capsys.readouterr().err
 
+
+    @pytest.mark.parametrize("command, field, edit", [
+        ("simulate", "scenario.release_mask: expected true or false, got 'no'",
+         lambda scn: scn.update(release_mask="no")),
+        ("simulate", "scenario.release_mask: expected true or false, got 1",
+         lambda scn: scn.update(release_mask=1)),
+        ("counterexample", "scenario.counterexample: must be a JSON object",
+         lambda scn: scn.update(counterexample=[0.5])),
+        ("counterexample", "scenario.counterexample.epsilon: expected a number, got 'x'",
+         lambda scn: scn.update(counterexample={"epsilon": "x", "delta": 0.001})),
+        ("counterexample", "scenario.counterexample.epsilon: must lie in (0, 1], got 1.5",
+         lambda scn: scn.update(counterexample={"epsilon": 1.5})),
+        ("counterexample", "scenario.counterexample.epsilons: expected a non-empty list",
+         lambda scn: scn["counterexample"].update(epsilons=0.5)),
+        ("counterexample", "scenario.counterexample.epsilons: expected a non-empty list",
+         lambda scn: scn["counterexample"].update(epsilons=[])),
+        ("counterexample", "scenario.counterexample.epsilons[1]: must lie in (0, 1], got 0.0",
+         lambda scn: scn["counterexample"].update(epsilons=[0.5, 0])),
+        ("counterexample", "scenario.counterexample.delta: must lie in (0, 1), got 1.0",
+         lambda scn: scn["counterexample"].update(delta=1)),
+        ("counterexample", "scenario.counterexample.delta: expected a number, got None",
+         lambda scn: scn["counterexample"].update(delta=None)),
+    ], ids=["release_mask-string", "release_mask-number", "counterexample-list",
+            "epsilon-string", "epsilon-above-one", "epsilons-number", "epsilons-empty",
+            "epsilons-zero", "delta-one", "delta-null"])
+    def test_malformed_command_block_names_the_field(self, tmp_path, laplace_scn, capsys,
+                                                     command, field, edit):
+        scn = json.loads((laplace_scn if command == "simulate"
+                          else SCENARIOS / "tightness_p1.json").read_text())
+        edit(scn)
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(scn))
+        assert run(command, path, tmp_path) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith(f"error: {field}")
+        assert not list(tmp_path.glob("malformed_*"))
+
+    def test_release_mask_writes_the_drawn_mask(self, tmp_path, laplace_scn, capsys):
+        scn = json.loads(laplace_scn.read_text())
+        scn["release_mask"] = True
+        path = tmp_path / "audit_release.json"
+        path.write_text(json.dumps(scn))
+        assert run("simulate", path, tmp_path) == 0
+        record = json.loads((tmp_path / "audit_release_release.json").read_text())
+        assert len(record["mask"]) == 2
+        assert "(audit=True)" in capsys.readouterr().out
 
     @pytest.mark.parametrize("command", ["amplify", "audit", "simulate"])
     @pytest.mark.parametrize("field, mechanism", [
@@ -391,6 +492,50 @@ class TestMechanismFuzz:
             # a valid but different mechanism may break the declared rho
             assert code == 1
             assert err.getvalue().startswith(("error: scenario.mechanism.", "error: scenario.rho:"))
+
+
+def _block_paths(scn, roots):
+    """Each root path and the path of every entry and item below it."""
+    for root in roots:
+        node = functools.reduce(lambda n, key: n[key], root, scn)
+        yield root
+        if isinstance(node, (dict, list)):
+            yield from (root + path for path in _mechanism_paths(node))
+
+
+class TestBlockFuzz:
+    """The same fuzz over the neighbor, query.post, dataset, release_mask and
+    counterexample blocks, each command reading them."""
+
+    SHIPPED = {**TestMechanismFuzz.SHIPPED, "release_mask": False,
+               "counterexample": {"epsilons": [0.5], "delta": 0.001}}
+    PATHS = list(_block_paths(SHIPPED, [("neighbor",), ("query", "post"), ("dataset",),
+                                        ("release_mask",), ("counterexample",)]))
+    VALUES = [*TestMechanismFuzz.VALUES, 0.7, 5, True, {}, [], "sum", {"map": "scale"},
+              {"map": "project", "indices": [3]}, {"map": "clamp", "lo": 0, "hi": "x"}]
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        command=st.sampled_from(["audit", "simulate", "counterexample"]),
+        path=st.sampled_from(PATHS),
+        value=st.one_of(st.none(), st.sampled_from(VALUES)),  # None drops the entry
+    )
+    def test_mutated_block_exits_cleanly(self, tmp_path_factory, command, path, value):
+        scn = json.loads(json.dumps(self.SHIPPED))
+        *parents, leaf = path
+        node = functools.reduce(lambda n, key: n[key], parents, scn)
+        if value is None:
+            del node[leaf]
+        else:
+            node[leaf] = value
+        out_dir = tmp_path_factory.mktemp("fuzz")
+        scn_path = out_dir / "fuzz.json"
+        scn_path.write_text(json.dumps(scn))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run(command, scn_path, out_dir)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
 
 
 class TestExactAuditFootprint:

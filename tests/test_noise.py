@@ -233,7 +233,7 @@ class TestOutputDensity:
             )) + 0.5 * math.exp(log_output_density(
                 mech, apply_mask(z, MaskMatrix((Mask((1,)),))), [t]
             ))
-            assert mix.density(np.array([t]))[0] == pytest.approx(manual, abs=1e-10)
+            assert math.exp(mix.log_density(np.array([[t]]))[0]) == pytest.approx(manual, abs=1e-10)
 
 
 class TestFixedMaskCertificate:
