@@ -25,6 +25,7 @@ from .audit import (
     tightness_counterexample,
     verify_amplification,
 )
+from .cli import feature_mechanism_from_spec
 from .datasets import (
     CompleteDataset,
     IncompleteDataset,
@@ -67,8 +68,6 @@ from .missingness import (
     McarPattern,
     MechanismClass,
     dataset_mask_probability,
-    feature_mechanism_from_spec,
-    load_mechanism_spec,
     mask_probability,
     p_star,
     sample_mask,

@@ -34,14 +34,7 @@ from .missingness import (
     p_star,
     tight_rho,
 )
-from .noise import (
-    GAUSSIAN,
-    LAPLACE,
-    ComposedMechanism,
-    NoiseMechanism,
-    calibrate_gaussian,
-    calibrate_laplace,
-)
+from .noise import GAUSSIAN, ComposedMechanism, NoiseMechanism, calibrate, calibrate_gaussian
 from .queries import make_standard_query, sensitivity_masked
 
 _SUPPORT_LIMIT = 200_000
@@ -197,14 +190,6 @@ class AuditTable:
         return all(r.verdict == "PASS" for r in self.rows)
 
 
-def _recalibrate(template: NoiseMechanism, epsilon: float) -> NoiseMechanism:
-    if template.family == LAPLACE:
-        return calibrate_laplace(template.query, epsilon, template.bound_B)
-    return calibrate_gaussian(
-        template.query, epsilon, template.budget.delta, template.bound_B
-    )
-
-
 def verify_amplification(
     cm: ComposedMechanism,
     pair: NeighborPair,
@@ -241,8 +226,10 @@ def verify_amplification(
     rho = tight_rho(cm.missing)
     bounds = sensitivity_masked(cm.noise.query, cm.noise.bound_B, rho)
 
+    noise = cm.noise
+
     def one(eps_base: float):
-        mech = _recalibrate(cm.noise, eps_base)
+        mech = calibrate(noise.query, noise.family, eps_base, noise.budget.delta, noise.bound_B)
         report = amplify_fwl(
             eps_base, mech.budget.delta, ps, bounds, family=mech.family
         )
@@ -303,9 +290,9 @@ def tightness_counterexample(
     composed and base divergences coincide.
     """
     if not 0 < epsilon <= 1:
-        raise ValueError("epsilon must lie in (0, 1]")
+        raise ValueError(f"epsilon: must lie in (0, 1], got {epsilon!r}")
     if not 0 < delta < 1:
-        raise ValueError("delta must lie in (0, 1)")
+        raise ValueError(f"delta: must lie in (0, 1), got {delta!r}")
     n, d, j0 = 1, 2, 0
     read_matrix = np.zeros((1, d))
     read_matrix[0, j0] = 1.0

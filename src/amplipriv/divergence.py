@@ -92,7 +92,7 @@ def mix_discrete(components: Sequence) -> DiscreteDistribution:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # ndarray fields: compared and hashed by identity
 class VectorMixture:
     """A finite mixture of product noise, the package's one mixture type:
     component i adds i.i.d. noise of one family and scale to every coordinate

@@ -5,15 +5,15 @@ observed-fraction bound rho.
 Every family here is MCAR or MAR by construction, and records which in its
 ``mechanism_class`` when it is built. In particular the probability of the
 all-missing mask never depends on the data, which is what makes p_star a
-single well-defined constant across neighbor pairs. MNAR specs are refused
-when they are parsed.
+single well-defined constant across neighbor pairs. There is no MNAR family.
+Each constructor checks its arguments and names the one at fault: a
+ValueError message starts with "<argument>: ".
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-import json
 import math
 import operator
 from bisect import bisect_right
@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .datasets import CompleteDataset, Mask, MaskMatrix
-from .errors import DimensionError, SchemaError, UnsupportedMechanismError
+from .errors import DimensionError
 
 _PROB_TOL = 1e-12
 
@@ -79,32 +79,8 @@ class FeatureMechanism:
             raise DimensionError(f"sample has length {len(sample)}, mechanism d={self.d}")
 
 
-# Constructor checks raise ValueErrors whose message starts with the argument
-# at fault, which is also the spec field the parser read it from.
-
-
-def _number(value, field: str) -> float:
-    """``value`` as a float, or a ValueError naming ``field``."""
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{field}: expected a number, got {value!r}") from None
-
-
-def _numbers(values, field: str) -> tuple:
-    """``values`` as a tuple of floats, or a ValueError naming ``field``."""
-    try:
-        return tuple(_number(v, field) for v in values)
-    except TypeError:
-        raise ValueError(f"{field}: expected a list of numbers, got {values!r}") from None
-
-
-def _masks(rows, field: str) -> tuple:
-    """``rows`` as a tuple of Masks, or a ValueError naming ``field``."""
-    try:
-        return tuple(r if isinstance(r, Mask) else Mask(tuple(r)) for r in rows)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{field}: {exc}") from None
+def _mask(bits) -> Mask:
+    return bits if isinstance(bits, Mask) else Mask(tuple(bits))
 
 
 class McarBernoulli(FeatureMechanism):
@@ -113,7 +89,7 @@ class McarBernoulli(FeatureMechanism):
     mechanism_class = MechanismClass.MCAR
 
     def __init__(self, pi: Sequence[float]):
-        pi = _numbers(pi, "pi")
+        pi = tuple(map(float, pi))
         if len(pi) < 1:
             raise DimensionError("pi: must be non-empty")
         if not all(0 <= p <= 1 for p in pi):
@@ -162,7 +138,6 @@ class CappedBernoulli(FeatureMechanism):
 
     def __init__(self, pi: Sequence[float], rho_cap: float):
         base = McarBernoulli(pi)
-        rho_cap = _number(rho_cap, "rho_cap")
         if not 0 < rho_cap <= 1:
             raise ValueError(f"rho_cap: must lie in (0, 1], got {rho_cap!r}")
         self.pi = base.pi
@@ -219,7 +194,7 @@ class McarPattern(FeatureMechanism):
             raise ValueError(
                 f"patterns: need a non-empty list of (mask, probability) pairs, got {patterns!r}"
             ) from None
-        masks, probs = _masks(bits, "patterns"), _numbers(probs, "patterns")
+        masks, probs = tuple(map(_mask, bits)), tuple(map(float, probs))
         if any(m.d != masks[0].d for m in masks):
             raise DimensionError("patterns: masks must share one length")
         if not all(0 <= p <= 1 for p in probs):
@@ -280,7 +255,7 @@ class MarAnchoredPattern(FeatureMechanism):
         thresholds: Sequence[Sequence[float]],
         score_table: dict,
     ):
-        cands = _masks(candidates, "candidates")
+        cands = tuple(map(_mask, candidates))
         if not cands:
             raise ValueError("candidates: need at least one candidate mask")
         d = cands[0].d
@@ -288,10 +263,7 @@ class MarAnchoredPattern(FeatureMechanism):
             raise DimensionError("candidates: masks must share one length")
         if len(set(m.bits for m in cands)) != len(cands):
             raise ValueError("candidates: masks must be distinct")
-        try:
-            anchor = tuple(operator.index(j) for j in anchor)
-        except TypeError:
-            raise ValueError(f"anchor: expected feature indices, got {anchor!r}") from None
+        anchor = tuple(map(operator.index, anchor))
         if any(j < 0 or j >= d for j in anchor):
             raise ValueError(f"anchor: indices must lie in [0, {d}), got {list(anchor)!r}")
         # thresholds[i] bins anchor[i]: sorting here would re-pair them silently
@@ -301,7 +273,6 @@ class MarAnchoredPattern(FeatureMechanism):
             )
         if any(m.bits[j] == 1 for m in cands for j in anchor):
             raise ValueError("candidates: every candidate must observe the full anchor set")
-        q_all = _number(q_all, "q_all")
         if not 0 <= q_all <= 1:
             raise ValueError(f"q_all: must lie in [0, 1], got {q_all!r}")
         try:
@@ -314,16 +285,17 @@ class MarAnchoredPattern(FeatureMechanism):
                 "thresholds: need one list of finite numbers per anchor feature, "
                 f"got {thresholds!r}"
             )
-        if not isinstance(score_table, dict):
-            raise ValueError(f"score_table: expected an object of score rows, got {score_table!r}")
         table = {}
-        for key, row in score_table.items():
-            row = _numbers(row, "score_table")
+        for key, given in score_table.items():
+            try:
+                row = tuple(map(float, given))
+            except (TypeError, ValueError):
+                row = ()
             if (len(row) != len(cands) or not all(s >= 0 for s in row)
                     or not abs(math.fsum(row) - 1.0) <= _PROB_TOL):
                 raise ValueError(
                     f"score_table: row '{key}' must hold {len(cands)} nonnegative "
-                    f"scores summing to 1, got {list(row)!r}"
+                    f"scores summing to 1, got {given!r}"
                 )
             table[key] = row
         # every bin an anchor value can fall in: the count of cuts <= it
@@ -388,6 +360,15 @@ class MarAnchoredPattern(FeatureMechanism):
         idx = int(np.searchsorted(cum, rng.random(), side="right"))
         idx = min(idx, len(self.candidates) - 1)
         return self.candidates[idx]
+
+
+# each family by its name in scenario files
+MECHANISMS = {
+    "mcar_bernoulli": McarBernoulli,
+    "capped_bernoulli": CappedBernoulli,
+    "mcar_pattern": McarPattern,
+    "mar_anchored": MarAnchoredPattern,
+}
 
 
 @dataclass(frozen=True)
@@ -461,56 +442,10 @@ def p_star(mech: DatasetMechanism) -> float:
 def verify_rho(mech: DatasetMechanism, rho: float) -> bool:
     """Check every supported mask row observes at most a fraction rho of features."""
     if not 0 < rho <= 1:
-        raise ValueError("rho must lie in (0, 1]")
+        raise ValueError(f"rho: must lie in (0, 1], got {rho!r}")
     return mech.feature_mech.max_observed_count() <= rho * mech.d
 
 
 def tight_rho(mech: DatasetMechanism) -> float:
     """Smallest valid observed-fraction bound for the mechanism's support."""
     return mech.feature_mech.max_observed_count() / mech.d
-
-
-# --- JSON mechanism specs ---------------------------------------------------
-
-
-def feature_mechanism_from_spec(spec: dict) -> FeatureMechanism:
-    """Parse the JSON mechanism spec format. A malformed spec raises a
-    SchemaError whose message starts with the field at fault."""
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise SchemaError("kind: a mechanism spec is an object with a 'kind' field")
-    kind = spec["kind"]
-    if isinstance(kind, str) and kind.lower().startswith("mnar"):
-        raise UnsupportedMechanismError(
-            f"mechanism kind '{kind}': amplification accounting requires an MCAR "
-            "or MAR mechanism (the mask law must not depend on unobserved values)"
-        )
-
-    def field(key):
-        if key not in spec:
-            raise SchemaError(f"{key}: missing required field")
-        return spec[key]
-
-    try:
-        if kind == "mcar_bernoulli":
-            return McarBernoulli(field("pi"))
-        if kind == "capped_bernoulli":
-            return CappedBernoulli(field("pi"), field("rho_cap"))
-        if kind == "mcar_pattern":
-            try:
-                pairs = [(p["mask"], p["prob"]) for p in field("patterns")]
-            except (KeyError, TypeError):
-                raise SchemaError(
-                    "patterns: each entry is an object with 'mask' and 'prob'"
-                ) from None
-            return McarPattern(pairs)
-        if kind == "mar_anchored":
-            keys = ("anchor", "q_all", "candidates", "thresholds", "score_table")
-            return MarAnchoredPattern(**{key: field(key) for key in keys})
-    except ValueError as exc:  # each constructor check names its field first
-        raise SchemaError(str(exc)) from None
-    raise SchemaError(f"kind: unknown mechanism kind '{kind}'")
-
-
-def load_mechanism_spec(path) -> FeatureMechanism:
-    with open(path) as fh:
-        return feature_mechanism_from_spec(json.load(fh))

@@ -97,10 +97,10 @@ class PrivacyBudget:
     def __post_init__(self):
         if not 0 <= self.epsilon < math.inf:
             raise BudgetRangeError(
-                f"epsilon must be finite and nonnegative, got {self.epsilon!r}"
+                f"epsilon: must be finite and nonnegative, got {self.epsilon!r}"
             )
         if not 0 <= self.delta <= 1:
-            raise BudgetRangeError("delta must lie in [0, 1]")
+            raise BudgetRangeError(f"delta: must lie in [0, 1], got {self.delta!r}")
 
 
 @dataclass(frozen=True)
@@ -138,8 +138,8 @@ class ComposedMechanism:
 
 def calibrate_laplace(q: FwlQuery, epsilon: float, B: float) -> NoiseMechanism:
     """Laplace scale b = C_1 / epsilon; pure epsilon-DP on complete data."""
-    if epsilon <= 0:
-        raise BudgetRangeError("epsilon must be positive")
+    if not epsilon > 0:
+        raise BudgetRangeError(f"epsilon: must be positive, got {epsilon!r}")
     c1 = sensitivity_complete(q, B)
     if c1 == 0.0:
         raise DegenerateQueryError(
@@ -158,7 +158,7 @@ def calibrate_laplace(q: FwlQuery, epsilon: float, B: float) -> NoiseMechanism:
 def gaussian_noise_factor(delta: float) -> float:
     """Margin-adjusted c with c > sqrt(2 ln(1.25/delta)) strictly."""
     if not 0 < delta <= 1:
-        raise BudgetRangeError("delta must lie in (0, 1]")
+        raise BudgetRangeError(f"delta: must lie in (0, 1], got {delta!r}")
     return GAUSSIAN_MARGIN * math.sqrt(2.0 * math.log(1.25 / delta))
 
 
@@ -167,7 +167,9 @@ def calibrate_gaussian(
 ) -> NoiseMechanism:
     """Gaussian scale sigma = c * C_2 / epsilon; the guarantee needs eps in (0, 1]."""
     if not 0 < epsilon <= 1:
-        raise BudgetRangeError("the Gaussian guarantee is stated for epsilon in (0, 1]")
+        raise BudgetRangeError(
+            f"epsilon: must lie in (0, 1] for the Gaussian guarantee, got {epsilon!r}"
+        )
     c2 = sensitivity_complete(q, B)
     if c2 == 0.0:
         raise DegenerateQueryError(
@@ -181,6 +183,16 @@ def calibrate_gaussian(
         C_used=c2,
         bound_B=B,
     )
+
+
+def calibrate(q: FwlQuery, family: str, epsilon: float, delta: float, B: float) -> NoiseMechanism:
+    """The ``family`` mechanism for ``q`` at (epsilon, delta); the Laplace
+    family is pure epsilon-DP and does not read delta."""
+    if family == LAPLACE:
+        return calibrate_laplace(q, epsilon, B)
+    if family == GAUSSIAN:
+        return calibrate_gaussian(q, epsilon, delta, B)
+    raise ValueError(f"family: unknown noise family {family!r}")
 
 
 def run_mechanism(m: NoiseMechanism, data: IncompleteDataset, seed: int) -> np.ndarray:

@@ -148,11 +148,11 @@ def _linear_query(matrices: Sequence[np.ndarray], n: int, d: int) -> FwlQuery:
     if len(mats) == 1 and n > 1:
         mats = mats * n
     if len(mats) != n:
-        raise DimensionError("linear query needs one matrix per row (or one shared)")
+        raise DimensionError("matrices: need one matrix per row (or one shared)")
     k = mats[0].shape[0]
     for m in mats:
         if m.shape != (k, d):
-            raise DimensionError("linear query matrices must all be k x d")
+            raise DimensionError(f"matrices: must all be k x {d}, got {m.shape}")
     stacked = np.stack(mats)  # (n, k, d)
     L = np.abs(stacked).sum(axis=1).max(axis=0)  # max_i ||B_i e_j||_1
 
@@ -171,8 +171,8 @@ def _bounded_mean_query(n: int, d: int) -> FwlQuery:
 
 
 def _clipped_mean_query(n: int, d: int, clip: float) -> FwlQuery:
-    if clip <= 0:
-        raise ValueError("clip bound must be positive")
+    if not clip > 0:
+        raise ValueError(f"clip: must be positive, got {clip!r}")
 
     def batch(values, na):
         vals = np.where(na, 0.0, np.clip(values, -clip, clip))
@@ -183,8 +183,8 @@ def _clipped_mean_query(n: int, d: int, clip: float) -> FwlQuery:
 
 
 def _covariance_query(n: int, d: int, B: float) -> FwlQuery:
-    if B <= 0:
-        raise ValueError("covariance query needs a positive entry bound B")
+    if not B > 0:
+        raise ValueError(f"B: must be positive, got {B!r}")
 
     def batch(values, na):
         return (np.swapaxes(values, -1, -2) @ values / n).reshape(len(values), d * d)
@@ -196,7 +196,7 @@ def _covariance_query(n: int, d: int, B: float) -> FwlQuery:
 def _mean_projection_query(n: int, d: int, projection: np.ndarray) -> FwlQuery:
     P = np.asarray(projection, dtype=float)
     if P.ndim != 2 or P.shape[1] != d:
-        raise DimensionError("projection must be k x d")
+        raise DimensionError(f"projection: must be k x {d}, got shape {P.shape}")
 
     def batch(values, na):
         return (P @ (values.sum(axis=-2) / n)[..., None])[..., 0]
@@ -221,11 +221,13 @@ def _histogram_query(
     at rate 1/width per bin and at most two bins are active, so the constants
     2 / (n * width) hold exactly. An NA cell is a member of no bin.
     """
-    if hi <= lo or bins < 1:
-        raise ValueError("histogram needs hi > lo and bins >= 1")
+    if not hi > lo:
+        raise ValueError(f"hi: must exceed lo = {lo!r}, got {hi!r}")
+    if bins < 1:
+        raise ValueError(f"bins: must be at least 1, got {bins!r}")
     feats = tuple(range(d)) if features is None else tuple(sorted(set(features)))
     if any(j < 0 or j >= d for j in feats):
-        raise ValueError("histogram feature indices out of range")
+        raise ValueError(f"features: indices must lie in [0, {d}), got {list(feats)!r}")
     width = (hi - lo) / bins
     centers = lo + width * (np.arange(bins) + 0.5)
     cols = list(feats)
@@ -253,6 +255,7 @@ _CONSTRUCTORS = {
     "covariance": _covariance_query,
     "mean_projection": _mean_projection_query,
 }
+QUERY_KINDS = tuple(_CONSTRUCTORS)
 
 
 def make_standard_query(kind: str, **params) -> FwlQuery:
@@ -260,9 +263,13 @@ def make_standard_query(kind: str, **params) -> FwlQuery:
 
     Kinds: histogram, linear, bounded_mean, clipped_mean, covariance,
     mean_projection. See the individual builders for kind-specific params.
+    A parameter out of range raises a ValueError "<param>: <rule>".
     """
     if kind not in _CONSTRUCTORS:
-        raise ValueError(f"unknown query kind '{kind}'")
+        raise ValueError(f"kind: unknown query kind {kind!r}")
+    for name in ("n", "d"):
+        if params.get(name, 1) < 1:
+            raise DimensionError(f"{name}: must be at least 1, got {params[name]!r}")
     return _CONSTRUCTORS[kind](**params)
 
 
@@ -299,8 +306,8 @@ def lipschitz_postprocess(
     rows, returns their images stacked as rows (as ``v.sum(axis=-1,
     keepdims=True)`` does); otherwise it evaluates one dataset at a time.
     """
-    if Lambda < 0:
-        raise ValueError("Lambda must be nonnegative")
+    if not Lambda >= 0:
+        raise ValueError(f"Lambda: must be nonnegative, got {Lambda!r}")
     rng = random.Random(seed)
     # rows 2t and 2t + 1 are the t-th spot-check pair
     points = np.array([
@@ -343,6 +350,37 @@ def lipschitz_postprocess(
         {"kind": "postprocess", "lambda": Lambda, "inner": q.descriptor},
         batch=batch,
     )
+
+
+POST_MAPS = ("identity", "scale", "project", "clamp", "sum")
+
+
+def named_postprocess(
+    q: FwlQuery, name: str, lipschitz: Optional[float] = None, **params
+) -> FwlQuery:
+    """``q`` followed by a named map: ``identity``, ``scale`` by ``factor``,
+    ``project`` onto output ``indices``, ``clamp`` to [``lo``, ``hi``] or
+    ``sum``. Each acts on the last axis, so the composed query evaluates
+    stacks of datasets at once. ``lipschitz`` replaces the map's own
+    constant and is spot-checked like any claimed constant."""
+    mapping, lam, k = (lambda v: v), 1.0, q.output_dim
+    if name == "scale":
+        factor = params["factor"]
+        mapping, lam = (lambda v: factor * v), abs(factor)
+    elif name == "project":
+        idx = list(params["indices"])
+        if not all(0 <= i < k for i in idx):
+            raise ValueError(f"indices: must lie in [0, {k}), got {idx}")
+        mapping, k = (lambda v: v[..., idx]), len(idx)
+    elif name == "clamp":
+        lo, hi = params["lo"], params["hi"]
+        mapping = lambda v: np.clip(v, lo, hi)  # noqa: E731
+    elif name == "sum":
+        lam = 1.0 if q.norm_p == 1 else math.sqrt(k)
+        mapping, k = (lambda v: v.sum(axis=-1, keepdims=True)), 1
+    elif name != "identity":
+        raise ValueError(f"name: unknown post-processing map {name!r}")
+    return lipschitz_postprocess(q, mapping, lam if lipschitz is None else lipschitz, output_dim=k)
 
 
 def linear_combination(queries: Sequence[FwlQuery], coeffs: Sequence[float]) -> FwlQuery:

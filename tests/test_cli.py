@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amplipriv.cli import AUDIT_CSV_HEADER, build_parser, main, run_scenario
+from amplipriv.cli import AUDIT_CSV_HEADER, FIELDS, build_parser, main, run_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -267,7 +267,7 @@ class TestSchemaDiagnostics:
         pytest.param("scenario.mechanism.candidates: masks must be distinct",
                      lambda scn: scn["mechanism"].update(candidates=[[0, 1, 1, 1]] * 2),
                      id="duplicate-candidates"),
-        pytest.param("scenario.mechanism.candidates: mask bits must be 0 or 1",
+        pytest.param("scenario.mechanism.candidates[0]: mask bits must be 0 or 1",
                      lambda scn: scn["mechanism"].update(candidates=[[0, 1, 1, 2], [0, 0, 1, 1]]),
                      id="candidate-bit-two"),
         pytest.param("scenario.mechanism.patterns: probabilities sum to 0.5",
@@ -293,9 +293,9 @@ class TestSchemaDiagnostics:
                      lambda scn: scn.update(budget={}), id="budget-empty"),
         pytest.param("scenario.budget.epsilon: expected a number, got 'one'",
                      lambda scn: scn["budget"].update(epsilon="one"), id="budget-epsilon-string"),
-        pytest.param("scenario.query.params: do not fit kind 'clipped_mean'",
+        pytest.param("scenario.query.params.n: missing required field",
                      lambda scn: scn["query"].update(params={}), id="query-params-empty"),
-        pytest.param("scenario.query.params: do not fit kind 'clipped_mean'",
+        pytest.param("scenario.query.params.width: not a parameter of kind 'clipped_mean'",
                      lambda scn: scn["query"]["params"].update(width=3),
                      id="query-params-unknown"),
         pytest.param("scenario.neighbor.replacement: expected a list of numbers",
@@ -328,7 +328,7 @@ class TestSchemaDiagnostics:
         pytest.param("scenario.query.post[0].map: unknown post-processing map 'cube'",
                      lambda scn: scn["query"].update(post=[{"map": "cube"}]),
                      id="post-unknown-map"),
-        pytest.param("scenario.query.post[0].indices: indices must lie in [0, 4)",
+        pytest.param("scenario.query.post[0].indices: must lie in [0, 4)",
                      lambda scn: scn["query"].update(post=[{"map": "project", "indices": [5]},
                                                            {"map": "sum"}]),
                      id="project-index-out-of-range"),
@@ -363,6 +363,36 @@ class TestSchemaDiagnostics:
                      lambda scn: scn.update(dataset=5), id="dataset-number"),
         pytest.param("scenario.dataset.csv: expected a file path, got 5",
                      lambda scn: scn.update(dataset={"csv": 5}), id="dataset-csv-number"),
+        pytest.param("scenario.rho: must lie in (0, 1], got 0.0",
+                     lambda scn: scn.update(rho=0), id="rho-zero"),
+        pytest.param("scenario.query.params.clip: must be positive, got -1.0",
+                     lambda scn: scn["query"]["params"].update(clip=-1), id="clip-negative"),
+        pytest.param("scenario.query.params.d: must be at least 1, got 0",
+                     lambda scn: scn["query"]["params"].update(d=0), id="d-zero"),
+        pytest.param("scenario.bound_B: must be positive, got -1.0",
+                     lambda scn: scn.update(bound_B=-1), id="bound_B-negative"),
+        pytest.param("scenario.audit.tolerance: must be positive, got -1.0",
+                     lambda scn: scn["audit"].update(tolerance=-1), id="tolerance-negative"),
+        pytest.param("scenario.epsilon_grid: expected a list of numbers, got 0.5",
+                     lambda scn: scn.update(epsilon_grid=0.5), id="grid-number"),
+        pytest.param("scenario.neighbor.replacement: must hold the dataset's 4 features",
+                     lambda scn: scn["neighbor"].update(replacement=[0.1, 0.2]),
+                     id="replacement-short"),
+        pytest.param("scenario.query.kind: unknown query kind 'median'",
+                     lambda scn: scn["query"].update(kind="median"), id="query-kind-unknown"),
+        pytest.param("scenario.query.kind: missing required field",
+                     lambda scn: scn["query"].pop("kind"), id="query-kind-missing"),
+        pytest.param("scenario.query.params.n: expected a number, got '2'",
+                     lambda scn: scn["query"]["params"].update(n="2"), id="n-string"),
+        pytest.param("scenario.query.params.n: expected an integer, got 2.5",
+                     lambda scn: scn["query"]["params"].update(n=2.5), id="n-fractional"),
+        pytest.param("scenario.query.params.n: must equal the dataset's 2 rows, got 3",
+                     lambda scn: scn["query"]["params"].update(n=3), id="n-not-the-dataset's"),
+        pytest.param("scenario.mechanism: must cover the query's 4 features, got 3",
+                     lambda scn: scn.update(mechanism={"kind": "mcar_bernoulli", "pi": [0.5] * 3}),
+                     id="mechanism-too-narrow"),
+        pytest.param("scenario.budget.delta: must be 0 for the laplace family, got 0.1",
+                     lambda scn: scn["budget"].update(delta=0.1), id="laplace-delta"),
     ])
     def test_malformed_scenario_names_the_field(self, tmp_path, laplace_scn, capsys,
                                                 field, edit):
@@ -373,6 +403,23 @@ class TestSchemaDiagnostics:
         assert run("audit", path, tmp_path) == 1
         assert field in capsys.readouterr().err
 
+
+    @pytest.mark.parametrize("command", ["calibrate", "amplify", "audit", "simulate"])
+    @pytest.mark.parametrize("n, rule", [
+        (2.5, "expected an integer, got 2.5"),
+        (3, "must equal the dataset's 2 rows, got 3"),
+        ("2", "expected a number, got '2'"),
+    ])
+    def test_query_rows_named_under_every_command(self, tmp_path, laplace_scn, capsys,
+                                                   command, n, rule):
+        # n = 2.5 and n = 3 once calibrated the 2-row dataset at scale 1.6 and 1.333
+        scn = json.loads(laplace_scn.read_text())
+        scn["query"]["params"]["n"] = n
+        path = tmp_path / "rows.json"
+        path.write_text(json.dumps(scn))
+        assert run(command, path, tmp_path) == 1
+        assert capsys.readouterr().err == f"error: scenario.query.params.n: {rule}\n"
+        assert not list(tmp_path.glob("rows_*"))
 
     @pytest.mark.parametrize("command, field, edit", [
         ("simulate", "scenario.release_mask: expected true or false, got 'no'",
@@ -445,97 +492,104 @@ class TestSchemaDiagnostics:
         assert "nan" not in out
 
 
-def _mechanism_paths(node, path=()):
-    """The path of every dict entry and list item below ``node``."""
+def _concrete_paths(node, path=()):
+    """The key path of every dict entry and list item below ``node``."""
     items = node.items() if isinstance(node, dict) else enumerate(node)
     for key, child in items:
         yield path + (key,)
         if isinstance(child, (dict, list)):
-            yield from _mechanism_paths(child, path + (key,))
+            yield from _concrete_paths(child, path + (key,))
 
 
-class TestMechanismFuzz:
+def _table_path(path) -> str:
+    """The ``FIELDS`` path of a key path: list indices become [i], then [j]."""
+    text, depth = "", 0
+    for key in path:
+        if isinstance(key, int):
+            text += "[i]" if depth == 0 else "[j]"
+            depth += 1
+        else:
+            text += f".{key}" if text else key
+    return text
+
+
+def _first_paths(bases) -> dict:
+    """Each table path: the first base holding it, and the key path to it there."""
+    found = {}
+    for b, base in enumerate(bases):
+        for path in _concrete_paths(base):
+            found.setdefault(_table_path(path), (b, path))
+    return {field: found[field] for field in FIELDS if field in found}
+
+
+class TestSchemaFuzz:
+    """Every field of the table, on a scenario that holds it, dropped or
+    replaced by a hostile value, under every command that reads it: the run
+    passes, fails its audit, or exits 1 with a diagnostic naming a field."""
+
     SHIPPED = json.loads((SCENARIOS / "laplace_mean_rho05.json").read_text())
-    PATHS = list(_mechanism_paths(SHIPPED["mechanism"]))
-    VALUES = [float("nan"), float("inf"), float("-inf"), "abc", [0.5], -1, -0.5, 2, 1.5]
+    BASES = [
+        {**SHIPPED, "release_mask": False,
+         "audit": {"method": "exact", "tolerance": 1e-7, "samples": 2000,
+                   "claim": {"epsilon": 0.5, "delta": 0.5}},
+         "counterexample": {"epsilons": [0.5], "epsilon": 0.5, "delta": 0.001}},
+        {**{k: v for k, v in SHIPPED.items() if k != "rho"},
+         "family": "gaussian", "budget": {"epsilon": 0.5, "delta": 0.001},
+         "dataset": {"csv": "data.csv"},
+         "mechanism": {"kind": "mcar_bernoulli", "pi": [0.5, 0.5, 0.5, 0.5]},
+         "query": {"kind": "histogram",
+                   "params": {"n": 2, "d": 4, "lo": -0.5, "hi": 0.5, "bins": 2, "features": [0, 1]},
+                   "post": [{"map": "scale", "factor": 0.5, "lipschitz": 0.5}, {"map": "sum"}]}},
+        {**SHIPPED, "mechanism": {"kind": "capped_bernoulli", "pi": [0.5] * 4, "rho_cap": 0.5},
+         "query": {"kind": "covariance", "params": {"n": 2, "d": 4, "B": 0.5},
+                   "post": [{"map": "project", "indices": [0]}, {"map": "clamp", "lo": -1, "hi": 1}]}},
+        {**SHIPPED, "mechanism": {"kind": "mcar_pattern", "patterns": [
+            {"mask": [0, 0, 1, 1], "prob": 0.5}, {"mask": [1, 1, 1, 1], "prob": 0.5}]},
+         "query": {"kind": "linear", "params": {"n": 2, "d": 4, "matrices": [[[1, 0, 0, 0]]]},
+                   "post": [{"map": "identity"}]}},
+        {**SHIPPED, "query": {"kind": "mean_projection",
+                              "params": {"n": 2, "d": 4, "projection": [[1, 0, 0, 0]]}}},
+    ]
+    PATHS = _first_paths(BASES)
+    FOUR = ("calibrate", "amplify", "audit", "simulate")
+    READERS = {
+        "seed": (*FOUR, "counterexample"), "bound_B": (*FOUR, "counterexample"),
+        "family": FOUR, "budget": FOUR, "dataset": FOUR, "query": FOUR,
+        "mechanism": ("amplify", "audit", "simulate"), "rho": ("amplify", "audit"),
+        "neighbor": ("audit",), "epsilon_grid": ("audit",), "audit": ("audit",),
+        "release_mask": ("simulate",), "counterexample": ("counterexample",),
+    }
+    DROP = object()
+    VALUES = [DROP, float("nan"), float("inf"), float("-inf"), "abc", [0.5], -1, -0.5, 0, 2, 1.5,
+              0.7, 5, True, None, {}, [], "sum", {"map": "scale"}, [[0, 1]], 10 ** 400]
 
-    @settings(max_examples=80, deadline=None)
-    @given(
-        command=st.sampled_from(["amplify", "simulate"]),
-        path=st.sampled_from(PATHS),
-        value=st.one_of(st.none(), st.sampled_from(VALUES)),  # None drops the entry
-    )
-    def test_mutated_mechanism_exits_cleanly(self, tmp_path_factory, command, path, value):
-        """A mutated mechanism block either runs or exits 1 naming the field
-        at fault: never a traceback, and never a NaN result."""
-        scn = json.loads(json.dumps(self.SHIPPED))
-        *parents, leaf = path
-        node = scn["mechanism"]
-        for key in parents:
-            node = node[key]
-        if value is None:
-            del node[leaf]
-        else:
-            node[leaf] = value
-        out_dir = tmp_path_factory.mktemp("fuzz")
-        scn_path = out_dir / "fuzz.json"
-        scn_path.write_text(json.dumps(scn))
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = run(command, scn_path, out_dir)
-        nan = re.compile(r"\bnan\b", re.IGNORECASE)
-        assert not nan.search(out.getvalue())
-        if code == 0:
-            for report in out_dir.glob("fuzz_*.json"):
-                assert not nan.search(report.read_text())
-        else:
-            # a valid but different mechanism may break the declared rho
-            assert code == 1
-            assert err.getvalue().startswith(("error: scenario.mechanism.", "error: scenario.rho:"))
+    def test_every_field_is_fuzzed(self):
+        assert set(self.PATHS) == set(FIELDS)
+        assert set(self.READERS) == {path.split(".")[0].split("[")[0] for path in FIELDS}
 
-
-def _block_paths(scn, roots):
-    """Each root path and the path of every entry and item below it."""
-    for root in roots:
-        node = functools.reduce(lambda n, key: n[key], root, scn)
-        yield root
-        if isinstance(node, (dict, list)):
-            yield from (root + path for path in _mechanism_paths(node))
-
-
-class TestBlockFuzz:
-    """The same fuzz over the neighbor, query.post, dataset, release_mask and
-    counterexample blocks, each command reading them."""
-
-    SHIPPED = {**TestMechanismFuzz.SHIPPED, "release_mask": False,
-               "counterexample": {"epsilons": [0.5], "delta": 0.001}}
-    PATHS = list(_block_paths(SHIPPED, [("neighbor",), ("query", "post"), ("dataset",),
-                                        ("release_mask",), ("counterexample",)]))
-    VALUES = [*TestMechanismFuzz.VALUES, 0.7, 5, True, {}, [], "sum", {"map": "scale"},
-              {"map": "project", "indices": [3]}, {"map": "clamp", "lo": 0, "hi": "x"}]
-
-    @settings(max_examples=120, deadline=None)
-    @given(
-        command=st.sampled_from(["audit", "simulate", "counterexample"]),
-        path=st.sampled_from(PATHS),
-        value=st.one_of(st.none(), st.sampled_from(VALUES)),  # None drops the entry
-    )
-    def test_mutated_block_exits_cleanly(self, tmp_path_factory, command, path, value):
-        scn = json.loads(json.dumps(self.SHIPPED))
+    @pytest.mark.parametrize("field", sorted(PATHS))
+    @settings(max_examples=3, deadline=None)  # about 220 examples over all fields
+    @given(value=st.sampled_from(VALUES))
+    def test_mutated_field_exits_cleanly(self, tmp_path_factory, field, value):
+        b, path = self.PATHS[field]
+        scn = json.loads(json.dumps(self.BASES[b]))
         *parents, leaf = path
         node = functools.reduce(lambda n, key: n[key], parents, scn)
-        if value is None:
+        if value is self.DROP:
             del node[leaf]
         else:
             node[leaf] = value
         out_dir = tmp_path_factory.mktemp("fuzz")
+        (out_dir / "data.csv").write_text("f1,f2,f3,f4\n0.3,-0.2,0.5,-0.5\n-0.4,0.1,0.2,0.3\n")
         scn_path = out_dir / "fuzz.json"
         scn_path.write_text(json.dumps(scn))
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = run(command, scn_path, out_dir)
-        assert code in (0, 1, 2)
-        assert "Traceback" not in err.getvalue()
+        for command in self.READERS[path[0]]:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run(command, scn_path, out_dir)
+            assert not re.search(r"\bnan\b", out.getvalue(), re.IGNORECASE)
+            assert code in (0, 2) or (code == 1 and err.getvalue().startswith("error: scenario.")), (
+                command, err.getvalue())
 
 
 class TestExactAuditFootprint:
@@ -606,6 +660,13 @@ class TestCsvDataset:
         assert produced.splitlines()[1:] == reference.splitlines()[1:]
 
 
+def test_readme_schema_documents_exactly_the_table():
+    readme = (SCENARIOS.parent / "README.md").read_text()
+    block = readme.split("### Scenario schema", 1)[1].split("\n## ", 1)[0]
+    documented = re.findall(r"^\| `([^`]+)` \|", block, re.MULTILINE)
+    assert sorted(documented) == sorted(FIELDS)  # each table path once, and no other
+
+
 class TestParser:
     def test_help_lists_every_subcommand(self, capsys):
         with pytest.raises(SystemExit):
@@ -614,6 +675,14 @@ class TestParser:
         for name in ("calibrate", "amplify", "audit", "simulate",
                      "counterexample", "report"):
             assert name in out
+
+    @pytest.mark.parametrize("command", ["calibrate", "amplify", "audit", "simulate",
+                                         "counterexample"])
+    def test_format_is_a_report_option_only(self, command, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "x.json", "--format", "csv"])
+        assert "unrecognized arguments: --format" in capsys.readouterr().err
+        assert build_parser().parse_args(["report", "x.json", "--format", "csv"]).format == "csv"
 
     def test_main_round_trip(self, tmp_path):
         code = main(

@@ -463,3 +463,44 @@ class TestConvexityIdentities:
             inner = mix_discrete([(1 - beta, x0), (beta, x1p)])
             rhs = eta * hockey_stick_discrete(x1, inner, math.log(alpha)).value
             assert lhs == pytest.approx(rhs, abs=1e-12)
+
+
+class TestPinnedQuadrature:
+    """``hockey_stick_mixture_1d`` to the last bit on two 41-component
+    mixtures whose shared zero centres are -0.0 in P and 0.0 in Q. Three
+    rules keep these bits: ``math.log`` of each weight (the ``ODD`` weights
+    are ones that numpy's vectorised log can round differently), the centre
+    set built P first, and one ``math.fsum`` per block over both mixtures."""
+
+    POOL = np.random.default_rng(7).uniform(0.01, 0.03, 20000)
+    ODD = [1155, 6056, 8732, 9372, 19120]
+    PINNED = {
+        ("laplace", 0.0): ("0x1.bbf3b81016554p-4", "0x1.01d97905598a2p-47"),
+        ("laplace", 0.05): ("0x1.88a42ab9945c7p-4", "0x1.0867904c8d87dp-47"),
+        ("laplace", 0.2): ("0x1.e54d440cc1eaep-5", "0x1.20037aa5613a7p-47"),
+        ("gaussian", 0.0): ("0x1.b9031222ac690p-4", "0x1.0204d6e8469a5p-47"),
+        ("gaussian", 0.05): ("0x1.8a2e4fb51a44ep-4", "0x1.0a82eb98b9355p-47"),
+        ("gaussian", 0.2): ("0x1.141f46cd06526p-4", "0x1.1fe8ce3d9f14ep-47"),
+    }
+
+    def mixture(self, idx, seed, zero, shift, family):
+        w = np.append(self.POOL[idx], 1.0 - self.POOL[idx].sum())
+        c = np.random.default_rng(seed).integers(-12, 13, len(w)) / 16.0 + shift
+        c[:3] = zero
+        return VectorMixture(w, c[:, None], family, 0.5)
+
+    @pytest.mark.parametrize("family, epsilon", list(PINNED))
+    def test_value_and_tolerance_to_the_last_bit(self, family, epsilon):
+        P = self.mixture(self.ODD + list(range(35)), 1, -0.0, 0.0, family)
+        Q = self.mixture(self.ODD[::-1] + list(range(35, 70)), 2, 0.0, 0.0625, family)
+        est = hockey_stick_mixture_1d(P, Q, epsilon)
+        assert (est.value.hex(), est.tolerance.hex()) == self.PINNED[family, epsilon]
+
+
+def test_mixture_equality_and_hash_are_identity():
+    def two():
+        return VectorMixture([0.5, 0.5], [[0.0], [1.0]], "laplace", 1.0)
+
+    a, b = two(), two()
+    assert a == a and a != b
+    assert hash(a) == hash(a) and len({a, b}) == 2

@@ -23,7 +23,7 @@ from amplipriv import (
     run_composed,
     run_mechanism,
 )
-from amplipriv.noise import release_json
+from amplipriv.noise import calibrate, release_json
 
 # frozen from a 40-digit evaluation of (1 + 1e-6) * sqrt(2 * ln(1.25 / 1e-5))
 SIGMA_C2_1_EPS_1_DELTA_1E5 = 4.844810107410652
@@ -31,6 +31,23 @@ SIGMA_C2_1_EPS_1_DELTA_1E5 = 4.844810107410652
 
 def unit_query():
     return make_standard_query("bounded_mean", n=2, d=1)  # C_1 = 2B * 1/2 = B
+
+
+class TestCalibrateDispatch:
+    def test_each_family_calibrates_as_its_own_function(self):
+        q = unit_query()
+        assert calibrate(q, "laplace", 0.5, 0.0, 1.0) == calibrate_laplace(q, 0.5, 1.0)
+        assert calibrate(q, "gaussian", 0.5, 1e-5, 1.0) == calibrate_gaussian(q, 0.5, 1e-5, 1.0)
+
+    @pytest.mark.parametrize("family, epsilon, delta, param", [
+        ("laplace", 0.0, 0.0, "epsilon"),
+        ("gaussian", 1.5, 1e-5, "epsilon"),
+        ("gaussian", 0.5, 0.0, "delta"),
+        ("cauchy", 0.5, 0.0, "family"),
+    ])
+    def test_out_of_range_argument_is_named(self, family, epsilon, delta, param):
+        with pytest.raises(ValueError, match=f"^{param}: "):
+            calibrate(unit_query(), family, epsilon, delta, 1.0)
 
 
 class TestCalibrateLaplace:

@@ -311,7 +311,7 @@ def _catalog_cases():
 
 
 def _named_map_cases():
-    from amplipriv.cli import _build_query
+    from amplipriv.cli import Scenario
 
     for kind, params in (
         ("clipped_mean", {"n": 3, "d": 4, "clip": 0.6}),
@@ -325,7 +325,9 @@ def _named_map_cases():
             [{"map": "sum"}],
             [{"map": "clamp", "lo": -0.1, "hi": 0.2}, {"map": "scale", "factor": 3.0}, {"map": "sum"}],
         ):
-            yield _build_query({"kind": kind, "params": params, "post": post})
+            raw = {"seed": 0, "bound_B": 1.0,
+                   "query": {"kind": kind, "params": params, "post": post}}
+            yield Scenario(raw, base_dir=None).query()
 
 
 class TestBatchEvaluation:
