@@ -26,7 +26,7 @@ import numpy as np
 from .accountant import AmplificationReport, amplify_fwl
 from .datasets import CompleteDataset, Mask, MaskMatrix, NeighborPair
 from .datasets import apply_mask  # noqa: F401  (still importable from here)
-from .divergence import VectorMixture, hockey_stick_mixture_1d, mc_delta_vector
+from .divergence import VectorMixture, check_samples, hockey_stick_mixture_1d, mc_delta_vector
 from .errors import DimensionError, MechanismConsistencyError, UnsupportedMechanismError
 from .missingness import (
     DatasetMechanism,
@@ -136,10 +136,10 @@ def _centre_law(cm: ComposedMechanism, dataset: CompleteDataset) -> list:
     return [(c, w) for c, w in sorted(acc.items()) if w > 0.0]
 
 
-def _require_scalar(cm: ComposedMechanism) -> None:
+def _require_scalar(cm: ComposedMechanism, prefix: str = "") -> None:
     if cm.noise.query.output_dim != 1:
         raise DimensionError(
-            "exact mixture enumeration needs a 1-D query output; use Monte Carlo "
+            f"{prefix}exact mixture enumeration needs a 1-D query output; use Monte Carlo "
             "for vector outputs"
         )
 
@@ -217,9 +217,10 @@ def verify_amplification(
     ``pair.left`` and ``pair.right`` are built once, before the grid.
     """
     if method not in ("exact", "mc"):
-        raise ValueError("method must be 'exact' or 'mc'")
+        raise ValueError("method: must be 'exact' or 'mc'")
     if method == "exact":
-        _require_scalar(cm)
+        _require_scalar(cm, "method: ")
+    check_samples(n_samples)  # whatever the method, as the scenario's audit.samples is
     epsilons = list(epsilons)
     laws = [_centre_law(cm, ds) for ds in (pair.left, pair.right)] if epsilons else []
     ps = p_star(cm.missing)

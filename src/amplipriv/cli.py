@@ -27,14 +27,17 @@ import numpy as np
 from .accountant import amplify_fwl
 from .audit import tightness_counterexample, verify_amplification
 from .datasets import CompleteDataset, Mask, is_neighbor, load_dataset_csv
-from .divergence import MC_MIN_SAMPLES
-from .errors import BudgetRangeError, DimensionError, SchemaError, UnsupportedMechanismError
+from .errors import SchemaError, UnsupportedMechanismError
 from .missingness import MECHANISMS, DatasetMechanism, p_star, tight_rho, verify_rho
 from .noise import FAMILIES, LAPLACE, ComposedMechanism, calibrate, release_record, run_composed
 from .queries import POST_MAPS, QUERY_KINDS, FwlQuery, make_standard_query, named_postprocess
 from .queries import sensitivity_masked
 
-EXIT_OK, EXIT_ERROR, EXIT_AUDIT_FAIL = 0, 1, 2
+COMMANDS = ("calibrate", "amplify", "audit", "simulate", "counterexample", "report")
+
+EXIT_OK = 0
+EXIT_ERROR = 1
+EXIT_AUDIT_FAIL = 2
 
 AUDIT_CSV_HEADER = "epsilon,bound,empirical,method,tolerance,verdict"
 
@@ -128,7 +131,7 @@ FIELDS = {f.path: f for f in (
     F("rho", _num, "declared observed-fraction bound in (0, 1], verified", None),
     F("epsilon_grid", _list("a list of numbers"), "base epsilons audited; absent, the budget's",
       None, (bool, "must list at least one epsilon")),
-    F("epsilon_grid[i]", _num, "one base epsilon", rule=POSITIVE),
+    F("epsilon_grid[i]", _num, "one base epsilon, positive; at most 1 for gaussian"),
     F("dataset", _object, "the complete dataset: inline rows, or else a CSV file"),
     F("dataset.inline", _list("a list of rows of numbers"), "its rows", None),
     F("dataset.inline[i]", _list("a list of numbers"), "one row"),
@@ -186,9 +189,8 @@ FIELDS = {f.path: f for f in (
       kinds=POST_MAPS),
     F("audit", _object, "how the audit measures the divergence", {}),
     F("audit.method", _choice("method", ("exact", "mc")), "quadrature or Monte Carlo", "exact"),
-    F("audit.tolerance", _num, "quadrature tolerance", 1e-9, POSITIVE),
-    F("audit.samples", _int, "Monte Carlo samples", 100_000,
-      (lambda n: n >= MC_MIN_SAMPLES, f"need at least {MC_MIN_SAMPLES}")),
+    F("audit.tolerance", _num, "quadrature tolerance, positive", 1e-9),
+    F("audit.samples", _int, "Monte Carlo samples, at least 1000 whatever the method", 100_000),
     F("audit.claim", _object, "a budget audited in place of the accountant's", None),
     F("audit.claim.epsilon", _num, "claimed epsilon", rule=NONNEGATIVE),
     F("audit.claim.delta", _num, "claimed delta",
@@ -210,7 +212,7 @@ KEYS = {p: p.rsplit(".", 1)[-1] for p in FIELDS}  # the key of each field in its
 PARENTS = {p: [p[:i] for i, c in enumerate(p) if c == "."] for p in FIELDS}  # the objects above
 # rules between fields: path -> (reference value or None, holds(value, reference), rule)
 CROSS = {
-    "budget.delta": (lambda s: s.raw.get("family"),
+    "budget.delta": (lambda s: s.family,
                      lambda delta, family: family != LAPLACE or delta == 0,
                      "must be 0 for the {} family"),
     "query.params.n": (lambda s: s.dataset().n if "dataset" in s.raw else None, operator.eq,
@@ -250,12 +252,13 @@ def _check(path: str, value, at: str):
     return value
 
 
-def _blame(exc: Exception, paths: dict, whole: str) -> SchemaError:
-    """A library check's "<param>: <rule>" naming ``paths[param]``, else ``whole``."""
+def _blame(exc: Exception, paths: dict, whole: Optional[str]) -> Exception:
+    """A library check's "<param>: <rule>" naming ``paths[param]``, else
+    ``whole``; with no ``whole``, an error of no listed parameter stays as it is."""
     param, sep, rule = str(exc).partition(": ")
     if sep and param in paths:
         return SchemaError(f"scenario.{paths[param]}: {rule}")
-    return SchemaError(f"scenario.{whole}: {exc}")
+    return exc if whole is None else SchemaError(f"scenario.{whole}: {exc}")
 
 
 def feature_mechanism_from_spec(spec: dict):
@@ -318,9 +321,7 @@ class Scenario:
 
     @property
     def budget(self):
-        eps, delta = self.get("budget.epsilon"), self.get("budget.delta")
-        self._agree("budget.delta", delta)
-        return eps, delta
+        return self.get("budget.epsilon"), self.get("budget.delta")
 
     @property
     def family(self) -> str:
@@ -400,124 +401,186 @@ class Scenario:
         raise SchemaError(f"scenario.rho: declared bound {rho} is violated by the "
                           f"mechanism support (tight value {tight_rho(missing)})")
 
-    def calibrated(self, query: FwlQuery):
-        """The noise mechanism for ``query`` at the scenario's budget."""
-        (eps, delta), family = self.budget, self.family
-        try:
-            return calibrate(query, family, eps, delta, self.bound_B)
-        except ValueError as exc:  # a zero-sensitivity query names no budget field
-            raise _blame(exc, {"epsilon": "budget.epsilon", "delta": "budget.delta"},
-                         "query") from None
+
+def _calibrated(scn: Scenario, query: FwlQuery, epsilon=None, at: str = "budget.epsilon"):
+    """The noise mechanism for ``query`` at the scenario's budget, or at the
+    base ``epsilon`` read from field ``at``."""
+    eps, delta = scn.budget
+    scn._agree("budget.delta", delta)
+    try:
+        return calibrate(query, scn.family, eps if epsilon is None else epsilon, delta,
+                         scn.bound_B)
+    except ValueError as exc:  # a zero-sensitivity query names no budget field
+        raise _blame(exc, {"epsilon": at, "delta": "budget.delta"}, "query") from None
 
 
 # --- rendering -----------------------------------------------------------------
 
 
-def _plain(o):
-    """``o`` with each float as its shortest round-trip string (numpy scalars
-    subclass float but repr as np.float64(x))."""
-    if isinstance(o, float):
-        return repr(float(o))
-    if isinstance(o, dict):
-        return {k: _plain(v) for k, v in o.items()}
-    if isinstance(o, (list, tuple)):
-        return [_plain(v) for v in o]
-    return o
+def _render_value(v) -> str:
+    # numpy scalars subclass float but repr as np.float64(x)
+    if isinstance(v, float):
+        return repr(float(v))
+    return str(v)
+
+
+def _stable_json(obj) -> str:
+    def convert(o):
+        if isinstance(o, float):
+            return repr(float(o))
+        if isinstance(o, dict):
+            return {k: convert(v) for k, v in o.items()}
+        if isinstance(o, (list, tuple)):
+            return [convert(v) for v in o]
+        return o
+
+    return json.dumps(convert(obj), sort_keys=True, indent=2) + "\n"
 
 
 def emit_report(results, fmt: str, path: Path) -> None:
     """Write a report; identical inputs produce byte-identical files."""
     if fmt == "json":
-        path.write_text(json.dumps(_plain(results), sort_keys=True, indent=2) + "\n")
-    elif fmt == "csv":
+        path.write_text(_stable_json(results))
+        return
+    if fmt == "csv":
         rows = results["rows"] if isinstance(results, dict) and "rows" in results else results
-        keys = AUDIT_CSV_HEADER.split(",")
-        lines = [AUDIT_CSV_HEADER, *(",".join(str(_plain(r[k])) for k in keys) for r in rows)]
+        lines = [AUDIT_CSV_HEADER]
+        for r in rows:
+            lines.append(
+                ",".join(
+                    _render_value(r[k])
+                    for k in ("epsilon", "bound", "empirical", "method", "tolerance", "verdict")
+                )
+            )
         path.write_text("\n".join(lines) + "\n")
-    else:
-        raise SchemaError(f"unknown report format '{fmt}'")
+        return
+    raise SchemaError(f"unknown report format '{fmt}'")
+
+
+def _audit_rows_to_dicts(table):
+    rows = []
+    for r in table.rows:
+        rows.append(
+            {
+                "epsilon": r.epsilon_base,
+                "bound": r.bound,
+                "empirical": r.empirical,
+                "method": r.method,
+                "tolerance": r.tolerance,
+                "verdict": r.verdict,
+                "epsilon_eval": r.epsilon_eval,
+                "ci": list(r.ci) if r.ci is not None else None,
+            }
+        )
+    return rows
 
 
 # --- commands --------------------------------------------------------------------
 
 
 def _cmd_calibrate(scn: Scenario, out_dir: Path, stem: str) -> int:
-    """calibrate a noise mechanism for the scenario's query and budget"""
-    mech = scn.calibrated(scn.query())
-    budget = {"epsilon": repr(mech.budget.epsilon), "delta": repr(mech.budget.delta)}
-    report = {"family": mech.family, "scale": mech.scale, "C_used": mech.C_used,
-              "bound_B": mech.bound_B, "budget": budget, "output_dim": mech.query.output_dim}
+    query = scn.query()
+    mech = _calibrated(scn, query)
+    report = {
+        "family": mech.family,
+        "scale": mech.scale,
+        "C_used": mech.C_used,
+        "bound_B": mech.bound_B,
+        "budget": {"epsilon": repr(mech.budget.epsilon), "delta": repr(mech.budget.delta)},
+        "output_dim": mech.query.output_dim,
+    }
     emit_report(report, "json", out_dir / f"{stem}_calibrate.json")
     print(f"calibrated {mech.family}: scale={mech.scale!r} (C={mech.C_used!r})")
     return EXIT_OK
 
 
 def _cmd_amplify(scn: Scenario, out_dir: Path, stem: str) -> int:
-    """compute the amplified privacy budget for the scenario"""
     query = scn.query()
-    scn.calibrated(query)  # checks the budget against the family
+    _calibrated(scn, query)  # checks the budget against the family
     missing = scn.mechanism(n=query.n)
-    ps, rho = p_star(missing), scn.declared_rho(missing)
+    ps = p_star(missing)
+    rho = scn.declared_rho(missing)
+    bounds = sensitivity_masked(query, scn.bound_B, rho)
     eps, delta = scn.budget
-    report = amplify_fwl(eps, delta, ps, sensitivity_masked(query, scn.bound_B, rho),
-                         family=scn.family)
+    report = amplify_fwl(eps, delta, ps, bounds, family=scn.family)
     payload = report.to_json_dict()
     payload["mechanism_class"] = missing.feature_mech.mechanism_class.value
     emit_report(payload, "json", out_dir / f"{stem}_amplify.json")
-    print(f"amplified: epsilon {report.base.epsilon!r} -> {report.amplified.epsilon!r}, "
-          f"delta {report.base.delta!r} -> {report.amplified.delta!r} (p*={ps!r}, rho={rho!r})")
+    print(
+        f"amplified: epsilon {report.base.epsilon!r} -> "
+        f"{report.amplified.epsilon!r}, delta {report.base.delta!r} -> "
+        f"{report.amplified.delta!r} (p*={ps!r}, rho={rho!r})"
+    )
     return EXIT_OK
 
 
 def _cmd_audit(scn: Scenario, out_dir: Path, stem: str) -> int:
-    """verify the amplified budget against measured divergences"""
     query = scn.query()
-    mech = scn.calibrated(query)
+    mech = _calibrated(scn, query)
     missing = scn.mechanism(n=query.n)
     scn.declared_rho(missing)  # validates any declared bound
     pair = scn.neighbor_pair()
-    cm = ComposedMechanism(noise=mech, missing=missing)
-    grid, options = scn.epsilon_grid(), scn.audit_options()
+    grid = scn.epsilon_grid()
+    for i, eps in enumerate(grid):  # names the grid epsilon the calibration refuses
+        _calibrated(scn, query, eps, f"epsilon_grid[{i}]")
+    options = scn.audit_options()
     try:
-        table = verify_amplification(cm, pair, grid, seed=scn.seed, **options)
-    except (BudgetRangeError, DimensionError) as exc:  # a grid epsilon, or exact on a vector
-        raise _blame(exc, {"epsilon": "epsilon_grid"}, "audit.method") from None
-    rows = [
-        {"epsilon": r.epsilon_base, "bound": r.bound, "empirical": r.empirical,
-         "method": r.method, "tolerance": r.tolerance, "verdict": r.verdict,
-         "epsilon_eval": r.epsilon_eval, "ci": list(r.ci) if r.ci is not None else None}
-        for r in table.rows
-    ]
+        table = verify_amplification(
+            ComposedMechanism(noise=mech, missing=missing),
+            pair,
+            grid,
+            seed=scn.seed,
+            **options,
+        )
+    except ValueError as exc:
+        paths = {"method": "audit.method", "tol": "audit.tolerance", "n_samples": "audit.samples"}
+        raise _blame(exc, paths, None) from None
+    rows = _audit_rows_to_dicts(table)
     emit_report({"rows": rows}, "csv", out_dir / f"{stem}_audit.csv")
-    accountant = table.report.to_json_dict() if table.report else None
-    sidecar = {"rows": rows, "seed": scn.seed, "scenario": scn.raw, "accountant": accountant}
+    sidecar = {
+        "rows": rows,
+        "seed": scn.seed,
+        "scenario": scn.raw,
+        "accountant": table.report.to_json_dict() if table.report else None,
+    }
     emit_report(sidecar, "json", out_dir / f"{stem}_audit.json")
     for r in table.rows:
-        print(f"epsilon={r.epsilon_base!r} bound={r.bound!r} empirical={r.empirical!r} {r.verdict}")
+        print(
+            f"epsilon={r.epsilon_base!r} bound={r.bound!r} "
+            f"empirical={r.empirical!r} {r.verdict}"
+        )
     if not table.passed:
         bad = next(r for r in table.rows if r.verdict == "FAIL")
-        print(f"FAIL: empirical {bad.empirical!r} exceeds bound {bad.bound!r} "
-              f"at epsilon {bad.epsilon_base!r}", file=sys.stderr)
+        print(
+            f"FAIL: empirical {bad.empirical!r} exceeds bound {bad.bound!r} "
+            f"at epsilon {bad.epsilon_base!r}",
+            file=sys.stderr,
+        )
         return EXIT_AUDIT_FAIL
     return EXIT_OK
 
 
 def _cmd_simulate(scn: Scenario, out_dir: Path, stem: str) -> int:
-    """run the composed mechanism once and write the release record"""
     query = scn.query()
-    mech = scn.calibrated(query)
+    mech = _calibrated(scn, query)
     missing = scn.mechanism(n=query.n)
-    data, audit_mode = scn.dataset(), scn.get("release_mask")
-    run = run_composed(ComposedMechanism(noise=mech, missing=missing), data, seed=scn.seed)
-    record = release_record(mech, run.output, seed=scn.seed,
-                            mask=run.mask_used if audit_mode else None, audit=audit_mode)
+    data = scn.dataset()
+    audit_mode = scn.get("release_mask")
+    cm = ComposedMechanism(noise=mech, missing=missing)
+    run = run_composed(cm, data, seed=scn.seed)
+    record = release_record(
+        mech,
+        run.output,
+        seed=scn.seed,
+        mask=run.mask_used if audit_mode else None,
+        audit=audit_mode,
+    )
     emit_report(record, "json", out_dir / f"{stem}_release.json")
     print(f"released output of dim {len(record['output'])} (audit={audit_mode})")
     return EXIT_OK
 
 
 def _cmd_counterexample(scn: Scenario, out_dir: Path, stem: str) -> int:
-    """build the p*=1 instance and measure its divergence gap"""
     # each epsilon and delta with the field it came from; absent, the budget's
     epsilons = scn.get("counterexample.epsilons")
     if epsilons is not None:
@@ -534,17 +597,27 @@ def _cmd_counterexample(scn: Scenario, out_dir: Path, stem: str) -> int:
         try:
             res = tightness_counterexample(eps, delta, B=scn.bound_B)
         except ValueError as exc:
-            raise _blame(exc, {"epsilon": eps_at, "delta": delta_at}, "bound_B") from None
-        rows.append({"epsilon": eps, "delta": delta, "p_star": res.p_star,
-                     "equality_gap": res.equality_gap})
-    for r in rows:
+            paths = {"epsilon": eps_at, "delta": delta_at}
+            err, param = _blame(exc, paths, "bound_B"), str(exc).partition(":")[0]
+            if paths.get(param, "").startswith("budget."):  # a budget field it fell back to
+                err = SchemaError(f"{err}; set counterexample.{param}, which defaults to it")
+            raise err from None
+        rows.append(
+            {
+                "epsilon": eps,
+                "delta": delta,
+                "p_star": res.p_star,
+                "equality_gap": res.equality_gap,
+            }
+        )
+    for r in rows:  # printed once every epsilon has run, so a refused one prints nothing
         print(f"epsilon={r['epsilon']!r}: p*={r['p_star']!r} equality_gap={r['equality_gap']!r}")
     emit_report({"rows": rows}, "json", out_dir / f"{stem}_counterexample.json")
     return EXIT_OK
 
 
 def _cmd_report(scn_path: Path, out_dir: Path, stem: str, fmt: str) -> int:
-    """re-render a previously written results file"""
+    # re-render a previously written audit sidecar in the requested format
     with open(scn_path) as fh:
         payload = json.load(fh)
     if "rows" not in payload:
@@ -556,46 +629,73 @@ def _cmd_report(scn_path: Path, out_dir: Path, stem: str, fmt: str) -> int:
 
 # --- entry point -------------------------------------------------------------------
 
-HANDLERS = {"calibrate": _cmd_calibrate, "amplify": _cmd_amplify, "audit": _cmd_audit,
-            "simulate": _cmd_simulate, "counterexample": _cmd_counterexample,
-            "report": _cmd_report}
-
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="amplipriv", description="Differentially private "
-                                     "releases on incomplete data: calibrate mechanisms, account "
-                                     "for amplification by missingness, and audit the bounds "
-                                     "empirically.")
+    parser = argparse.ArgumentParser(
+        prog="amplipriv",
+        description=(
+            "Differentially private releases on incomplete data: calibrate "
+            "mechanisms, account for amplification by missingness, and audit "
+            "the bounds empirically."
+        ),
+    )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in HANDLERS:
-        p = sub.add_parser(name, help=HANDLERS[name].__doc__)
+    helps = {
+        "calibrate": "calibrate a noise mechanism for the scenario's query and budget",
+        "amplify": "compute the amplified privacy budget for the scenario",
+        "audit": "verify the amplified budget against measured divergences",
+        "simulate": "run the composed mechanism once and write the release record",
+        "counterexample": "build the p*=1 instance and measure its divergence gap",
+        "report": "re-render a previously written results file",
+    }
+    for name in COMMANDS:
+        p = sub.add_parser(name, help=helps[name])
         p.add_argument("scenario", help="path to the scenario JSON file")
         p.add_argument("--out", default=".", help="directory for written reports")
         p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-        if name == "report":
+        if name == "report":  # the other commands write fixed formats
             p.add_argument("--format", default="json", choices=("json", "csv"))
     return parser
 
 
-def run_scenario(command: str, scenario_path: str, out_dir: str = ".", fmt: str = "json",
-                 seed_override: Optional[int] = None) -> int:
+def run_scenario(
+    command: str,
+    scenario_path: str,
+    out_dir: str = ".",
+    fmt: str = "json",
+    seed_override: Optional[int] = None,
+) -> int:
     """Run ``command`` on a scenario file; only ``report`` reads ``fmt``."""
-    path, out = Path(scenario_path), Path(out_dir)
+    path = Path(scenario_path)
+    out = Path(out_dir)
+    stem = path.stem
     try:
         out.mkdir(parents=True, exist_ok=True)
         if command == "report":
-            return _cmd_report(path, out, path.stem, fmt)
+            return _cmd_report(path, out, stem, fmt)
         try:
             with open(path) as fh:
                 raw = json.load(fh)
         except json.JSONDecodeError as exc:
-            print(f"error: {path}:{exc.lineno}:{exc.colno}: {exc.msg}", file=sys.stderr)
+            print(
+                f"error: {path}:{exc.lineno}:{exc.colno}: {exc.msg}", file=sys.stderr
+            )
             return EXIT_ERROR
         scn = Scenario(raw, base_dir=path.parent)
         if seed_override is not None:
             scn.seed = seed_override
-        return HANDLERS[command](scn, out, path.stem)
-    except (SchemaError, UnsupportedMechanismError, FileNotFoundError) as exc:
+        handler = {
+            "calibrate": _cmd_calibrate,
+            "amplify": _cmd_amplify,
+            "audit": _cmd_audit,
+            "simulate": _cmd_simulate,
+            "counterexample": _cmd_counterexample,
+        }[command]
+        return handler(scn, out, stem)
+    except (SchemaError, UnsupportedMechanismError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except (ValueError, KeyError, TypeError) as exc:
@@ -605,8 +705,10 @@ def run_scenario(command: str, scenario_path: str, out_dir: str = ".", fmt: str 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return run_scenario(args.command, args.scenario, out_dir=args.out,
-                        fmt=getattr(args, "format", "json"), seed_override=args.seed)
+    return run_scenario(
+        args.command, args.scenario, out_dir=args.out,
+        fmt=getattr(args, "format", "json"), seed_override=args.seed,
+    )
 
 
 if __name__ == "__main__":

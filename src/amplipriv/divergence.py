@@ -304,7 +304,7 @@ def hockey_stick_mixture_1d(
     neither case.
     """
     if not tol > 0:
-        raise ValueError("tol must be positive")
+        raise ValueError(f"tol: must be positive, got {tol!r}")
     if not 0 <= epsilon < math.inf:
         raise ValueError("epsilon must be finite and nonnegative")
     for name, M in (("P", P), ("Q", Q)):
@@ -380,6 +380,12 @@ def hockey_stick_mixture_1d(
 # --- Monte Carlo --------------------------------------------------------------
 
 
+def check_samples(n_samples: int) -> None:
+    """Refuse a Monte Carlo sample count too small for the interval to mean anything."""
+    if n_samples < MC_MIN_SAMPLES:
+        raise ValueError(f"n_samples: need at least {MC_MIN_SAMPLES}, got {n_samples!r}")
+
+
 def mc_delta_vector(
     P: VectorMixture, Q: VectorMixture, epsilon: float, n_samples: int, seed: int
 ) -> DivergenceEstimate:
@@ -398,10 +404,7 @@ def mc_delta_vector(
         raise DimensionError(f"P has output dimension {k} but Q has output dimension {k_q}")
     if not 0 <= epsilon < math.inf:
         raise ValueError("epsilon must be finite and nonnegative")
-    if n_samples < MC_MIN_SAMPLES:
-        raise ValueError(
-            f"need at least {MC_MIN_SAMPLES} samples for the CI to mean anything"
-        )
+    check_samples(n_samples)
     rng = substream(seed, _KEY_MC, 0)
     x = P.sample(rng, n_samples)
     log_p, log_q = _Kernel((P, Q))(x)

@@ -278,7 +278,7 @@ class MarAnchoredPattern(FeatureMechanism):
         try:
             cuts = tuple(tuple(sorted(map(float, ts))) for ts in thresholds)
             ok = len(cuts) == len(anchor) and all(map(math.isfinite, itertools.chain(*cuts)))
-        except (TypeError, ValueError):
+        except (OverflowError, TypeError, ValueError):
             ok = False
         if not ok:
             raise ValueError(
@@ -289,7 +289,7 @@ class MarAnchoredPattern(FeatureMechanism):
         for key, given in score_table.items():
             try:
                 row = tuple(map(float, given))
-            except (TypeError, ValueError):
+            except (OverflowError, TypeError, ValueError):  # 10 ** 400 overflows a float
                 row = ()
             if (len(row) != len(cands) or not all(s >= 0 for s in row)
                     or not abs(math.fsum(row) - 1.0) <= _PROB_TOL):

@@ -393,6 +393,16 @@ class TestSchemaDiagnostics:
                      id="mechanism-too-narrow"),
         pytest.param("scenario.budget.delta: must be 0 for the laplace family, got 0.1",
                      lambda scn: scn["budget"].update(delta=0.1), id="laplace-delta"),
+        pytest.param("scenario.epsilon_grid[1]: must lie in (0, 1] for the Gaussian guarantee",
+                     lambda scn: scn.update(family="gaussian", epsilon_grid=[0.5, 1.5],
+                                            budget={"epsilon": 0.5, "delta": 0.001}),
+                     id="gaussian-grid-epsilon"),
+        pytest.param("scenario.audit.method: exact mixture enumeration needs a 1-D query output",
+                     lambda scn: scn["query"].update(post=[]), id="exact-on-a-vector"),
+        pytest.param("scenario.audit.tolerance: must be positive, got 0.0",
+                     lambda scn: scn["audit"].update(tolerance=0), id="tolerance-zero"),
+        pytest.param("scenario.audit.samples: need at least 1000, got 999",
+                     lambda scn: scn["audit"].update(method="mc", samples=999), id="mc-samples"),
     ])
     def test_malformed_scenario_names_the_field(self, tmp_path, laplace_scn, capsys,
                                                 field, edit):
@@ -442,9 +452,14 @@ class TestSchemaDiagnostics:
          lambda scn: scn["counterexample"].update(delta=1)),
         ("counterexample", "scenario.counterexample.delta: expected a number, got None",
          lambda scn: scn["counterexample"].update(delta=None)),
+        # a delta the block leaves out is the budget's: the message names both fields
+        ("counterexample", "scenario.budget.delta: must lie in (0, 1), got 0.0; "
+         "set counterexample.delta, which defaults to it\n",
+         lambda scn: scn.update(budget={"epsilon": 0.5, "delta": 0},
+                                counterexample={"epsilons": [0.5]})),
     ], ids=["release_mask-string", "release_mask-number", "counterexample-list",
             "epsilon-string", "epsilon-above-one", "epsilons-number", "epsilons-empty",
-            "epsilons-zero", "delta-one", "delta-null"])
+            "epsilons-zero", "delta-one", "delta-null", "delta-from-budget"])
     def test_malformed_command_block_names_the_field(self, tmp_path, laplace_scn, capsys,
                                                      command, field, edit):
         scn = json.loads((laplace_scn if command == "simulate"
@@ -456,6 +471,16 @@ class TestSchemaDiagnostics:
         out, err = capsys.readouterr()
         assert err.startswith(f"error: {field}")
         assert not list(tmp_path.glob("malformed_*"))
+
+    def test_laplace_delta_binds_only_the_calibration(self, tmp_path, laplace_scn, capsys):
+        scn = json.loads(laplace_scn.read_text())
+        scn["budget"]["delta"] = 0.001
+        path = tmp_path / "laplace_delta.json"
+        path.write_text(json.dumps(scn))
+        assert run("counterexample", path, tmp_path) == 0  # it calibrates no Laplace noise
+        assert run("calibrate", path, tmp_path) == 1
+        assert capsys.readouterr().err.endswith(
+            "error: scenario.budget.delta: must be 0 for the laplace family, got 0.001\n")
 
     def test_release_mask_writes_the_drawn_mask(self, tmp_path, laplace_scn, capsys):
         scn = json.loads(laplace_scn.read_text())
@@ -513,13 +538,22 @@ def _table_path(path) -> str:
     return text
 
 
+def _nearest_field(path) -> str:
+    """The table path of a key path, or of its nearest ancestor in the table:
+    a score_table row, or one bit of a mask, belongs to the table leaf above it."""
+    while path and _table_path(path) not in FIELDS:
+        path = path[:-1]
+    return _table_path(path)
+
+
 def _first_paths(bases) -> dict:
-    """Each table path: the first base holding it, and the key path to it there."""
+    """Each table path, and each path below a table leaf: the first base
+    holding it, and the key path to it there."""
     found = {}
     for b, base in enumerate(bases):
         for path in _concrete_paths(base):
             found.setdefault(_table_path(path), (b, path))
-    return {field: found[field] for field in FIELDS if field in found}
+    return found
 
 
 class TestSchemaFuzz:
@@ -559,13 +593,23 @@ class TestSchemaFuzz:
         "neighbor": ("audit",), "epsilon_grid": ("audit",), "audit": ("audit",),
         "release_mask": ("simulate",), "counterexample": ("counterexample",),
     }
+    REPORTS = {"calibrate": "calibrate", "amplify": "amplify", "simulate": "release",
+               "counterexample": "counterexample"}  # the audit sidecar copies the scenario
     DROP = object()
     VALUES = [DROP, float("nan"), float("inf"), float("-inf"), "abc", [0.5], -1, -0.5, 0, 2, 1.5,
               0.7, 5, True, None, {}, [], "sum", {"map": "scale"}, [[0, 1]], 10 ** 400]
 
     def test_every_field_is_fuzzed(self):
-        assert set(self.PATHS) == set(FIELDS)
+        assert set(FIELDS) <= set(self.PATHS)
         assert set(self.READERS) == {path.split(".")[0].split("[")[0] for path in FIELDS}
+        # the bases hold no field outside the table: a path the table does not
+        # list lies below a table leaf, such as a score_table row or a mask bit
+        leaves = {_nearest_field(path) for field, (_, path) in self.PATHS.items()
+                  if field not in FIELDS}
+        assert leaves == {"mechanism.score_table", "mechanism.candidates[i]",
+                          "mechanism.patterns[i].mask", "query.params.matrices[i]",
+                          "query.params.projection"}
+        assert not any(f.startswith((leaf + ".", leaf + "[")) for leaf in leaves for f in FIELDS)
 
     @pytest.mark.parametrize("field", sorted(PATHS))
     @settings(max_examples=3, deadline=None)  # about 220 examples over all fields
@@ -583,13 +627,18 @@ class TestSchemaFuzz:
         (out_dir / "data.csv").write_text("f1,f2,f3,f4\n0.3,-0.2,0.5,-0.5\n-0.4,0.1,0.2,0.3\n")
         scn_path = out_dir / "fuzz.json"
         scn_path.write_text(json.dumps(scn))
-        for command in self.READERS[path[0]]:
+        nan = re.compile(r"\bnan\b", re.IGNORECASE)
+        block = re.split(r"[.[]", _nearest_field(path))[0]
+        for command in self.READERS[block]:
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = run(command, scn_path, out_dir)
-            assert not re.search(r"\bnan\b", out.getvalue(), re.IGNORECASE)
+            assert not nan.search(out.getvalue())
             assert code in (0, 2) or (code == 1 and err.getvalue().startswith("error: scenario.")), (
                 command, err.getvalue())
+            if code == 0 and command in self.REPORTS:
+                report = out_dir / f"fuzz_{self.REPORTS[command]}.json"
+                assert not nan.search(report.read_text()), command
 
 
 class TestExactAuditFootprint:
