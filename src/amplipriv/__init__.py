@@ -25,7 +25,6 @@ from .audit import (
     tightness_counterexample,
     verify_amplification,
 )
-from .cli import feature_mechanism_from_spec
 from .datasets import (
     CompleteDataset,
     IncompleteDataset,
@@ -68,7 +67,6 @@ from .missingness import (
     McarPattern,
     MechanismClass,
     dataset_mask_probability,
-    mask_probability,
     p_star,
     sample_mask,
     tight_rho,

@@ -48,6 +48,8 @@ def _support_arrays(mech: DatasetMechanism, dataset: CompleteDataset):
     and each probability is the running product of the row probabilities in
     row order. The size is checked before anything is allocated.
     """
+    if dataset.n != mech.n or dataset.d != mech.d:
+        raise DimensionError("dataset shape does not match the mechanism")
     per_row = [list(mech.feature_mech.support(row)) for row in dataset.rows]
     size = math.prod(len(s) for s in per_row)
     if size > _SUPPORT_LIMIT:

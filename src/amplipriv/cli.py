@@ -26,7 +26,7 @@ import numpy as np
 
 from .accountant import amplify_fwl
 from .audit import tightness_counterexample, verify_amplification
-from .datasets import CompleteDataset, Mask, is_neighbor, load_dataset_csv
+from .datasets import CompleteDataset, Mask, NeighborPair, load_dataset_csv
 from .errors import SchemaError, UnsupportedMechanismError
 from .missingness import MECHANISMS, DatasetMechanism, p_star, tight_rho, verify_rho
 from .noise import FAMILIES, LAPLACE, ComposedMechanism, calibrate, release_record, run_composed
@@ -189,7 +189,8 @@ FIELDS = {f.path: f for f in (
       kinds=POST_MAPS),
     F("audit", _object, "how the audit measures the divergence", {}),
     F("audit.method", _choice("method", ("exact", "mc")), "quadrature or Monte Carlo", "exact"),
-    F("audit.tolerance", _num, "quadrature tolerance, positive", 1e-9),
+    F("audit.tolerance", _num, "positive; checked, but moves neither the measured delta nor "
+      "its reported tolerance", 1e-9),
     F("audit.samples", _int, "Monte Carlo samples, at least 1000 whatever the method", 100_000),
     F("audit.claim", _object, "a budget audited in place of the accountant's", None),
     F("audit.claim.epsilon", _num, "claimed epsilon", rule=NONNEGATIVE),
@@ -210,6 +211,11 @@ KIND_FIELDS = {
 ITEMS = {p: p + ("[j]" if "[i]" in p else "[i]") for p in FIELDS}  # the path of a list's items
 KEYS = {p: p.rsplit(".", 1)[-1] for p in FIELDS}  # the key of each field in its object
 PARENTS = {p: [p[:i] for i, c in enumerate(p) if c == "."] for p in FIELDS}  # the objects above
+MEMBERS: dict = {}  # the fields of each object by key, "" standing for the scenario itself
+for _p in FIELDS:
+    if "[" not in KEYS[_p]:
+        MEMBERS.setdefault(_p.rpartition(".")[0], {})[KEYS[_p]] = _p
+KINDED = {p.rpartition(".")[0] for p, f in FIELDS.items() if f.kinds}  # fields vary by kind
 # rules between fields: path -> (reference value or None, holds(value, reference), rule)
 CROSS = {
     "budget.delta": (lambda s: s.family,
@@ -244,12 +250,26 @@ def _check(path: str, value, at: str):
         value = field.coerce(value)
     except (ArithmeticError, TypeError, ValueError) as exc:  # e.g. an integer past any float
         raise SchemaError(f"scenario.{at}: {exc}") from None
+    if path in MEMBERS and path not in KINDED:
+        _known(value, path, at)
     item = ITEMS[path]
     if item in FIELDS:
         value = [_check(item, v, f"{at}[{i}]") for i, v in enumerate(value)]
     if field.rule and not field.rule[0](value):
         raise SchemaError(f"scenario.{at}: {field.rule[1]}, got {value!r}")
     return value
+
+
+def _known(node: dict, path: str, at: str, kind: Optional[str] = None) -> dict:
+    """``node``, the object at ``path`` ("" for the scenario itself), once none
+    of its keys is refused: a key names one of its fields, and one that
+    ``kind``, when given, takes."""
+    for key in node:
+        field = FIELDS.get(MEMBERS[path].get(key))
+        if field is None or field.kinds and kind not in field.kinds:
+            rule = "unknown field" if kind is None else f"not a parameter of kind {kind!r}"
+            raise SchemaError(f"scenario.{at}{'.' if at else ''}{key}: {rule}")
+    return node
 
 
 def _blame(exc: Exception, paths: dict, whole: Optional[str]) -> Exception:
@@ -272,6 +292,7 @@ def feature_mechanism_from_spec(spec: dict):
             "or MAR mechanism (the mask law must not depend on unobserved values)"
         )
     kind = read(spec, "mechanism.kind")
+    _known(spec, "mechanism", "mechanism", kind)
     args = {name: read(spec, f"mechanism.{name}") for name in KIND_FIELDS[kind]}
     if kind == "mcar_pattern":
         args["patterns"] = [
@@ -288,6 +309,7 @@ def feature_mechanism_from_spec(spec: dict):
 def _post_map(q: FwlQuery, entry: dict, at: str) -> FwlQuery:
     """``q`` followed by the named map ``entry``, the scenario's ``at``."""
     name = read(entry, "query.post[i].map", f"{at}.map")
+    _known(entry, "query.post[i]", at, name)
     args = {key: read(entry, f"query.post[i].{key}", f"{at}.{key}") for key in KIND_FIELDS[name]}
     try:
         return named_postprocess(q, name, **args)
@@ -302,7 +324,7 @@ class Scenario:
     def __init__(self, raw: dict, base_dir: Path):
         if not isinstance(raw, dict):
             raise SchemaError("scenario: top level must be a JSON object")
-        self.raw, self.base_dir, self._data = raw, base_dir, None
+        self.raw, self.base_dir, self._data = _known(raw, "", ""), base_dir, None
         self.seed = self.get("seed")
         self.bound_B = self.get("bound_B")
 
@@ -328,11 +350,8 @@ class Scenario:
         return self.get("family")
 
     def query(self) -> FwlQuery:
-        kind, params = self.get("query.kind"), self.get("query.params")
-        unknown = [name for name in params if name not in KIND_FIELDS[kind]]
-        if unknown:
-            raise SchemaError(f"scenario.query.params.{unknown[0]}: not a parameter of "
-                              f"kind {kind!r}")
+        kind = self.get("query.kind")
+        _known(self.get("query.params"), "query.params", "query.params", kind)
         args = {name: self.get(f"query.params.{name}") for name in KIND_FIELDS[kind]}
         try:
             q = make_standard_query(kind, **args)
@@ -372,12 +391,9 @@ class Scenario:
         self._agree("neighbor.row", row)
         self._agree("neighbor.replacement", replacement)
         try:
-            pair = is_neighbor(left, left.substitute(row, replacement))
+            return NeighborPair(left, left.substitute(row, replacement), row)
         except ValueError as exc:  # an entry past bound_B
             raise _blame(exc, {}, "neighbor.replacement") from None
-        if pair is None:
-            raise SchemaError("scenario.neighbor: replacement does not give a neighbor")
-        return pair
 
     def epsilon_grid(self):
         grid = self.get("epsilon_grid")

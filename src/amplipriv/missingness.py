@@ -57,7 +57,12 @@ class FeatureMechanism:
     mechanism_class: MechanismClass
 
     def mask_probability(self, sample: Sequence[float], mask: Mask) -> float:
-        raise NotImplementedError
+        """P[F(sample) = mask], read off the support: 0 off it."""
+        if len(sample) != self.d:
+            raise DimensionError(f"sample has length {len(sample)}, mechanism d={self.d}")
+        if mask.d != self.d:
+            raise DimensionError("mask length mismatch")
+        return dict(self.support(sample)).get(mask, 0.0)
 
     def support(self, sample: Sequence[float]):
         """Iterable of (Mask, probability) with positive probability."""
@@ -73,10 +78,6 @@ class FeatureMechanism:
 
     def draw(self, sample: Sequence[float], rng: np.random.Generator) -> Mask:
         raise NotImplementedError
-
-    def _check_sample(self, sample: Sequence[float]):
-        if len(sample) != self.d:
-            raise DimensionError(f"sample has length {len(sample)}, mechanism d={self.d}")
 
 
 def _mask(bits) -> Mask:
@@ -97,22 +98,12 @@ class McarBernoulli(FeatureMechanism):
         self.pi = pi
         self.d = len(pi)
 
-    def mask_probability(self, sample, mask):
-        self._check_sample(sample)
-        if mask.d != self.d:
-            raise DimensionError("mask length mismatch")
-        prob = 1.0
-        for p, b in zip(self.pi, mask.bits):
-            prob *= p if b == 1 else (1.0 - p)
-        return prob
-
     def support(self, sample):
         for code in range(2 ** self.d):
             bits = tuple((code >> j) & 1 for j in range(self.d))
-            m = Mask(bits)
-            p = self.mask_probability(sample, m)
-            if p > 0.0:
-                yield m, p
+            prob = math.prod(p if b == 1 else 1.0 - p for p, b in zip(self.pi, bits))
+            if prob > 0.0:
+                yield Mask(bits), prob
 
     def all_missing_probability(self):
         return math.prod(self.pi)
@@ -159,11 +150,6 @@ class CappedBernoulli(FeatureMechanism):
             probs[0] *= p_miss
         return float(np.sum(probs[: self.obs_cap + 1]))
 
-    def mask_probability(self, sample, mask):
-        if mask.observed_count > self.obs_cap:
-            return 0.0
-        return self._base.mask_probability(sample, mask) / self._z
-
     def support(self, sample):
         for m, p in self._base.support(sample):
             if m.observed_count <= self.obs_cap:
@@ -207,12 +193,7 @@ class McarPattern(FeatureMechanism):
             raise ValueError(f"patterns: probabilities sum to {total}, expected 1")
         self.d = masks[0].d
         self.patterns = tuple((Mask(b), p) for b, p in sorted(merged.items()))
-        self._index = {m.bits: p for m, p in self.patterns}
         self._cum = np.cumsum([p for _, p in self.patterns])
-
-    def mask_probability(self, sample, mask):
-        self._check_sample(sample)
-        return self._index.get(mask.bits, 0.0)
 
     def support(self, sample):
         for m, p in self.patterns:
@@ -220,7 +201,7 @@ class McarPattern(FeatureMechanism):
                 yield m, p
 
     def all_missing_probability(self):
-        return self._index.get(tuple([1] * self.d), 0.0)
+        return dict(self.patterns).get(Mask((1,) * self.d), 0.0)
 
     def max_observed_count(self):
         return max(m.observed_count for m, p in self.patterns if p > 0.0)
@@ -320,10 +301,6 @@ class MarAnchoredPattern(FeatureMechanism):
         bins = (bisect_right(c, sample[j]) for c, j in zip(self._cuts, self.anchor))
         return self._rows[tuple(bins)]
 
-    def mask_probability(self, sample, mask):
-        self._check_sample(sample)
-        return dict(self.support(sample)).get(mask, 0.0)
-
     def support(self, sample):
         return self._law(self.scores_for(sample))
 
@@ -385,10 +362,6 @@ class DatasetMechanism:
     @property
     def d(self) -> int:
         return self.feature_mech.d
-
-
-def mask_probability(mech: FeatureMechanism, sample: Sequence[float], mask: Mask) -> float:
-    return mech.mask_probability(sample, mask)
 
 
 def dataset_mask_probability(

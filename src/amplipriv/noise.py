@@ -136,25 +136,6 @@ class ComposedMechanism:
             raise DimensionError("missing mechanism shape must match the query")
 
 
-def calibrate_laplace(q: FwlQuery, epsilon: float, B: float) -> NoiseMechanism:
-    """Laplace scale b = C_1 / epsilon; pure epsilon-DP on complete data."""
-    if not epsilon > 0:
-        raise BudgetRangeError(f"epsilon: must be positive, got {epsilon!r}")
-    c1 = sensitivity_complete(q, B)
-    if c1 == 0.0:
-        raise DegenerateQueryError(
-            "query has zero sensitivity; refusing a noiseless constant release"
-        )
-    return NoiseMechanism(
-        query=q,
-        family=LAPLACE,
-        scale=c1 / epsilon,
-        budget=PrivacyBudget(epsilon, 0.0),
-        C_used=c1,
-        bound_B=B,
-    )
-
-
 def gaussian_noise_factor(delta: float) -> float:
     """Margin-adjusted c with c > sqrt(2 ln(1.25/delta)) strictly."""
     if not 0 < delta <= 1:
@@ -162,37 +143,37 @@ def gaussian_noise_factor(delta: float) -> float:
     return GAUSSIAN_MARGIN * math.sqrt(2.0 * math.log(1.25 / delta))
 
 
-def calibrate_gaussian(
-    q: FwlQuery, epsilon: float, delta: float, B: float
-) -> NoiseMechanism:
-    """Gaussian scale sigma = c * C_2 / epsilon; the guarantee needs eps in (0, 1]."""
-    if not 0 < epsilon <= 1:
-        raise BudgetRangeError(
-            f"epsilon: must lie in (0, 1] for the Gaussian guarantee, got {epsilon!r}"
-        )
-    c2 = sensitivity_complete(q, B)
-    if c2 == 0.0:
+def calibrate(q: FwlQuery, family: str, epsilon: float, delta: float, B: float) -> NoiseMechanism:
+    """The ``family`` mechanism for ``q`` at (epsilon, delta), on the
+    complete-data constant C. Laplace: scale b = C / epsilon, pure epsilon-DP,
+    delta not read. Gaussian: scale sigma = c * C / epsilon, whose guarantee
+    needs epsilon in (0, 1]."""
+    if family == LAPLACE:
+        eps_ok, rule = epsilon > 0, "must be positive"
+    elif family == GAUSSIAN:
+        eps_ok, rule = 0 < epsilon <= 1, "must lie in (0, 1] for the Gaussian guarantee"
+    else:
+        raise ValueError(f"family: unknown noise family {family!r}")
+    if not eps_ok:
+        raise BudgetRangeError(f"epsilon: {rule}, got {epsilon!r}")
+    c = sensitivity_complete(q, B)
+    if c == 0.0:
         raise DegenerateQueryError(
             "query has zero sensitivity; refusing a noiseless constant release"
         )
-    return NoiseMechanism(
-        query=q,
-        family=GAUSSIAN,
-        scale=gaussian_noise_factor(delta) * c2 / epsilon,
-        budget=PrivacyBudget(epsilon, delta),
-        C_used=c2,
-        bound_B=B,
-    )
+    delta, factor = (0.0, 1.0) if family == LAPLACE else (delta, gaussian_noise_factor(delta))
+    return NoiseMechanism(query=q, family=family, scale=factor * c / epsilon,
+                          budget=PrivacyBudget(epsilon, delta), C_used=c, bound_B=B)
 
 
-def calibrate(q: FwlQuery, family: str, epsilon: float, delta: float, B: float) -> NoiseMechanism:
-    """The ``family`` mechanism for ``q`` at (epsilon, delta); the Laplace
-    family is pure epsilon-DP and does not read delta."""
-    if family == LAPLACE:
-        return calibrate_laplace(q, epsilon, B)
-    if family == GAUSSIAN:
-        return calibrate_gaussian(q, epsilon, delta, B)
-    raise ValueError(f"family: unknown noise family {family!r}")
+def calibrate_laplace(q: FwlQuery, epsilon: float, B: float) -> NoiseMechanism:
+    """``calibrate`` for the Laplace family."""
+    return calibrate(q, LAPLACE, epsilon, 0.0, B)
+
+
+def calibrate_gaussian(q: FwlQuery, epsilon: float, delta: float, B: float) -> NoiseMechanism:
+    """``calibrate`` for the Gaussian family."""
+    return calibrate(q, GAUSSIAN, epsilon, delta, B)
 
 
 def run_mechanism(m: NoiseMechanism, data: IncompleteDataset, seed: int) -> np.ndarray:

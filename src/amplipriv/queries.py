@@ -33,20 +33,20 @@ from .missingness import substream, _KEY_TRIAL
 class FwlQuery:
     """A dataset-level query with per-feature Lipschitz constants.
 
-    ``norm_p`` is the norm the inequality is declared for; a query valid under
-    the l1 norm is automatically valid under l2 with the same constants.
-    ``batch``, when given, evaluates a stack of masked datasets at once (see
-    ``evaluate_batch``); every catalog query has one.
+    ``batch(values, na)`` evaluates a stack of M masked datasets at once (see
+    ``evaluate_batch``) and is the query's one evaluator; calling the query on
+    one dataset evaluates it as a stack of one. ``norm_p`` is the norm the
+    inequality is declared for; a query valid under the l1 norm is
+    automatically valid under l2 with the same constants.
     """
 
-    evaluate: Callable[[IncompleteDataset], np.ndarray]
+    batch: Callable[[np.ndarray, np.ndarray], np.ndarray]
     constants_L: np.ndarray
     norm_p: int
     output_dim: int
     n: int
     d: int
     descriptor: dict = field(default_factory=dict)
-    batch: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         L = np.asarray(self.constants_L, dtype=float)
@@ -66,12 +66,7 @@ class FwlQuery:
             raise DimensionError(
                 f"query expects {self.n}x{self.d} data, got {data.n}x{data.d}"
             )
-        out = np.asarray(self.evaluate(data), dtype=float).reshape(-1)
-        if out.shape != (self.output_dim,):
-            raise DimensionError(
-                f"query evaluator returned shape {out.shape}, expected ({self.output_dim},)"
-            )
-        return out
+        return self.evaluate_batch(data.values_filled[None], data.na_mask[None])[0]
 
     def evaluate_batch(self, values: np.ndarray, na: np.ndarray) -> np.ndarray:
         """The query on M masked datasets at once, as an (M, output_dim) array.
@@ -79,8 +74,6 @@ class FwlQuery:
         ``values`` (M, n, d) holds the cells with NA filled by 0.0 and ``na``
         (M, n, d) is True where a cell is NA, the layout of ``values_filled``
         and ``na_mask``. Row m equals the query on dataset m bit for bit.
-        Without a ``batch`` evaluator each dataset is built and evaluated in
-        turn.
         """
         values = np.asarray(values, dtype=float)
         na = np.asarray(na, dtype=bool)
@@ -89,13 +82,7 @@ class FwlQuery:
                 f"query expects (M, {self.n}, {self.d}) values and NA flags, got "
                 f"{values.shape} and {na.shape}"
             )
-        if self.batch is None:
-            out = np.array([
-                self(IncompleteDataset(np.where(ms, None, vs).tolist()))
-                for vs, ms in zip(values, na)
-            ]).reshape(len(values), self.output_dim)
-        else:
-            out = np.asarray(self.batch(values, na), dtype=float)
+        out = np.asarray(self.batch(values, na), dtype=float)
         if out.shape != (len(values), self.output_dim):
             raise DimensionError(
                 f"batch evaluator returned shape {out.shape}, expected "
@@ -130,17 +117,9 @@ def _norm(v: np.ndarray, p: int) -> float:
 
 # --- standard catalog -------------------------------------------------------
 #
-# Each catalog query is written once, over a stack of M masked datasets, and
-# evaluates one dataset as a stack of one. Every operation acts on each
-# dataset's slice alone, so row m of the result does not depend on the rest of
-# the stack (tests/test_queries.py checks this bit for bit).
-
-
-def _catalog(batch, L, norm_p: int, k: int, n: int, d: int, descriptor: dict) -> FwlQuery:
-    def evaluate(data: IncompleteDataset) -> np.ndarray:
-        return batch(data.values_filled[None], data.na_mask[None])[0]
-
-    return FwlQuery(evaluate, L, norm_p, k, n, d, descriptor, batch=batch)
+# Each catalog query is written once, over a stack of M masked datasets. Every
+# operation acts on each dataset's slice alone, so row m of the result does not
+# depend on the rest of the stack (tests/test_queries.py checks this bit for bit).
 
 
 def _linear_query(matrices: Sequence[np.ndarray], n: int, d: int) -> FwlQuery:
@@ -159,7 +138,7 @@ def _linear_query(matrices: Sequence[np.ndarray], n: int, d: int) -> FwlQuery:
     def batch(values, na):
         return np.einsum("ikd,mid->mk", stacked, values)
 
-    return _catalog(batch, L, 1, k, n, d, {"kind": "linear"})
+    return FwlQuery(batch, L, 1, k, n, d, {"kind": "linear"})
 
 
 def _bounded_mean_query(n: int, d: int) -> FwlQuery:
@@ -167,7 +146,7 @@ def _bounded_mean_query(n: int, d: int) -> FwlQuery:
         return values.sum(axis=-2) / n
 
     L = np.full(d, 1.0 / n)
-    return _catalog(batch, L, 1, d, n, d, {"kind": "bounded_mean"})
+    return FwlQuery(batch, L, 1, d, n, d, {"kind": "bounded_mean"})
 
 
 def _clipped_mean_query(n: int, d: int, clip: float) -> FwlQuery:
@@ -179,7 +158,7 @@ def _clipped_mean_query(n: int, d: int, clip: float) -> FwlQuery:
         return vals.sum(axis=-2) / n
 
     L = np.full(d, 1.0 / n)
-    return _catalog(batch, L, 1, d, n, d, {"kind": "clipped_mean", "clip": clip})
+    return FwlQuery(batch, L, 1, d, n, d, {"kind": "clipped_mean", "clip": clip})
 
 
 def _covariance_query(n: int, d: int, B: float) -> FwlQuery:
@@ -190,7 +169,7 @@ def _covariance_query(n: int, d: int, B: float) -> FwlQuery:
         return (np.swapaxes(values, -1, -2) @ values / n).reshape(len(values), d * d)
 
     L = np.full(d, 2.0 * B * d / n)
-    return _catalog(batch, L, 1, d * d, n, d, {"kind": "covariance", "B": B})
+    return FwlQuery(batch, L, 1, d * d, n, d, {"kind": "covariance", "B": B})
 
 
 def _mean_projection_query(n: int, d: int, projection: np.ndarray) -> FwlQuery:
@@ -202,7 +181,7 @@ def _mean_projection_query(n: int, d: int, projection: np.ndarray) -> FwlQuery:
         return (P @ (values.sum(axis=-2) / n)[..., None])[..., 0]
 
     L = np.sqrt((P * P).sum(axis=0)) / n  # ||P e_j||_2 / n
-    return _catalog(batch, L, 2, P.shape[0], n, d, {"kind": "mean_projection"})
+    return FwlQuery(batch, L, 2, P.shape[0], n, d, {"kind": "mean_projection"})
 
 
 def _histogram_query(
@@ -241,7 +220,7 @@ def _histogram_query(
     L = np.zeros(d)
     for j in feats:
         L[j] = 2.0 / (n * width)
-    return _catalog(
+    return FwlQuery(
         batch, L, 1, len(feats) * bins, n, d,
         {"kind": "histogram", "bins": bins, "lo": lo, "hi": hi},
     )
@@ -301,10 +280,11 @@ def lipschitz_postprocess(
 
     The Lipschitz claim is the caller's; it is spot-checked on random point
     pairs and a violation raises rather than producing silently invalid
-    constants. The composed query evaluates stacks of datasets at once when
-    ``q`` does and ``mapping``, applied to all spot-check points stacked as
-    rows, returns their images stacked as rows (as ``v.sum(axis=-1,
-    keepdims=True)`` does); otherwise it evaluates one dataset at a time.
+    constants. The composed query applies ``mapping`` once to the whole
+    stack of ``q``'s outputs when, applied to all spot-check points stacked as
+    rows, it returns their images stacked as rows (as ``v.sum(axis=-1,
+    keepdims=True)`` does); otherwise it applies ``mapping`` to each dataset's
+    output row in turn.
     """
     if not Lambda >= 0:
         raise ValueError(f"Lambda: must be nonnegative, got {Lambda!r}")
@@ -331,25 +311,19 @@ def lipschitz_postprocess(
     if k_out is None:
         k_out = int(np.atleast_1d(np.asarray(mapping(np.zeros(q.output_dim)))).size)
 
-    def evaluate(data: IncompleteDataset) -> np.ndarray:
-        return np.atleast_1d(np.asarray(mapping(q(data)), dtype=float))
-
-    batch = None
-    if q.batch is not None and images and _acts_on_rows(mapping, points, images):
+    if _acts_on_rows(mapping, points, images):
 
         def batch(values, na):
             return mapping(q.batch(values, na))
 
-    return FwlQuery(
-        evaluate,
-        Lambda * q.constants_L,
-        q.norm_p,
-        int(k_out),
-        q.n,
-        q.d,
-        {"kind": "postprocess", "lambda": Lambda, "inner": q.descriptor},
-        batch=batch,
-    )
+    else:  # a map written for one vector, applied to each dataset's output
+
+        def batch(values, na):
+            rows = [np.atleast_1d(mapping(v)) for v in q.batch(values, na)]
+            return np.array(rows, dtype=float).reshape(len(values), int(k_out))
+
+    return FwlQuery(batch, Lambda * q.constants_L, q.norm_p, int(k_out), q.n, q.d,
+                    {"kind": "postprocess", "lambda": Lambda, "inner": q.descriptor})
 
 
 POST_MAPS = ("identity", "scale", "project", "clamp", "sum")
@@ -399,25 +373,11 @@ def linear_combination(queries: Sequence[FwlQuery], coeffs: Sequence[float]) -> 
     coeffs = [float(a) for a in coeffs]
     L = sum(abs(a) * q.constants_L for a, q in zip(coeffs, queries))
 
-    def evaluate(data: IncompleteDataset) -> np.ndarray:
-        return sum(a * q(data) for a, q in zip(coeffs, queries))
+    def batch(values, na):
+        return sum(a * q.batch(values, na) for a, q in zip(coeffs, queries))
 
-    batch = None
-    if all(q.batch is not None for q in queries):
-
-        def batch(values, na):
-            return sum(a * q.batch(values, na) for a, q in zip(coeffs, queries))
-
-    return FwlQuery(
-        evaluate,
-        L,
-        q0.norm_p,
-        q0.output_dim,
-        q0.n,
-        q0.d,
-        {"kind": "linear_combination", "coeffs": coeffs},
-        batch=batch,
-    )
+    return FwlQuery(batch, L, q0.norm_p, q0.output_dim, q0.n, q0.d,
+                    {"kind": "linear_combination", "coeffs": coeffs})
 
 
 # --- sensitivity bounds ------------------------------------------------------
@@ -439,8 +399,8 @@ def sensitivity_masked(q: FwlQuery, B: float, rho: float) -> SensitivityBounds:
     """
     if B < 0:
         raise ValueError("B must be nonnegative")
-    if not 0 < rho <= 1:
-        raise ValueError("rho must lie in (0, 1]")
+    if not 0 <= rho <= 1:
+        raise ValueError(f"rho: must lie in [0, 1], got {rho!r}")
     keep = math.floor(rho * q.d)
     order = np.argsort(-q.constants_L, kind="stable")
     c_tilde = 2.0 * B * float(np.sum(q.constants_L[order[:keep]]))

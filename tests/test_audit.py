@@ -11,6 +11,7 @@ from amplipriv import (
     DatasetMechanism,
     DimensionError,
     MarAnchoredPattern,
+    McarBernoulli,
     McarPattern,
     MechanismConsistencyError,
     VectorMixture,
@@ -338,6 +339,14 @@ class TestArrayEnumeration:
                 want *= p
             assert prob == want  # the same running product, bit for bit
             assert mask.astype(int).tolist() == [list(m.bits) for m, _ in combo]
+
+    @pytest.mark.parametrize("rows", [((0.1, 0.2), (0.3, 0.4)), ((0.1, 0.2, 0.3),)])
+    def test_support_arrays_refuse_a_dataset_of_another_shape(self, rows):
+        from amplipriv import audit
+
+        mech = DatasetMechanism(McarBernoulli([0.5] * 3), n=2)
+        with pytest.raises(DimensionError, match="dataset shape"):
+            audit._support_arrays(mech, CompleteDataset(rows))
 
     @pytest.mark.parametrize("grid", [[1.0], [0.25, 0.5, 1.0, 0.75, 0.125]])
     @pytest.mark.parametrize("method", ["exact", "mc"])

@@ -298,6 +298,16 @@ class TestSchemaDiagnostics:
         pytest.param("scenario.query.params.width: not a parameter of kind 'clipped_mean'",
                      lambda scn: scn["query"]["params"].update(width=3),
                      id="query-params-unknown"),
+        pytest.param("scenario.epsilon_grd: unknown field",
+                     lambda scn: scn.update(epsilon_grd=scn.pop("epsilon_grid")),
+                     id="top-level-unknown"),
+        pytest.param("scenario.audit.tolerence: unknown field",
+                     lambda scn: scn["audit"].update(tolerence=1e-7), id="audit-unknown"),
+        pytest.param("scenario.mechanism.pi: not a parameter of kind 'mar_anchored'",
+                     lambda scn: scn["mechanism"].update(pi=[0.5]), id="mechanism-unknown"),
+        pytest.param("scenario.query.post[0].factor: not a parameter of kind 'sum'",
+                     lambda scn: scn["query"]["post"][0].update(factor=2.0),
+                     id="post-unknown"),
         pytest.param("scenario.neighbor.replacement: expected a list of numbers",
                      lambda scn: scn["neighbor"].update(replacement="abc"),
                      id="replacement-string"),
@@ -515,6 +525,55 @@ class TestSchemaDiagnostics:
         out, err = capsys.readouterr()
         assert f"scenario.mechanism.{field}: " in err
         assert "nan" not in out
+
+
+class TestScenarioKeys:
+    def test_score_table_keys_are_free(self, tmp_path, laplace_scn):
+        scn = json.loads(laplace_scn.read_text())
+        scn["mechanism"]["score_table"]["7"] = [0.5, 0.5]  # a bin no anchor value reaches
+        path = tmp_path / "extra_bin.json"
+        path.write_text(json.dumps(scn))
+        assert run("audit", path, tmp_path) == 0
+
+    def test_unknown_key_refused_only_by_commands_reading_its_object(self, tmp_path,
+                                                                     laplace_scn, capsys):
+        scn = json.loads(laplace_scn.read_text())
+        scn["neighbor"]["rows"] = 1
+        path = tmp_path / "neighbor_key.json"
+        path.write_text(json.dumps(scn))
+        assert run("amplify", path, tmp_path) == 0
+        assert run("audit", path, tmp_path) == 1
+        assert capsys.readouterr().err == "error: scenario.neighbor.rows: unknown field\n"
+
+    @pytest.mark.parametrize("command, line", [
+        ("amplify", "amplified: epsilon 1.0 -> 0.0"),
+        ("audit", "epsilon=0.25 bound=0.0 empirical=0.0 PASS"),
+    ])
+    def test_mechanism_observing_nothing(self, tmp_path, laplace_scn, capsys, command, line):
+        # tight rho is 0: the masked constant is 0 and every release is pure noise
+        scn = json.loads(laplace_scn.read_text())
+        scn["mechanism"] = {"kind": "mcar_bernoulli", "pi": [1.0, 1.0, 1.0, 1.0]}
+        scn.pop("rho")
+        path = tmp_path / "never_observed.json"
+        path.write_text(json.dumps(scn))
+        assert run(command, path, tmp_path) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(line)
+        if command == "audit":
+            rows = json.loads((tmp_path / "never_observed_audit.json").read_text())["rows"]
+            assert [r["verdict"] for r in rows] == ["PASS"] * 3
+
+
+def test_module_entry_point_runs_without_warnings(tmp_path, laplace_scn):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "amplipriv.cli", "calibrate", str(laplace_scn),
+         "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
 
 
 def _concrete_paths(node, path=()):

@@ -25,13 +25,12 @@ from amplipriv import (
     SchemaError,
     UnsupportedMechanismError,
     dataset_mask_probability,
-    feature_mechanism_from_spec,
-    mask_probability,
     p_star,
     sample_mask,
     tight_rho,
     verify_rho,
 )
+from amplipriv.cli import feature_mechanism_from_spec
 
 
 # the first candidate when the anchor value is >= 0, the second below it
@@ -50,19 +49,19 @@ def all_masks(d):
 class TestMaskProbability:
     def test_bernoulli_product(self):
         mech = McarBernoulli((0.5, 0.5))
-        assert mask_probability(mech, (7.0, -3.0), Mask((0, 1))) == 0.25
-        total = sum(mask_probability(mech, (0.0, 0.0), m) for m in all_masks(2))
+        assert mech.mask_probability((7.0, -3.0), Mask((0, 1))) == 0.25
+        total = sum(mech.mask_probability((0.0, 0.0), m) for m in all_masks(2))
         assert abs(total - 1.0) < 1e-12
 
     def test_pattern_lookup(self):
         mech = McarPattern([((0, 0), 0.7), ((1, 1), 0.3)])
-        assert mask_probability(mech, (1.0, 2.0), Mask((1, 1))) == 0.3
-        assert mask_probability(mech, (1.0, 2.0), Mask((0, 1))) == 0.0
+        assert mech.mask_probability((1.0, 2.0), Mask((1, 1))) == 0.3
+        assert mech.mask_probability((1.0, 2.0), Mask((0, 1))) == 0.0
 
     def test_mar_anchored_scores(self):
         mech = mar_example()
         # anchor value is negative, so the second candidate fires
-        assert mask_probability(mech, (-1.0, 5.0), Mask((0, 1))) == pytest.approx(
+        assert mech.mask_probability((-1.0, 5.0), Mask((0, 1))) == pytest.approx(
             0.8, abs=0
         )
         support = {m.bits: p for m, p in mech.support((-1.0, 5.0))}
@@ -80,7 +79,7 @@ class TestMaskProbability:
         for mech in mechs:
             for _ in range(5):
                 z = tuple(rng.uniform(-1, 1, mech.d))
-                total = sum(mask_probability(mech, z, m) for m in all_masks(mech.d))
+                total = sum(mech.mask_probability(z, m) for m in all_masks(mech.d))
                 assert abs(total - 1.0) < 1e-12
 
 
@@ -104,9 +103,8 @@ class TestDatasetMaskProbability:
         mech = DatasetMechanism(mar_example(), n=1)
         z = CompleteDataset(((0.5, 3.0),))
         m = MaskMatrix((Mask((0, 0)),))
-        assert dataset_mask_probability(mech, z, m) == mask_probability(
-            mech.feature_mech, (0.5, 3.0), Mask((0, 0))
-        )
+        want = mech.feature_mech.mask_probability((0.5, 3.0), Mask((0, 0)))
+        assert dataset_mask_probability(mech, z, m) == want
 
     def test_repeated_pattern_rows(self):
         mech = DatasetMechanism(McarPattern([((0, 0), 0.7), ((1, 1), 0.3)]), n=3)
@@ -391,8 +389,8 @@ class TestSpecParsing:
             "score_table": {"1": [1.0, 0.0], "0": [0.0, 1.0]},
         }
         mech = feature_mechanism_from_spec(spec)
-        assert mask_probability(mech, (-1.0, 5.0), Mask((0, 1))) == pytest.approx(0.8)
-        assert mask_probability(mech, (3.0, 5.0), Mask((0, 0))) == pytest.approx(0.8)
+        assert mech.mask_probability((-1.0, 5.0), Mask((0, 1))) == pytest.approx(0.8)
+        assert mech.mask_probability((3.0, 5.0), Mask((0, 0))) == pytest.approx(0.8)
 
     def test_mnar_kind_rejected_with_mar_message(self):
         with pytest.raises(UnsupportedMechanismError, match="MAR"):

@@ -210,6 +210,14 @@ class TestSensitivity:
         q = make_standard_query("bounded_mean", n=2, d=3)
         assert sensitivity_masked(q, 1.0, rho=0.2).C_tilde_p == 0.0
 
+    def test_rho_zero_gives_zero(self):
+        # a mechanism that observes no feature has tight rho 0
+        q = make_standard_query("bounded_mean", n=2, d=3)
+        assert sensitivity_masked(q, 1.0, rho=0.0).C_tilde_p == 0.0
+        for rho in (-0.1, 1.5, float("nan")):
+            with pytest.raises(ValueError, match="rho: must lie in"):
+                sensitivity_masked(q, 1.0, rho=rho)
+
 
 class TestVerifyFwl:
     CATALOG = [
@@ -237,7 +245,7 @@ class TestVerifyFwl:
     def test_halved_constants_violate(self):
         q = make_standard_query("bounded_mean", n=3, d=4)
         cheat = type(q)(
-            evaluate=q.evaluate,
+            batch=q.batch,
             constants_L=q.constants_L / 2.0,
             norm_p=q.norm_p,
             output_dim=q.output_dim,
@@ -257,7 +265,7 @@ class TestVerifyFwl:
     def test_l1_query_valid_under_l2(self):
         q = make_standard_query("covariance", n=3, d=3, B=1.0)
         as_l2 = type(q)(
-            evaluate=q.evaluate,
+            batch=q.batch,
             constants_L=q.constants_L,
             norm_p=2,
             output_dim=q.output_dim,
@@ -286,11 +294,14 @@ def _random_masked_stack(rng, n, d, masks=40):
     return data, na, np.where(na, 0.0, data.to_array())
 
 
+def _masked(data, na):
+    """``data`` under each mask matrix of the stack ``na``, one dataset at a time."""
+    return [apply_mask(data, MaskMatrix(tuple(Mask(tuple(int(b) for b in r)) for r in m)))
+            for m in na]
+
+
 def _per_mask(q, data, na):
-    return np.array([
-        q(apply_mask(data, MaskMatrix(tuple(Mask(tuple(int(b) for b in r)) for r in m))))
-        for m in na
-    ])
+    return np.array([q(ds) for ds in _masked(data, na)])
 
 
 def _catalog_cases():
@@ -335,7 +346,6 @@ class TestBatchEvaluation:
 
     @pytest.mark.parametrize("q", list(_catalog_cases()), ids=lambda q: q.descriptor["kind"])
     def test_catalog_kinds(self, q):
-        assert q.batch is not None
         data, na, values = _random_masked_stack(np.random.default_rng(q.n * 10 + q.d), q.n, q.d)
         got = q.evaluate_batch(values, na)
         want = _per_mask(q, data, na)
@@ -344,7 +354,6 @@ class TestBatchEvaluation:
 
     @pytest.mark.parametrize("q", list(_named_map_cases()), ids=lambda q: q.descriptor["inner"]["kind"])
     def test_named_post_maps(self, q):
-        assert q.batch is not None  # every named map acts on the last axis
         data, na, values = _random_masked_stack(np.random.default_rng(11), q.n, q.d)
         assert q.evaluate_batch(values, na).tobytes() == _per_mask(q, data, na).tobytes()
 
@@ -352,29 +361,38 @@ class TestBatchEvaluation:
         a = make_standard_query("clipped_mean", n=3, d=2, clip=0.4)
         b = make_standard_query("bounded_mean", n=3, d=2)
         q = linear_combination([a, b], [0.3, -1.7])
-        assert q.batch is not None
         data, na, values = _random_masked_stack(np.random.default_rng(5), 3, 2)
         assert q.evaluate_batch(values, na).tobytes() == _per_mask(q, data, na).tobytes()
 
-    def test_hand_built_query_falls_back(self):
-        from amplipriv import FwlQuery
-
-        def evaluate(data):
-            vals = data.values_filled
-            return np.array([vals.max() - vals.min(), float(data.na_mask.sum())])
-
-        q = FwlQuery(evaluate, np.ones(3), 1, 2, 2, 3)
-        assert q.batch is None
-        data, na, values = _random_masked_stack(np.random.default_rng(6), 2, 3)
-        assert q.evaluate_batch(values, na).tobytes() == _per_mask(q, data, na).tobytes()
-
-    def test_map_not_acting_on_rows_falls_back(self):
+    def test_map_not_acting_on_rows_runs_row_by_row(self):
         base = make_standard_query("clipped_mean", n=2, d=3, clip=0.5)
-        # sums the whole stack, not each row: shown not to act row by row
-        q = lipschitz_postprocess(base, lambda v: np.array([v.sum()]), 1.0, output_dim=1)
-        assert q.batch is None
+        shapes = []
+
+        def total(v):  # sums the whole stack, not each row: shown not to act row by row
+            shapes.append(np.shape(v))
+            return np.array([v.sum()])
+
+        q = lipschitz_postprocess(base, total, 1.0, output_dim=1)
         data, na, values = _random_masked_stack(np.random.default_rng(8), 2, 3)
-        assert q.evaluate_batch(values, na).tobytes() == _per_mask(q, data, na).tobytes()
+        want = np.array([total(base(ds)) for ds in _masked(data, na)])
+        shapes.clear()
+        assert q.evaluate_batch(values, na).tobytes() == want.tobytes()
+        assert shapes == [(3,)] * len(na)  # once per dataset, on its output row
+
+    def test_map_acting_on_rows_runs_once(self):
+        base = make_standard_query("clipped_mean", n=2, d=3, clip=0.5)
+        shapes = []
+
+        def double(v):
+            shapes.append(np.shape(v))
+            return 2.0 * v
+
+        q = lipschitz_postprocess(base, double, 2.0)
+        data, na, values = _random_masked_stack(np.random.default_rng(8), 2, 3)
+        want = np.array([2.0 * base(ds) for ds in _masked(data, na)])
+        shapes.clear()
+        assert q.evaluate_batch(values, na).tobytes() == want.tobytes()
+        assert shapes == [(len(na), 3)]
 
     def test_shape_mismatch_rejected(self):
         q = make_standard_query("bounded_mean", n=2, d=3)
