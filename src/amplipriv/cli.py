@@ -128,7 +128,7 @@ FIELDS = {f.path: f for f in (
     F("budget", _object, "base budget the noise is calibrated to"),
     F("budget.epsilon", _num, "base epsilon, positive; at most 1 for gaussian"),
     F("budget.delta", _num, "base delta: 0 for laplace, in (0, 1] for gaussian", 0.0),
-    F("rho", _num, "declared observed-fraction bound in (0, 1], verified", None),
+    F("rho", _num, "declared observed-fraction bound in [0, 1], verified", None),
     F("epsilon_grid", _list("a list of numbers"), "base epsilons audited; absent, the budget's",
       None, (bool, "must list at least one epsilon")),
     F("epsilon_grid[i]", _num, "one base epsilon, positive; at most 1 for gaussian"),
@@ -185,8 +185,6 @@ FIELDS = {f.path: f for f in (
     F("query.post[i].indices[j]", _int, "one coordinate, in [0, k)"),
     F("query.post[i].lo", _num, "lower clamp", kinds=("clamp",)),
     F("query.post[i].hi", _num, "upper clamp", kinds=("clamp",)),
-    F("query.post[i].lipschitz", _num, "declared Lipschitz constant, spot-checked", None,
-      kinds=POST_MAPS),
     F("audit", _object, "how the audit measures the divergence", {}),
     F("audit.method", _choice("method", ("exact", "mc")), "quadrature or Monte Carlo", "exact"),
     F("audit.tolerance", _num, "positive; checked, but moves neither the measured delta nor "
@@ -314,8 +312,7 @@ def _post_map(q: FwlQuery, entry: dict, at: str) -> FwlQuery:
     try:
         return named_postprocess(q, name, **args)
     except ValueError as exc:
-        paths = {key: f"{at}.{key}" for key in args}
-        raise _blame(exc, {**paths, "Lambda": f"{at}.lipschitz"}, at) from None
+        raise _blame(exc, {key: f"{at}.{key}" for key in args}, at) from None
 
 
 class Scenario:
@@ -698,8 +695,11 @@ def run_scenario(
             )
             return EXIT_ERROR
         scn = Scenario(raw, base_dir=path.parent)
-        if seed_override is not None:
-            scn.seed = seed_override
+        if seed_override is not None:  # the seed field's rule, named by the option
+            try:
+                scn.seed = _check("seed", seed_override, "seed")
+            except SchemaError as exc:
+                raise SchemaError(f"--seed: {str(exc).partition(': ')[2]}") from None
         handler = {
             "calibrate": _cmd_calibrate,
             "amplify": _cmd_amplify,

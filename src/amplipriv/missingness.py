@@ -99,11 +99,15 @@ class McarBernoulli(FeatureMechanism):
         self.d = len(pi)
 
     def support(self, sample):
-        for code in range(2 ** self.d):
-            bits = tuple((code >> j) & 1 for j in range(self.d))
-            prob = math.prod(p if b == 1 else 1.0 - p for p, b in zip(self.pi, bits))
+        # only features with 0 < pi < 1 vary; the others' factors are exactly 1.0
+        free = [(j, p) for j, p in enumerate(self.pi) if 0.0 < p < 1.0]
+        bits = [int(p == 1.0) for p in self.pi]
+        for code in range(2 ** len(free)):
+            for t, (j, _) in enumerate(free):
+                bits[j] = (code >> t) & 1
+            prob = math.prod((p if bits[j] else 1.0 - p for j, p in free), start=1.0)
             if prob > 0.0:
-                yield Mask(bits), prob
+                yield Mask(tuple(bits)), prob
 
     def all_missing_probability(self):
         return math.prod(self.pi)
@@ -414,8 +418,8 @@ def p_star(mech: DatasetMechanism) -> float:
 
 def verify_rho(mech: DatasetMechanism, rho: float) -> bool:
     """Check every supported mask row observes at most a fraction rho of features."""
-    if not 0 < rho <= 1:
-        raise ValueError(f"rho: must lie in (0, 1], got {rho!r}")
+    if not 0 <= rho <= 1:
+        raise ValueError(f"rho: must lie in [0, 1], got {rho!r}")
     return mech.feature_mech.max_observed_count() <= rho * mech.d
 
 

@@ -12,7 +12,6 @@ off the sorted constants alone.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -54,7 +53,7 @@ class FwlQuery:
         object.__setattr__(self, "constants_L", L)
         if L.ndim != 1 or len(L) != self.d:
             raise DimensionError("constants_L must be a length-d vector")
-        if np.any(L < 0):
+        if not np.all(L >= 0):  # a NaN constant is refused too
             raise ValueError("Lipschitz constants must be nonnegative")
         if self.norm_p not in (1, 2):
             raise ValueError("norm_p must be 1 or 2")
@@ -111,8 +110,9 @@ class SensitivityBounds:
         return self.C_tilde_p / self.C_p
 
 
-def _norm(v: np.ndarray, p: int) -> float:
-    return float(np.sum(np.abs(v))) if p == 1 else float(np.sqrt(np.sum(v * v)))
+def _norm(v: np.ndarray, p: int) -> np.ndarray:
+    """The l_p norm of ``v`` along its last axis."""
+    return np.abs(v).sum(axis=-1) if p == 1 else np.sqrt((v * v).sum(axis=-1))
 
 
 # --- standard catalog -------------------------------------------------------
@@ -255,88 +255,57 @@ def make_standard_query(kind: str, **params) -> FwlQuery:
 # --- closure combinators -----------------------------------------------------
 
 
-def _acts_on_rows(mapping, points: np.ndarray, images: list) -> bool:
-    """Whether ``mapping`` sends the rows of ``points`` to the stacked
-    ``images`` bit for bit, which shows that it maps each row of the last axis
-    on its own."""
-    try:
-        want = np.stack(images)
-        got = np.asarray(mapping(points), dtype=float)
-    except Exception:  # a map written for one vector may reject a stack
-        return False
-    return got.shape == want.shape and got.tobytes() == want.tobytes()
+def _composed(q: FwlQuery, mapping, Lambda: float, k: int) -> FwlQuery:
+    """``q`` followed by ``mapping``, a Lambda-Lipschitz map of each output row
+    onto k coordinates, applied once to the whole stack of outputs."""
+
+    def batch(values, na):
+        return mapping(q.batch(values, na))
+
+    return FwlQuery(batch, Lambda * q.constants_L, q.norm_p, k, q.n, q.d,
+                    {"kind": "postprocess", "lambda": Lambda, "inner": q.descriptor})
 
 
 def lipschitz_postprocess(
-    q: FwlQuery,
-    mapping: Callable[[np.ndarray], np.ndarray],
-    Lambda: float,
-    output_dim: Optional[int] = None,
-    spot_checks: int = 32,
-    check_radius: float = 1.0,
-    seed: int = 7,
+    q: FwlQuery, mapping: Callable[[np.ndarray], np.ndarray], Lambda: float
 ) -> FwlQuery:
-    """Compose a Lambda-Lipschitz map after a query; constants scale by Lambda.
+    """Compose a caller's Lambda-Lipschitz map after a query; constants scale by Lambda.
 
-    The Lipschitz claim is the caller's; it is spot-checked on random point
-    pairs and a violation raises rather than producing silently invalid
-    constants. The composed query applies ``mapping`` once to the whole
-    stack of ``q``'s outputs when, applied to all spot-check points stacked as
-    rows, it returns their images stacked as rows (as ``v.sum(axis=-1,
-    keepdims=True)`` does); otherwise it applies ``mapping`` to each dataset's
-    output row in turn.
+    ``mapping`` must act on each row of an (M, k) stack, as ``v.sum(axis=-1,
+    keepdims=True)`` does: one that does not send 64 random points stacked as
+    rows to their own images, bit for bit, is refused with a ValueError. The
+    claimed constant is spot-checked on 32 pairs of those points, and a
+    violation raises LipschitzContractError rather than yielding invalid constants.
     """
     if not Lambda >= 0:
         raise ValueError(f"Lambda: must be nonnegative, got {Lambda!r}")
-    rng = random.Random(seed)
     # rows 2t and 2t + 1 are the t-th spot-check pair
-    points = np.array([
-        [rng.uniform(-check_radius, check_radius) for _ in range(q.output_dim)]
-        for _ in range(2 * spot_checks)
-    ]).reshape(2 * spot_checks, q.output_dim)
-    k_out = output_dim
-    images = []
-    for x, y in zip(points[0::2], points[1::2]):
-        fx = np.atleast_1d(np.asarray(mapping(x), dtype=float))
-        fy = np.atleast_1d(np.asarray(mapping(y), dtype=float))
-        if k_out is None:
-            k_out = fx.size
-        lhs = _norm(fx - fy, q.norm_p)
-        rhs = Lambda * _norm(x - y, q.norm_p)
-        if lhs > rhs + 1e-9 * max(1.0, rhs):
-            raise LipschitzContractError(
-                f"map moved points by {lhs:.6g} > Lambda * input distance {rhs:.6g}"
-            )
-        images += [fx, fy]
-    if k_out is None:
-        k_out = int(np.atleast_1d(np.asarray(mapping(np.zeros(q.output_dim)))).size)
-
-    if _acts_on_rows(mapping, points, images):
-
-        def batch(values, na):
-            return mapping(q.batch(values, na))
-
-    else:  # a map written for one vector, applied to each dataset's output
-
-        def batch(values, na):
-            rows = [np.atleast_1d(mapping(v)) for v in q.batch(values, na)]
-            return np.array(rows, dtype=float).reshape(len(values), int(k_out))
-
-    return FwlQuery(batch, Lambda * q.constants_L, q.norm_p, int(k_out), q.n, q.d,
-                    {"kind": "postprocess", "lambda": Lambda, "inner": q.descriptor})
+    points = np.random.default_rng(7).uniform(-1.0, 1.0, (64, q.output_dim))
+    images = np.asarray(mapping(points), dtype=float)
+    rows = np.array([np.asarray(mapping(x), dtype=float) for x in points])
+    if images.ndim != 2 or images.shape != rows.shape or images.tobytes() != rows.tobytes():
+        raise ValueError(f"mapping: must map each row of an (M, {q.output_dim}) stack to "
+                         "that row's image, as v.sum(axis=-1, keepdims=True) does")
+    lhs = _norm(images[0::2] - images[1::2], q.norm_p)
+    rhs = Lambda * _norm(points[0::2] - points[1::2], q.norm_p)
+    bad = lhs > rhs + 1e-9 * np.maximum(1.0, rhs)
+    if bad.any():
+        t = int(np.argmax(bad))
+        raise LipschitzContractError(f"map moved points by {lhs[t]:.6g} > Lambda * input "
+                                     f"distance {rhs[t]:.6g}")
+    return _composed(q, mapping, Lambda, images.shape[1])
 
 
 POST_MAPS = ("identity", "scale", "project", "clamp", "sum")
 
 
-def named_postprocess(
-    q: FwlQuery, name: str, lipschitz: Optional[float] = None, **params
-) -> FwlQuery:
-    """``q`` followed by a named map: ``identity``, ``scale`` by ``factor``,
-    ``project`` onto output ``indices``, ``clamp`` to [``lo``, ``hi``] or
-    ``sum``. Each acts on the last axis, so the composed query evaluates
-    stacks of datasets at once. ``lipschitz`` replaces the map's own
-    constant and is spot-checked like any claimed constant."""
+def named_postprocess(q: FwlQuery, name: str, **params) -> FwlQuery:
+    """``q`` followed by a named map, composed with the map's proven Lipschitz
+    constant: ``identity`` (1), ``scale`` by ``factor`` (|factor|),
+    ``project`` onto output ``indices`` (1), ``clamp`` to [``lo``, ``hi``]
+    (1) or ``sum`` (1 under l1, sqrt(k) under l2 for k outputs). Each acts on
+    the last axis, so the composed query evaluates stacks of datasets at
+    once; no map runs when the query is built."""
     mapping, lam, k = (lambda v: v), 1.0, q.output_dim
     if name == "scale":
         factor = params["factor"]
@@ -354,7 +323,7 @@ def named_postprocess(
         mapping, k = (lambda v: v.sum(axis=-1, keepdims=True)), 1
     elif name != "identity":
         raise ValueError(f"name: unknown post-processing map {name!r}")
-    return lipschitz_postprocess(q, mapping, lam if lipschitz is None else lipschitz, output_dim=k)
+    return _composed(q, mapping, lam, k)
 
 
 def linear_combination(queries: Sequence[FwlQuery], coeffs: Sequence[float]) -> FwlQuery:
@@ -455,7 +424,7 @@ def verify_fwl(q: FwlQuery, trials: int, B: float, seed: int = 0) -> FwlCheckRep
             mask = MaskMatrix(tuple(Mask(tuple(int(b) for b in r)) for r in bits))
         masked_l = apply_mask(left, mask)
         masked_r = apply_mask(right, mask)
-        lhs = _norm(q(masked_l) - q(masked_r), q.norm_p)
+        lhs = float(_norm(q(masked_l) - q(masked_r), q.norm_p))
         obs = np.array([1.0 - b for b in mask.rows[i_star].bits])
         gaps = (
             np.abs(np.array(left.rows[i_star]) - np.array(right.rows[i_star])) * obs

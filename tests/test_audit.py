@@ -32,7 +32,7 @@ from amplipriv.noise import PrivacyBudget
 
 def sum_query(n, d, B):
     base = make_standard_query("clipped_mean", n=n, d=d, clip=B)
-    return lipschitz_postprocess(base, lambda v: np.array([v.sum()]), 1.0, output_dim=1)
+    return lipschitz_postprocess(base, lambda v: v.sum(axis=-1, keepdims=True), 1.0)
 
 
 def anchored_mechanism(n):

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from amplipriv import audit
 from amplipriv.cli import AUDIT_CSV_HEADER, FIELDS, build_parser, main, run_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -363,18 +364,15 @@ class TestSchemaDiagnostics:
         pytest.param("scenario.query.post[1].hi: expected a number, got 'x'",
                      lambda scn: scn["query"]["post"].append({"map": "clamp", "lo": 0, "hi": "x"}),
                      id="clamp-hi-string"),
-        pytest.param("scenario.query.post[0].lipschitz: expected a number, got 'x'",
-                     lambda scn: scn["query"]["post"][0].update(lipschitz="x"),
-                     id="lipschitz-string"),
-        pytest.param("scenario.query.post[0].lipschitz: must be nonnegative, got -1.0",
-                     lambda scn: scn["query"]["post"][0].update(lipschitz=-1),
-                     id="lipschitz-negative"),
+        pytest.param("scenario.query.post[0].lipschitz: not a parameter of kind 'sum'",
+                     lambda scn: scn["query"]["post"][0].update(lipschitz=1.0),
+                     id="lipschitz-refused"),
         pytest.param("scenario.dataset: must be a JSON object",
                      lambda scn: scn.update(dataset=5), id="dataset-number"),
         pytest.param("scenario.dataset.csv: expected a file path, got 5",
                      lambda scn: scn.update(dataset={"csv": 5}), id="dataset-csv-number"),
-        pytest.param("scenario.rho: must lie in (0, 1], got 0.0",
-                     lambda scn: scn.update(rho=0), id="rho-zero"),
+        pytest.param("scenario.rho: must lie in [0, 1], got -0.1",
+                     lambda scn: scn.update(rho=-0.1), id="rho-negative"),
         pytest.param("scenario.query.params.clip: must be positive, got -1.0",
                      lambda scn: scn["query"]["params"].update(clip=-1), id="clip-negative"),
         pytest.param("scenario.query.params.d: must be at least 1, got 0",
@@ -564,6 +562,51 @@ class TestScenarioKeys:
             assert [r["verdict"] for r in rows] == ["PASS"] * 3
 
 
+    @pytest.mark.parametrize("rho", [0.0, -0.1, 1.5])
+    def test_declared_rho_of_a_mechanism_observing_nothing(self, tmp_path, laplace_scn, capsys,
+                                                           rho):
+        scn = json.loads(laplace_scn.read_text())
+        scn["mechanism"] = {"kind": "mcar_bernoulli", "pi": [1.0, 1.0, 1.0, 1.0]}
+        scn["rho"] = rho
+        path = tmp_path / "never_observed.json"
+        path.write_text(json.dumps(scn))
+        code = run("amplify", path, tmp_path)
+        out, err = capsys.readouterr()
+        if rho == 0.0:  # the tight value, declared
+            assert code == 0 and out.startswith("amplified: epsilon 1.0 -> 0.0")
+        else:
+            assert code == 1 and err == f"error: scenario.rho: must lie in [0, 1], got {rho!r}\n"
+
+    def test_post_map_lipschitz_key_refused(self, tmp_path, laplace_scn, capsys):
+        # a declared constant far below the clamp's proven 1 once calibrated
+        # scale=0.02, released, and failed its audit with delta 0.99999 at bound 0
+        scn = json.loads(laplace_scn.read_text())
+        scn["query"]["post"] = [{"map": "sum"}, {"map": "scale", "factor": 10},
+                                {"map": "clamp", "lo": 5, "hi": 6, "lipschitz": 0.001}]
+        scn["dataset"]["inline"] = [[0.25, 0.25, 0, 0], [0.25, 0.25, 0, 0]]
+        scn["neighbor"]["replacement"] = [0.35, 0.25, 0, 0]
+        scn["mechanism"] = {"kind": "mcar_bernoulli", "pi": [0.0] * 4}
+        scn["rho"] = 1
+        path = tmp_path / "clamp.json"
+        path.write_text(json.dumps(scn))
+        for command in ("calibrate", "simulate", "audit"):
+            assert run(command, path, tmp_path) == 1
+            assert capsys.readouterr().err == (
+                "error: scenario.query.post[2].lipschitz: not a parameter of kind 'clamp'\n")
+        del scn["query"]["post"][2]["lipschitz"]
+        path.write_text(json.dumps(scn))
+        assert run("calibrate", path, tmp_path) == 0
+        assert "scale=20.0 (C=20.0)" in capsys.readouterr().out
+        assert run("audit", path, tmp_path) == 0
+
+    @pytest.mark.parametrize("command", ["simulate", "audit"])
+    def test_seed_override_follows_the_seed_rule(self, tmp_path, laplace_scn, capsys, command):
+        code = main([command, str(laplace_scn), "--out", str(tmp_path), "--seed", "-5"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: --seed: must be nonnegative, got -5\n"
+        assert list(tmp_path.iterdir()) == []
+
+
 def test_module_entry_point_runs_without_warnings(tmp_path, laplace_scn):
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -632,7 +675,7 @@ class TestSchemaFuzz:
          "mechanism": {"kind": "mcar_bernoulli", "pi": [0.5, 0.5, 0.5, 0.5]},
          "query": {"kind": "histogram",
                    "params": {"n": 2, "d": 4, "lo": -0.5, "hi": 0.5, "bins": 2, "features": [0, 1]},
-                   "post": [{"map": "scale", "factor": 0.5, "lipschitz": 0.5}, {"map": "sum"}]}},
+                   "post": [{"map": "scale", "factor": 0.5}, {"map": "sum"}]}},
         {**SHIPPED, "mechanism": {"kind": "capped_bernoulli", "pi": [0.5] * 4, "rho_cap": 0.5},
          "query": {"kind": "covariance", "params": {"n": 2, "d": 4, "B": 0.5},
                    "post": [{"map": "project", "indices": [0]}, {"map": "clamp", "lo": -1, "hi": 1}]}},
@@ -725,6 +768,45 @@ class TestExactAuditFootprint:
         assert "mask support has 262144 elements" in capsys.readouterr().err
         # the (M, n, d) mask stack alone would take 4.7 MB
         assert peak < 2_000_000
+
+    @staticmethod
+    def _one_feature_sum(tmp_path, pi, n):
+        d = len(pi)
+        scn = {
+            "seed": 1, "bound_B": 0.5, "dataset": {"inline": [[0.1] * d] * n},
+            "neighbor": {"row": 0, "replacement": [-0.2] * d},
+            "mechanism": {"kind": "mcar_bernoulli", "pi": pi},
+            "query": {"kind": "clipped_mean", "params": {"n": n, "d": d, "clip": 0.5},
+                      "post": [{"map": "sum"}]},
+            "family": "laplace", "budget": {"epsilon": 1.0, "delta": 0.0},
+            "epsilon_grid": [1.0], "audit": {"method": "exact"},
+        }
+        path = tmp_path / f"d{d}.json"
+        path.write_text(json.dumps(scn))
+        return path
+
+    def test_oversized_row_support_refused_without_reading_it_all(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        # one row of 24 Bernoulli features has 2^24 masks, gigabytes as Mask
+        # objects; the refusal reads one past the limit, lowered here so the
+        # traced run stays short (at the shipped 200000 it traces about 80 MB)
+        monkeypatch.setattr(audit, "_SUPPORT_LIMIT", 4096)
+        path = self._one_feature_sum(tmp_path, [0.5] * 24, n=1)
+        tracemalloc.start()
+        try:
+            code = run("audit", path, tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert "mask support has more than 4096 elements" in capsys.readouterr().err
+        assert peak < 4_000_000
+
+    def test_fixed_features_are_not_enumerated(self, tmp_path, capsys):
+        # 40 features, two of them random: 4 masks per row, not 2^40
+        path = self._one_feature_sum(tmp_path, [0.5, 0.5] + [0.0, 1.0] * 19, n=2)
+        assert run("audit", path, tmp_path) == 0
+        assert capsys.readouterr().out.endswith(" PASS\n")
 
     @pytest.mark.parametrize("command, loaded", [
         ("audit", ""),

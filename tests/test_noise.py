@@ -62,7 +62,7 @@ class TestCalibrateLaplace:
 
     def test_degenerate_query_refused(self):
         q = unit_query()
-        zero = lipschitz_postprocess(q, lambda v: np.zeros(1), 0.0)
+        zero = lipschitz_postprocess(q, lambda v: np.zeros_like(v), 0.0)
         with pytest.raises(DegenerateQueryError):
             calibrate_laplace(zero, epsilon=1.0, B=1.0)
 
@@ -267,9 +267,7 @@ class TestFixedMaskCertificate:
 
         B, eps, rho = 0.5, 1.0, 0.5
         base = make_standard_query("clipped_mean", n=2, d=4, clip=B)
-        q = lipschitz_postprocess(
-            base, lambda v: np.array([v.sum()]), 1.0, output_dim=1
-        )
+        q = lipschitz_postprocess(base, lambda v: v.sum(axis=-1, keepdims=True), 1.0)
         mech = calibrate_laplace(q, epsilon=eps, B=B)
         bounds = sensitivity_masked(q, B, rho)
         cap = math.exp(bounds.ratio * eps) * (1 + 1e-9)

@@ -2,10 +2,12 @@
 empirical FWL check."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
+import amplipriv.queries as queries
 from amplipriv import (
     CompleteDataset,
     DimensionError,
@@ -121,7 +123,7 @@ class TestCombinators:
 
     def test_constant_map_zeroes_constants(self):
         q = make_standard_query("bounded_mean", n=4, d=2)
-        out = lipschitz_postprocess(q, lambda v: np.zeros(2), 0.0)
+        out = lipschitz_postprocess(q, lambda v: np.zeros_like(v), 0.0)
         assert np.all(out.constants_L == 0.0)
 
     def test_scaling_doubles_constants(self):
@@ -170,7 +172,7 @@ class TestSensitivity:
 
     def test_zero_cases(self):
         q = make_standard_query("bounded_mean", n=4, d=2)
-        zero = lipschitz_postprocess(q, lambda v: np.zeros(2), 0.0)
+        zero = lipschitz_postprocess(q, lambda v: np.zeros_like(v), 0.0)
         assert sensitivity_complete(zero, 1.0) == 0.0
         assert sensitivity_complete(q, 0.0) == 0.0
 
@@ -258,7 +260,7 @@ class TestVerifyFwl:
 
     def test_constant_query_never_violates(self):
         q = make_standard_query("bounded_mean", n=3, d=4)
-        const = lipschitz_postprocess(q, lambda v: np.zeros(4), 0.0)
+        const = lipschitz_postprocess(q, lambda v: np.zeros_like(v), 0.0)
         report = verify_fwl(const, trials=100, B=1.0, seed=0)
         assert report.max_violation <= 0.0
 
@@ -279,9 +281,7 @@ class TestVerifyFwl:
         base = make_standard_query("bounded_mean", n=3, d=4)
         level1 = lipschitz_postprocess(base, lambda v: 0.5 * v, 0.5)
         level2 = linear_combination([level1, base], [2.0, -1.0])
-        level3 = lipschitz_postprocess(
-            level2, lambda v: np.full(1, v.sum()), 1.0, output_dim=1
-        )
+        level3 = lipschitz_postprocess(level2, lambda v: v.sum(axis=-1, keepdims=True), 1.0)
         for q in (level1, level2, level3):
             report = verify_fwl(q, trials=300, B=1.0, seed=5)
             assert report.max_violation <= 1e-12
@@ -341,6 +341,46 @@ def _named_map_cases():
             yield Scenario(raw, base_dir=None).query()
 
 
+class TestNamedMaps:
+    """Each named map carries its proven constant; nothing runs at build time."""
+
+    BASES = {  # an l1 query with 4 outputs and an l2 query with 3
+        1: make_standard_query("clipped_mean", n=3, d=4, clip=0.6),
+        2: make_standard_query("mean_projection", n=9, d=3, projection=[
+            [0.3, -0.8, 0.5], [1.0, 0.2, -0.4], [0.1, 0.1, 0.1]]),
+    }
+
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("name, params, Lambda", [
+        ("identity", {}, lambda p, k: 1.0),
+        ("scale", {"factor": -2.5}, lambda p, k: 2.5),
+        ("project", {"indices": [1, 0]}, lambda p, k: 1.0),
+        ("clamp", {"lo": -0.1, "hi": 0.2}, lambda p, k: 1.0),
+        ("sum", {}, lambda p, k: 1.0 if p == 1 else math.sqrt(k)),
+    ])
+    def test_constants_are_the_proven_ones(self, p, name, params, Lambda):
+        q = self.BASES[p]
+        out = queries.named_postprocess(q, name, **params)
+        want = Lambda(p, q.output_dim) * q.constants_L
+        assert out.constants_L.tobytes() == want.tobytes()
+        assert out.norm_p == q.norm_p
+        report = verify_fwl(out, trials=200, B=1.0, seed=4)
+        assert report.max_violation <= 1e-12
+
+    def test_nan_factor_refused(self):
+        with pytest.raises(ValueError, match="Lipschitz constants must be nonnegative"):
+            queries.named_postprocess(self.BASES[1], "scale", factor=float("nan"))
+
+    def test_scenario_query_builds_them_without_a_spot_check(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a named map was spot-checked")
+
+        monkeypatch.setattr(queries, "lipschitz_postprocess", refuse)
+        built = list(_named_map_cases())
+        assert len(built) == 12
+        assert {q.descriptor["kind"] for q in built} == {"postprocess"}
+
+
 class TestBatchEvaluation:
     """``evaluate_batch`` row m is the query on masked dataset m, bit for bit."""
 
@@ -364,20 +404,25 @@ class TestBatchEvaluation:
         data, na, values = _random_masked_stack(np.random.default_rng(5), 3, 2)
         assert q.evaluate_batch(values, na).tobytes() == _per_mask(q, data, na).tobytes()
 
-    def test_map_not_acting_on_rows_runs_row_by_row(self):
+    @pytest.mark.parametrize("mapping", [
+        lambda v: np.array([v.sum()]),  # sums the whole stack, not each row
+        lambda v: np.zeros(3),  # one vector whatever the input
+        lambda v: v.sum(axis=-1),  # one number per row, not a row
+        lambda v: v[0] + 0.0 * v,  # every row sent to the first row's image
+    ])
+    def test_map_not_acting_on_rows_refused(self, mapping):
         base = make_standard_query("clipped_mean", n=2, d=3, clip=0.5)
-        shapes = []
+        with pytest.raises(ValueError, match=r"^mapping: must map each row of an \(M, 3\) stack"):
+            lipschitz_postprocess(base, mapping, 1.0)
 
-        def total(v):  # sums the whole stack, not each row: shown not to act row by row
-            shapes.append(np.shape(v))
-            return np.array([v.sum()])
+    def test_map_raising_on_a_stack_is_not_hidden(self):
+        def one_vector(v):
+            if np.ndim(v) != 1:
+                raise TypeError("one vector only")
+            return v
 
-        q = lipschitz_postprocess(base, total, 1.0, output_dim=1)
-        data, na, values = _random_masked_stack(np.random.default_rng(8), 2, 3)
-        want = np.array([total(base(ds)) for ds in _masked(data, na)])
-        shapes.clear()
-        assert q.evaluate_batch(values, na).tobytes() == want.tobytes()
-        assert shapes == [(3,)] * len(na)  # once per dataset, on its output row
+        with pytest.raises(TypeError, match="one vector only"):
+            lipschitz_postprocess(make_standard_query("bounded_mean", n=2, d=3), one_vector, 1.0)
 
     def test_map_acting_on_rows_runs_once(self):
         base = make_standard_query("clipped_mean", n=2, d=3, clip=0.5)
