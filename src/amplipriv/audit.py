@@ -18,7 +18,6 @@ point.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -48,19 +47,20 @@ def _support_arrays(mech: DatasetMechanism, dataset: CompleteDataset):
     Mask matrices come in ``itertools.product`` order over the rows' supports,
     and each probability is the running product of the row probabilities in
     row order. The size is checked before anything is allocated, reading each
-    row's support at most one element past the limit.
+    row's support at most one past the limit and no row once the product passes it.
     """
     if dataset.n != mech.n or dataset.d != mech.d:
         raise DimensionError("dataset shape does not match the mechanism")
-    per_row = [list(itertools.islice(mech.feature_mech.support(row), _SUPPORT_LIMIT + 1))
-               for row in dataset.rows]
-    size = math.prod(len(s) for s in per_row)
-    if size > _SUPPORT_LIMIT:
-        cut = any(len(s) > _SUPPORT_LIMIT for s in per_row)
-        raise UnsupportedMechanismError(
-            f"mask support has {f'more than {_SUPPORT_LIMIT}' if cut else size} elements; "
-            "exact enumeration needs a finite, desk-scale support"
-        )
+    per_row, size = [], 1
+    for row in dataset.rows:
+        per_row.append(list(itertools.islice(mech.feature_mech.support(row), _SUPPORT_LIMIT + 1)))
+        size *= len(per_row[-1])
+        if size > _SUPPORT_LIMIT:
+            exact = len(per_row) == dataset.n and len(per_row[-1]) <= _SUPPORT_LIMIT
+            raise UnsupportedMechanismError(
+                f"mask support has {size if exact else f'more than {_SUPPORT_LIMIT}'} elements; "
+                "exact enumeration needs a finite, desk-scale support"
+            )
     masks = np.empty((size, dataset.n, dataset.d), dtype=bool)
     probs = np.ones(size)
     # row i's choice for each mask matrix, the last row varying fastest

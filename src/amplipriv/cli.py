@@ -180,8 +180,8 @@ FIELDS = {f.path: f for f in (
     F("query.post[i]", _object, "one map"),
     F("query.post[i].map", _choice("post-processing map", POST_MAPS), "its name"),
     F("query.post[i].factor", _num, "scale factor", kinds=("scale",)),
-    F("query.post[i].indices", _list("a non-empty list of integers", 1), "output coordinates "
-      "kept", kinds=("project",)),
+    F("query.post[i].indices", _list("a non-empty list of integers", 1), "distinct output "
+      "coordinates kept", kinds=("project",)),
     F("query.post[i].indices[j]", _int, "one coordinate, in [0, k)"),
     F("query.post[i].lo", _num, "lower clamp", kinds=("clamp",)),
     F("query.post[i].hi", _num, "upper clamp", kinds=("clamp",)),

@@ -302,7 +302,7 @@ POST_MAPS = ("identity", "scale", "project", "clamp", "sum")
 def named_postprocess(q: FwlQuery, name: str, **params) -> FwlQuery:
     """``q`` followed by a named map, composed with the map's proven Lipschitz
     constant: ``identity`` (1), ``scale`` by ``factor`` (|factor|),
-    ``project`` onto output ``indices`` (1), ``clamp`` to [``lo``, ``hi``]
+    ``project`` onto distinct output ``indices`` (1), ``clamp`` to [``lo``, ``hi``]
     (1) or ``sum`` (1 under l1, sqrt(k) under l2 for k outputs). Each acts on
     the last axis, so the composed query evaluates stacks of datasets at
     once; no map runs when the query is built."""
@@ -314,6 +314,8 @@ def named_postprocess(q: FwlQuery, name: str, **params) -> FwlQuery:
         idx = list(params["indices"])
         if not all(0 <= i < k for i in idx):
             raise ValueError(f"indices: must lie in [0, {k}), got {idx}")
+        if len(set(idx)) != len(idx):  # a repeated coordinate would raise the constant
+            raise ValueError(f"indices: must be distinct, got {idx}")
         mapping, k = (lambda v: v[..., idx]), len(idx)
     elif name == "clamp":
         lo, hi = params["lo"], params["hi"]
@@ -332,12 +334,7 @@ def linear_combination(queries: Sequence[FwlQuery], coeffs: Sequence[float]) -> 
         raise DimensionError("need one coefficient per query")
     q0 = queries[0]
     for q in queries:
-        if (q.output_dim, q.norm_p, q.n, q.d) != (
-            q0.output_dim,
-            q0.norm_p,
-            q0.n,
-            q0.d,
-        ):
+        if (q.output_dim, q.norm_p, q.n, q.d) != (q0.output_dim, q0.norm_p, q0.n, q0.d):
             raise DimensionError("queries must share output dim, norm, n and d")
     coeffs = [float(a) for a in coeffs]
     L = sum(abs(a) * q.constants_L for a, q in zip(coeffs, queries))

@@ -343,6 +343,10 @@ class TestSchemaDiagnostics:
                      lambda scn: scn["query"].update(post=[{"map": "project", "indices": [5]},
                                                            {"map": "sum"}]),
                      id="project-index-out-of-range"),
+        pytest.param("scenario.query.post[1].indices: must be distinct, got [0, 0, 0]",
+                     lambda scn: scn["query"].update(post=[{"map": "sum"},
+                                                           {"map": "project", "indices": [0, 0, 0]}]),
+                     id="project-indices-repeated"),
         pytest.param("scenario.query.post[0].indices[0]: expected an integer, got 0.5",
                      lambda scn: scn["query"].update(post=[{"map": "project", "indices": [0.5]}]),
                      id="project-index-fractional"),
@@ -801,6 +805,21 @@ class TestExactAuditFootprint:
         assert code == 1
         assert "mask support has more than 4096 elements" in capsys.readouterr().err
         assert peak < 4_000_000
+
+    def test_rows_past_the_limit_are_not_read(self, tmp_path, capsys, monkeypatch):
+        # 40 rows of 1024 masks each: the product passes the lowered limit at
+        # the second row, so the other 38 rows' supports are never read
+        monkeypatch.setattr(audit, "_SUPPORT_LIMIT", 4096)
+        path = self._one_feature_sum(tmp_path, [0.5] * 10, n=40)
+        tracemalloc.start()
+        try:
+            code = run("audit", path, tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert "mask support has more than 4096 elements" in capsys.readouterr().err
+        assert peak < 2_000_000
 
     def test_fixed_features_are_not_enumerated(self, tmp_path, capsys):
         # 40 features, two of them random: 4 masks per row, not 2^40

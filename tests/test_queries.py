@@ -367,6 +367,11 @@ class TestNamedMaps:
         report = verify_fwl(out, trials=200, B=1.0, seed=4)
         assert report.max_violation <= 1e-12
 
+    def test_repeated_project_index_refused(self):
+        # [0, 0] copies a coordinate: under l1 it moves outputs twice as far as 1 allows
+        with pytest.raises(ValueError, match="indices: must be distinct"):
+            queries.named_postprocess(self.BASES[1], "project", indices=[0, 0])
+
     def test_nan_factor_refused(self):
         with pytest.raises(ValueError, match="Lipschitz constants must be nonnegative"):
             queries.named_postprocess(self.BASES[1], "scale", factor=float("nan"))
