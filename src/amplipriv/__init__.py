@@ -17,11 +17,9 @@ from .accountant import (
 from .audit import (
     AuditRow,
     AuditTable,
-    MixtureDecomposition,
     TightnessResult,
     composed_output_mixture,
     composed_vector_mixture,
-    mixture_decomposition,
     tightness_counterexample,
     verify_amplification,
 )
@@ -32,28 +30,19 @@ from .datasets import (
     MaskMatrix,
     NeighborPair,
     apply_mask,
-    feature_gap,
-    is_neighbor,
     load_dataset_csv,
-    observed_indices,
     save_dataset_csv,
 )
 from .divergence import (
-    DiscreteDistribution,
     DivergenceEstimate,
     VectorMixture,
-    hockey_stick_discrete,
     hockey_stick_mixture_1d,
     mc_delta_vector,
-    mix_discrete,
 )
 from .errors import (
     BudgetRangeError,
-    CellTagError,
     DegenerateQueryError,
     DimensionError,
-    LipschitzContractError,
-    MechanismConsistencyError,
     SchemaError,
     SupportError,
     UnsupportedMechanismError,
@@ -66,7 +55,6 @@ from .missingness import (
     McarBernoulli,
     McarPattern,
     MechanismClass,
-    dataset_mask_probability,
     p_star,
     sample_mask,
     tight_rho,
@@ -79,21 +67,18 @@ from .noise import (
     PrivacyBudget,
     calibrate_gaussian,
     calibrate_laplace,
-    log_output_density,
     release_record,
     run_composed,
     run_mechanism,
 )
 from .queries import (
-    FwlCheckReport,
     FwlQuery,
     SensitivityBounds,
-    lipschitz_postprocess,
     linear_combination,
     make_standard_query,
+    named_postprocess,
     sensitivity_complete,
     sensitivity_masked,
-    verify_fwl,
 )
 
 __version__ = "0.1.0"

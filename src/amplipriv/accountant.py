@@ -23,7 +23,6 @@ from .queries import SensitivityBounds
 ROUTE_GENERIC = "generic"
 ROUTE_FWL_LAPLACE = "fwl_laplace"
 ROUTE_FWL_GAUSSIAN = "fwl_gaussian"
-ROUTE_COROLLARY = "corollary_bound"
 
 _AMPLIFIED_NOTE = "amplified budget is an upper bound, not an exact privacy level"
 

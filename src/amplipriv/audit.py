@@ -2,10 +2,9 @@
 
 The composed mechanism's output law on a fixed dataset is a finite mixture of
 noise distributions, one per supported mask matrix. This module enumerates
-that mixture, splits it into the hidden/partially-observed decomposition that
-drives the amplification proof, computes divergences between neighbor
-mixtures, and compares them against the accountant's bounds. It also builds
-the explicit no-amplification instance for the p_star = 1 regime.
+that mixture, computes divergences between neighbor mixtures, and compares
+them against the accountant's bounds. It also builds the explicit
+no-amplification instance for the p_star = 1 regime.
 
 The mask support is enumerated as arrays: an (M, n, d) bool stack of mask
 matrices and their M probabilities. The query evaluates the whole stack in
@@ -25,9 +24,9 @@ import numpy as np
 
 from .accountant import AmplificationReport, amplify_fwl
 from .datasets import CompleteDataset, Mask, MaskMatrix, NeighborPair
-from .datasets import apply_mask  # noqa: F401  (still importable from here)
+from .datasets import apply_mask  # noqa: F401  (patched by bench/tracing.py, its only reader)
 from .divergence import VectorMixture, check_samples, hockey_stick_mixture_1d, mc_delta_vector
-from .errors import DimensionError, MechanismConsistencyError, UnsupportedMechanismError
+from .errors import DimensionError, UnsupportedMechanismError
 from .missingness import (
     DatasetMechanism,
     MarAnchoredPattern,
@@ -72,61 +71,12 @@ def _support_arrays(mech: DatasetMechanism, dataset: CompleteDataset):
 
 
 def _dataset_support(mech: DatasetMechanism, dataset: CompleteDataset):
-    """Enumerate (MaskMatrix, probability) over the product support."""
+    """Enumerate (MaskMatrix, probability) over the product support. The audit
+    reads ``_support_arrays``; bench/tracing.py, which patches this, is the
+    only reader."""
     masks, probs = _support_arrays(mech, dataset)
     for bits, prob in zip(masks.astype(int).tolist(), probs.tolist()):
         yield MaskMatrix(tuple(Mask(tuple(r)) for r in bits)), prob
-
-
-@dataclass(frozen=True)
-class MixtureDecomposition:
-    """The hidden/observed split of the mask law for one neighbor pair.
-
-    ``w0`` normalizes the masks that fully hide the differing record; it is
-    identical for both datasets, which is exactly why the hidden part of the
-    two output mixtures coincides. ``w1`` and ``w1p`` normalize the rest for
-    the left and right dataset respectively.
-    """
-
-    p_star: float
-    w0: dict
-    w1: dict
-    w1p: dict
-
-
-def mixture_decomposition(
-    missing: DatasetMechanism, pair: NeighborPair
-) -> MixtureDecomposition:
-    left, right = pair.left, pair.right
-    if not isinstance(left, CompleteDataset) or not isinstance(right, CompleteDataset):
-        raise DimensionError("decomposition operates on complete-data neighbor pairs")
-    i_star = pair.differing_index if pair.differing_index is not None else 0
-    ps = p_star(missing)
-
-    w0: dict = {}
-    w1: dict = {}
-    w1p: dict = {}
-    hidden_right: dict = {}
-    for mask, prob in _dataset_support(missing, left):
-        key = mask.bits_tuple()
-        if mask.rows[i_star].is_all_missing():
-            if ps < 1.0:
-                w0[key] = prob / (1.0 - ps)
-        elif ps > 0.0:
-            w1[key] = prob / ps
-    for mask, prob in _dataset_support(missing, right):
-        key = mask.bits_tuple()
-        if mask.rows[i_star].is_all_missing():
-            if ps < 1.0:
-                hidden_right[key] = prob / (1.0 - ps)
-        elif ps > 0.0:
-            w1p[key] = prob / ps
-    if w0 != hidden_right:
-        raise MechanismConsistencyError(
-            "hidden-mask tables differ between neighbors: the mechanism is not "
-            "MAR as constructed"
-        )
-    return MixtureDecomposition(p_star=ps, w0=w0, w1=w1, w1p=w1p)
 
 
 def _centre_law(cm: ComposedMechanism, dataset: CompleteDataset) -> list:
@@ -322,7 +272,7 @@ def tightness_counterexample(
 
     left = CompleteDataset(((-B, 0.25),), bound_B=B)
     right = CompleteDataset(((B, 0.25),), bound_B=B)
-    pair = NeighborPair(left, right, 0)
+    pair = NeighborPair(left, right)
 
     pm = composed_output_mixture(composed, left)
     qm = composed_output_mixture(composed, right)

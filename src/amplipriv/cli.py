@@ -388,7 +388,7 @@ class Scenario:
         self._agree("neighbor.row", row)
         self._agree("neighbor.replacement", replacement)
         try:
-            return NeighborPair(left, left.substitute(row, replacement), row)
+            return NeighborPair(left, left.substitute(row, replacement))
         except ValueError as exc:  # an entry past bound_B
             raise _blame(exc, {}, "neighbor.replacement") from None
 

@@ -2,37 +2,21 @@
 
 Missing cells are tagged values (``None``), never a sentinel float: NaN poisoning
 would silently break the convention that a missing cell contributes 0 to sums.
-All indices are 0-based. Row equality is bit-exact on the binary float
-representation, because dataset adjacency is a discrete relation and
-tolerance-based equality would be unsound.
+All indices are 0-based.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-import struct
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import CellTagError, DimensionError
+from .errors import DimensionError
 
 Cell = Optional[float]  # None encodes NA
-
-
-def _float_bits(v: float) -> int:
-    return struct.unpack("<Q", struct.pack("<d", v))[0]
-
-
-def _cell_key(c: Cell):
-    return -1 if c is None else _float_bits(c)
-
-
-def _row_key(row: Sequence[Cell]) -> tuple:
-    return tuple(_cell_key(c) for c in row)
 
 
 @dataclass(frozen=True)
@@ -55,8 +39,8 @@ class CompleteDataset:
         if any(not math.isfinite(v) for r in rows for v in r):
             raise ValueError("dataset entries must be finite reals; NA is a tag, not a float")
         if self.bound_B is not None:
-            if self.bound_B < 0:
-                raise ValueError("bound_B must be nonnegative")
+            if not 0 <= self.bound_B < math.inf:  # a NaN bound is refused too
+                raise ValueError(f"bound_B: must be finite and nonnegative, got {self.bound_B!r}")
             worst = max(abs(v) for r in rows for v in r)
             if worst > self.bound_B:
                 raise ValueError(
@@ -197,36 +181,16 @@ class IncompleteDataset:
         """Boolean n x d array, True where the cell is NA."""
         return self._na
 
-    def __eq__(self, other):
-        if not isinstance(other, IncompleteDataset):
-            return NotImplemented
-        return _grid_keys(self) == _grid_keys(other)
-
-    def __hash__(self):
-        return hash(_grid_keys(self))
-
     def __repr__(self):
         return f"IncompleteDataset(n={self.n}, d={self.d})"
 
 
-def _grid_keys(ds: Union[CompleteDataset, IncompleteDataset]) -> tuple:
-    if isinstance(ds, CompleteDataset):
-        return tuple(_row_key(r) for r in ds.rows)
-    return tuple(_row_key(r) for r in ds.cells)
-
-
 @dataclass(frozen=True)
 class NeighborPair:
-    """Two datasets at substitute-one distance <= 1.
-
-    ``differing_index`` is the row index in ``left`` holding the unmatched row
-    after canonical alignment; it is absent exactly when the datasets are equal
-    as multisets of rows.
-    """
+    """Two datasets at substitute-one distance <= 1."""
 
     left: object
     right: object
-    differing_index: Optional[int] = None
 
 
 def apply_mask(
@@ -248,55 +212,6 @@ def apply_mask(
         for row, mrow in zip(grid, mask.rows)
     )
     return IncompleteDataset(cells)
-
-
-def observed_indices(mask: Mask) -> tuple:
-    """Feature indices the mask observes (bit 0), ascending, 0-based."""
-    return tuple(j for j, b in enumerate(mask.bits) if b == 0)
-
-
-def feature_gap(x: Cell, y: Cell) -> float:
-    """Per-feature gap between two cells arising from a shared mask bit.
-
-    Both NA gives 0; both real gives |x - y|. A mixed pair cannot occur when
-    the same mask was applied to both datasets, so it is a caller bug.
-    """
-    if x is None and y is None:
-        return 0.0
-    if x is None or y is None:
-        raise CellTagError(
-            "mixed NA/real cell pair: neighbor datasets must share a mask"
-        )
-    return abs(float(x) - float(y))
-
-
-def is_neighbor(
-    a: Union[CompleteDataset, IncompleteDataset],
-    b: Union[CompleteDataset, IncompleteDataset],
-) -> Optional[NeighborPair]:
-    """Substitute-one adjacency test via multiset row overlap.
-
-    Returns a NeighborPair when at most one row (as a multiset element)
-    differs, None otherwise. Equivalent to the min-over-permutations distance
-    for the <= 1 test, but runs in O(n * d) with hashing.
-    """
-    if isinstance(a, CompleteDataset) != isinstance(b, CompleteDataset):
-        raise DimensionError("cannot compare a complete dataset with an incomplete one")
-    keys_a = _grid_keys(a)
-    keys_b = _grid_keys(b)
-    if len(keys_a) != len(keys_b) or len(keys_a[0]) != len(keys_b[0]):
-        raise DimensionError("datasets must share n and d to be compared")
-    count_a = Counter(keys_a)
-    count_b = Counter(keys_b)
-    overlap = sum(min(c, count_b[k]) for k, c in count_a.items())
-    distance = len(keys_a) - overlap
-    if distance > 1:
-        return None
-    if distance == 0:
-        return NeighborPair(a, b, None)
-    excess = next(k for k, c in count_a.items() if c > count_b[k])
-    idx = keys_a.index(excess)
-    return NeighborPair(a, b, idx)
 
 
 # --- CSV interchange -------------------------------------------------------

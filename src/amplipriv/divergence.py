@@ -1,5 +1,5 @@
-"""Hockey-stick divergence computation: exact on finite supports, exact up to
-float error on one-dimensional mixtures, Monte Carlo everywhere else.
+"""Hockey-stick divergence computation: exact up to float error on
+one-dimensional mixtures, Monte Carlo everywhere else.
 
 ``VectorMixture`` is the one mixture type: weights over (m, k) centres with
 one noise family and scale from the table in ``noise``, a 1-D law being the
@@ -19,10 +19,10 @@ quadrature evaluate P and Q through one such joint kernel per call; a single
 mixture's ``log_density`` uses a kernel over itself, built once and cached.
 
 The divergence at level e^eps is sup_S (P(S) - e^eps Q(S)); the optimal S is
-the set where the signed mass p - e^eps q is positive, so the discrete case is
-a positive-part sum and the continuous case a positive-part integral. For 1-D
-Laplace/Gaussian mixtures the integral is a sum of component CDF and survival
-function differences between the sign changes of p - e^eps q, so the only
+the set where the signed density p - e^eps q is positive, so it is the
+positive-part integral of that density. For 1-D Laplace/Gaussian mixtures the
+integral is a sum of component CDF and survival function differences between
+the sign changes of p - e^eps q, so the only
 approximation is where those roots sit; the reported ``tolerance`` bounds the
 mass that root error can move plus the float error of the sums.
 """
@@ -45,51 +45,12 @@ _NORM_TOL = 1e-12
 _MC_ALPHA = 0.01  # Monte Carlo intervals are two-sided at 99%
 MC_MIN_SAMPLES = 1000  # fewer and the interval is too wide to mean anything
 
-METHOD_EXACT = "exact_discrete"
 METHOD_QUADRATURE = "quadrature"
 METHOD_MC = "monte_carlo"
 
 # points per (points x components) buffer, to bound memory; it also groups the
 # quadrature's fsum blocks, so changing it moves the last bits of exact reports
 _BLOCK = 256
-
-
-@dataclass(frozen=True)
-class DiscreteDistribution:
-    """A finite-support probability distribution over hashable outcomes."""
-
-    support: tuple
-    probs: tuple
-
-    def __post_init__(self):
-        support = tuple(self.support)
-        probs = tuple(float(p) for p in self.probs)
-        if len(support) != len(probs) or not support:
-            raise ValueError("support and probs must be non-empty and aligned")
-        if len(set(support)) != len(support):
-            raise ValueError("support entries must be distinct")
-        if any(p < 0 for p in probs):
-            raise ValueError("probabilities must be nonnegative")
-        total = math.fsum(probs)
-        if abs(total - 1.0) > _NORM_TOL:
-            raise ValueError(f"probabilities sum to {total}, expected 1")
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "probs", probs)
-
-    def as_dict(self) -> dict:
-        return dict(zip(self.support, self.probs))
-
-
-def mix_discrete(components: Sequence) -> DiscreteDistribution:
-    """Weighted mixture of discrete distributions on the union support."""
-    acc: dict = {}
-    for weight, dist in components:
-        for x, p in zip(dist.support, dist.probs):
-            acc[x] = acc.get(x, 0.0) + weight * p
-    items = sorted(acc.items(), key=lambda kv: repr(kv[0]))
-    return DiscreteDistribution(
-        tuple(k for k, _ in items), tuple(v for _, v in items)
-    )
 
 
 @dataclass(frozen=True, eq=False)  # ndarray fields: compared and hashed by identity
@@ -250,24 +211,6 @@ class DivergenceEstimate:
             raise ValueError("Monte Carlo estimates must carry a confidence interval")
         if self.method == METHOD_QUADRATURE and self.tolerance is None:
             raise ValueError("quadrature estimates must carry a tolerance bound")
-
-
-def hockey_stick_discrete(
-    P: DiscreteDistribution, Q: DiscreteDistribution, epsilon: float
-) -> DivergenceEstimate:
-    """Exact positive-part sum over the union support."""
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
-    alpha = math.exp(epsilon)
-    q = Q.as_dict()
-    p = P.as_dict()
-    keys = set(p) | set(q)
-    value = math.fsum(
-        max(p.get(x, 0.0) - alpha * q.get(x, 0.0), 0.0) for x in keys
-    )
-    return DivergenceEstimate(
-        value=min(value, 1.0), method=METHOD_EXACT, epsilon_at=epsilon, tolerance=0.0
-    )
 
 
 # --- exact integral between roots ---------------------------------------------

@@ -5,16 +5,8 @@ class DimensionError(ValueError):
     """Shapes of two objects that must agree do not agree."""
 
 
-class CellTagError(ValueError):
-    """A cell-level operation received an NA/Real combination it cannot define."""
-
-
 class UnsupportedMechanismError(ValueError):
     """An operation requires an MCAR or MAR mechanism and got something else."""
-
-
-class MechanismConsistencyError(RuntimeError):
-    """A mechanism violated an invariant its construction was supposed to guarantee."""
 
 
 class DegenerateQueryError(ValueError):
@@ -23,10 +15,6 @@ class DegenerateQueryError(ValueError):
 
 class BudgetRangeError(ValueError):
     """A privacy parameter is outside the range the guarantee is stated for."""
-
-
-class LipschitzContractError(ValueError):
-    """A post-processing map empirically violated its declared Lipschitz constant."""
 
 
 class SupportError(ValueError):

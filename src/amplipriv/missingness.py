@@ -30,7 +30,6 @@ _PROB_TOL = 1e-12
 # spawn-key namespaces so sub-streams never collide
 _KEY_MASK_ROW = 0
 _KEY_NOISE = 1
-_KEY_TRIAL = 2
 _KEY_MC = 3
 
 
@@ -55,14 +54,6 @@ class FeatureMechanism:
 
     d: int
     mechanism_class: MechanismClass
-
-    def mask_probability(self, sample: Sequence[float], mask: Mask) -> float:
-        """P[F(sample) = mask], read off the support: 0 off it."""
-        if len(sample) != self.d:
-            raise DimensionError(f"sample has length {len(sample)}, mechanism d={self.d}")
-        if mask.d != self.d:
-            raise DimensionError("mask length mismatch")
-        return dict(self.support(sample)).get(mask, 0.0)
 
     def support(self, sample: Sequence[float]):
         """Iterable of (Mask, probability) with positive probability."""
@@ -138,7 +129,7 @@ class CappedBernoulli(FeatureMechanism):
         self.pi = base.pi
         self.d = base.d
         self.rho_cap = rho_cap
-        self.obs_cap = math.floor(self.rho_cap * self.d)
+        self.obs_cap = allowed_count(self.rho_cap, self.d)
         self._base = base
         self._z = self._truncated_mass()
         if self._z <= 0.0:
@@ -368,31 +359,6 @@ class DatasetMechanism:
         return self.feature_mech.d
 
 
-def dataset_mask_probability(
-    mech: DatasetMechanism, dataset: CompleteDataset, mask: MaskMatrix
-) -> float:
-    """Product of per-row mask probabilities, in fixed row order.
-
-    Switches to log-space accumulation past 64 rows to dodge underflow.
-    """
-    if dataset.n != mech.n or dataset.d != mech.d:
-        raise DimensionError("dataset shape does not match the mechanism")
-    if mask.n != dataset.n or mask.d != dataset.d:
-        raise DimensionError("mask shape does not match the dataset")
-    per_row = [
-        mech.feature_mech.mask_probability(dataset.rows[i], mask.rows[i])
-        for i in range(dataset.n)
-    ]
-    if mech.n <= 64:
-        prob = 1.0
-        for p in per_row:
-            prob *= p
-        return prob
-    if any(p == 0.0 for p in per_row):
-        return 0.0
-    return math.exp(math.fsum(math.log(p) for p in per_row))
-
-
 def sample_mask(
     mech: DatasetMechanism, dataset: CompleteDataset, seed: int
 ) -> MaskMatrix:
@@ -416,11 +382,19 @@ def p_star(mech: DatasetMechanism) -> float:
     return 1.0 - mech.feature_mech.all_missing_probability()
 
 
+def allowed_count(rho: float, d: int) -> int:
+    """The number of observed features a fraction rho of d allows: the largest
+    c <= d with c / d <= rho. Compared as the quotient c / d, the value
+    ``tight_rho`` returns, so a tight rho gives back its own count, where
+    floor(rho * d) can lose one to rounding (15 / 22 * 22 < 15)."""
+    return sum(1 for c in range(1, d + 1) if c / d <= rho)
+
+
 def verify_rho(mech: DatasetMechanism, rho: float) -> bool:
     """Check every supported mask row observes at most a fraction rho of features."""
     if not 0 <= rho <= 1:
         raise ValueError(f"rho: must lie in [0, 1], got {rho!r}")
-    return mech.feature_mech.max_observed_count() <= rho * mech.d
+    return mech.feature_mech.max_observed_count() <= allowed_count(rho, mech.d)
 
 
 def tight_rho(mech: DatasetMechanism) -> float:

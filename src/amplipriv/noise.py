@@ -12,7 +12,6 @@ the package reads.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -117,8 +116,8 @@ class NoiseMechanism:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown noise family '{self.family}'")
-        if self.scale <= 0:
-            raise ValueError("noise scale must be positive")
+        if not 0 < self.scale < math.inf:  # a NaN scale is refused too
+            raise ValueError(f"scale: must be finite and positive, got {self.scale!r}")
 
 
 @dataclass(frozen=True)
@@ -202,17 +201,6 @@ def run_composed(cm: ComposedMechanism, data: CompleteDataset, seed: int) -> Com
     return ComposedRun(output=out, mask_used=mask)
 
 
-def log_output_density(m: NoiseMechanism, data: IncompleteDataset, point) -> float:
-    """Exact log product density of the mechanism's output at a point."""
-    center = m.query(data)
-    t = np.asarray(point, dtype=float).reshape(-1)
-    if t.shape != center.shape:
-        raise DimensionError("point dimension does not match the query output")
-    fam = FAMILIES[m.family]
-    z = fam.penalty((t - center) / m.scale)
-    return float(-np.sum(z) - len(t) * fam.log_norm(m.scale))
-
-
 def release_record(
     m: NoiseMechanism,
     output: np.ndarray,
@@ -238,6 +226,3 @@ def release_record(
         record["mask"] = [list(r.bits) for r in mask.rows]
     return record
 
-
-def release_json(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, indent=2)

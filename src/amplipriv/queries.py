@@ -17,15 +17,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .datasets import (
-    CompleteDataset,
-    IncompleteDataset,
-    Mask,
-    MaskMatrix,
-    apply_mask,
-)
-from .errors import DimensionError, LipschitzContractError
-from .missingness import substream, _KEY_TRIAL
+from .datasets import IncompleteDataset
+from .errors import DimensionError
+from .missingness import allowed_count
 
 
 @dataclass(frozen=True)
@@ -108,11 +102,6 @@ class SensitivityBounds:
         if self.C_p == 0.0:
             return 1.0
         return self.C_tilde_p / self.C_p
-
-
-def _norm(v: np.ndarray, p: int) -> np.ndarray:
-    """The l_p norm of ``v`` along its last axis."""
-    return np.abs(v).sum(axis=-1) if p == 1 else np.sqrt((v * v).sum(axis=-1))
 
 
 # --- standard catalog -------------------------------------------------------
@@ -266,36 +255,6 @@ def _composed(q: FwlQuery, mapping, Lambda: float, k: int) -> FwlQuery:
                     {"kind": "postprocess", "lambda": Lambda, "inner": q.descriptor})
 
 
-def lipschitz_postprocess(
-    q: FwlQuery, mapping: Callable[[np.ndarray], np.ndarray], Lambda: float
-) -> FwlQuery:
-    """Compose a caller's Lambda-Lipschitz map after a query; constants scale by Lambda.
-
-    ``mapping`` must act on each row of an (M, k) stack, as ``v.sum(axis=-1,
-    keepdims=True)`` does: one that does not send 64 random points stacked as
-    rows to their own images, bit for bit, is refused with a ValueError. The
-    claimed constant is spot-checked on 32 pairs of those points, and a
-    violation raises LipschitzContractError rather than yielding invalid constants.
-    """
-    if not Lambda >= 0:
-        raise ValueError(f"Lambda: must be nonnegative, got {Lambda!r}")
-    # rows 2t and 2t + 1 are the t-th spot-check pair
-    points = np.random.default_rng(7).uniform(-1.0, 1.0, (64, q.output_dim))
-    images = np.asarray(mapping(points), dtype=float)
-    rows = np.array([np.asarray(mapping(x), dtype=float) for x in points])
-    if images.ndim != 2 or images.shape != rows.shape or images.tobytes() != rows.tobytes():
-        raise ValueError(f"mapping: must map each row of an (M, {q.output_dim}) stack to "
-                         "that row's image, as v.sum(axis=-1, keepdims=True) does")
-    lhs = _norm(images[0::2] - images[1::2], q.norm_p)
-    rhs = Lambda * _norm(points[0::2] - points[1::2], q.norm_p)
-    bad = lhs > rhs + 1e-9 * np.maximum(1.0, rhs)
-    if bad.any():
-        t = int(np.argmax(bad))
-        raise LipschitzContractError(f"map moved points by {lhs[t]:.6g} > Lambda * input "
-                                     f"distance {rhs[t]:.6g}")
-    return _composed(q, mapping, Lambda, images.shape[1])
-
-
 POST_MAPS = ("identity", "scale", "project", "clamp", "sum")
 
 
@@ -351,84 +310,23 @@ def linear_combination(queries: Sequence[FwlQuery], coeffs: Sequence[float]) -> 
 
 def sensitivity_complete(q: FwlQuery, B: float) -> float:
     """Complete-data sensitivity constant: 2B times the sum of all constants."""
-    if B < 0:
-        raise ValueError("B must be nonnegative")
+    if not 0 <= B < math.inf:  # a NaN bound is refused too
+        raise ValueError(f"B: must be finite and nonnegative, got {B!r}")
     return 2.0 * B * float(np.sum(q.constants_L))
 
 
 def sensitivity_masked(q: FwlQuery, B: float, rho: float) -> SensitivityBounds:
-    """Masked-data constant: 2B times the sum of the floor(rho*d) largest L.
+    """Masked-data constant: 2B times the sum of the largest L, as many as
+    ``allowed_count(rho, d)``, about floor(rho*d).
 
     Only features a mask can observe contribute to the gap, so the worst case
     keeps the largest constants. The sort is stable on the original index;
-    floor(rho*d) = 0 gives a zero constant (everything is always missing).
+    a count of 0 gives a zero constant (everything is always missing).
     """
-    if B < 0:
-        raise ValueError("B must be nonnegative")
+    C = sensitivity_complete(q, B)  # checks B first
     if not 0 <= rho <= 1:
         raise ValueError(f"rho: must lie in [0, 1], got {rho!r}")
-    keep = math.floor(rho * q.d)
+    keep = allowed_count(rho, q.d)
     order = np.argsort(-q.constants_L, kind="stable")
     c_tilde = 2.0 * B * float(np.sum(q.constants_L[order[:keep]]))
-    return SensitivityBounds(
-        C_p=sensitivity_complete(q, B), C_tilde_p=c_tilde, rho=rho, B=B
-    )
-
-
-# --- empirical check ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FwlCheckReport:
-    max_violation: float
-    worst_case: Optional[tuple]
-    trials: int
-
-
-def _corner_pair(q: FwlQuery, B: float):
-    """Deterministic adversarial trial: fully observed, max-gap corner rows."""
-    base = [[-B] * q.d for _ in range(q.n)]
-    alt = [row[:] for row in base]
-    alt[0] = [B] * q.d
-    mask = MaskMatrix(tuple(Mask(tuple([0] * q.d)) for _ in range(q.n)))
-    return CompleteDataset(tuple(map(tuple, base))), CompleteDataset(
-        tuple(map(tuple, alt))
-    ), mask, 0
-
-
-def verify_fwl(q: FwlQuery, trials: int, B: float, seed: int = 0) -> FwlCheckReport:
-    """Sample shared-mask neighbor pairs and test the FWL inequality.
-
-    max_violation <= 0 certifies no counterexample was found; this is
-    probabilistic evidence guarding combinator misuse, not a proof. Trial 0 is
-    the deterministic max-gap corner pair, which catches understated constants
-    immediately.
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    worst = -math.inf
-    worst_case = None
-    for t in range(trials):
-        if t == 0:
-            left, right, mask, i_star = _corner_pair(q, B)
-        else:
-            rng = substream(seed, _KEY_TRIAL, t)
-            vals = rng.uniform(-B, B, (q.n, q.d))
-            left = CompleteDataset(tuple(map(tuple, vals)))
-            i_star = int(rng.integers(q.n))
-            right = left.substitute(i_star, rng.uniform(-B, B, q.d))
-            bits = rng.integers(0, 2, (q.n, q.d))
-            mask = MaskMatrix(tuple(Mask(tuple(int(b) for b in r)) for r in bits))
-        masked_l = apply_mask(left, mask)
-        masked_r = apply_mask(right, mask)
-        lhs = float(_norm(q(masked_l) - q(masked_r), q.norm_p))
-        obs = np.array([1.0 - b for b in mask.rows[i_star].bits])
-        gaps = (
-            np.abs(np.array(left.rows[i_star]) - np.array(right.rows[i_star])) * obs
-        )
-        rhs = float(np.dot(q.constants_L, gaps))
-        violation = lhs - rhs
-        if violation > worst:
-            worst = violation
-            worst_case = (left, right, mask)
-    return FwlCheckReport(max_violation=worst, worst_case=worst_case, trials=trials)
+    return SensitivityBounds(C_p=C, C_tilde_p=c_tilde, rho=rho, B=B)

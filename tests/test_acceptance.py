@@ -16,11 +16,11 @@ from amplipriv import (
     CompleteDataset,
     ComposedMechanism,
     DatasetMechanism,
-    DiscreteDistribution,
     MarAnchoredPattern,
     Mask,
     MaskMatrix,
     McarPattern,
+    NeighborPair,
     VectorMixture,
     amplified_epsilon,
     amplify_fwl,
@@ -28,19 +28,17 @@ from amplipriv import (
     calibrate_gaussian,
     calibrate_laplace,
     corollary_bound,
-    hockey_stick_discrete,
     hockey_stick_mixture_1d,
-    is_neighbor,
     linear_combination,
-    lipschitz_postprocess,
     make_standard_query,
     mc_delta_vector,
-    mix_discrete,
+    named_postprocess,
     sensitivity_masked,
     tightness_counterexample,
     verify_amplification,
 )
 from amplipriv.queries import SensitivityBounds
+from oracles import DiscreteDistribution, hockey_stick_discrete, mix_discrete
 
 GAUSS_TV_UNIT_SHIFT = 0.3829249225480262  # Phi(1/2) - Phi(-1/2)
 
@@ -60,13 +58,13 @@ def criterion(label: str, budget_s: float):
 
 def sum_query(n, d, B):
     base = make_standard_query("clipped_mean", n=n, d=d, clip=B)
-    return lipschitz_postprocess(base, lambda v: v.sum(axis=-1, keepdims=True), 1.0)
+    return named_postprocess(base, "sum")
 
 
 def neighbor_pair(B=0.5):
     left = CompleteDataset(((0.3, -0.2, 0.5, -0.5), (-0.4, 0.1, 0.2, 0.3)), bound_B=B)
     right = left.substitute(0, (-0.3, 0.5, -0.1, 0.2))
-    return is_neighbor(left, right)
+    return NeighborPair(left, right)
 
 
 def test_c01_amplification_formula_suite():
@@ -216,7 +214,7 @@ def _random_fwl_query(rng):
                                           float(rng.uniform(-2, 2))])
         if rng.random() < 0.5:
             factor = float(rng.uniform(0.5, 2.0))
-            q = lipschitz_postprocess(q, lambda v, f=factor: f * v, factor)
+            q = named_postprocess(q, "scale", factor=factor)
     rho = float(rng.choice([0.25, 0.5]))
     return q, B, rho
 

@@ -1,4 +1,4 @@
-"""Audit engine: decomposition, theorem verification, tightness instance."""
+"""Audit engine: hidden-mask coincidence, theorem verification, tightness instance."""
 
 import math
 
@@ -13,26 +13,26 @@ from amplipriv import (
     MarAnchoredPattern,
     McarBernoulli,
     McarPattern,
-    MechanismConsistencyError,
+    NeighborPair,
     VectorMixture,
     amplify_generic,
     calibrate_gaussian,
     calibrate_laplace,
     composed_output_mixture,
     hockey_stick_mixture_1d,
-    is_neighbor,
-    lipschitz_postprocess,
     make_standard_query,
-    mixture_decomposition,
+    named_postprocess,
+    p_star,
     tightness_counterexample,
     verify_amplification,
 )
+from amplipriv.audit import _support_arrays
 from amplipriv.noise import PrivacyBudget
 
 
 def sum_query(n, d, B):
     base = make_standard_query("clipped_mean", n=n, d=d, clip=B)
-    return lipschitz_postprocess(base, lambda v: v.sum(axis=-1, keepdims=True), 1.0)
+    return named_postprocess(base, "sum")
 
 
 def anchored_mechanism(n):
@@ -53,36 +53,37 @@ def neighbor_pair(B=0.5):
         ((0.3, -0.2, 0.5, -0.5), (-0.4, 0.1, 0.2, 0.3)), bound_B=B
     )
     right = left.substitute(0, (-0.3, 0.5, -0.1, 0.2))
-    return is_neighbor(left, right)
+    return NeighborPair(left, right)
 
 
-class TestMixtureDecomposition:
+def split_support(mech, dataset, i_star):
+    """The audit's mask support of ``dataset`` split by whether row ``i_star``
+    is all missing: (hidden masks, their probabilities, the other
+    probabilities)."""
+    masks, probs = _support_arrays(mech, dataset)
+    hidden = masks[:, i_star].all(axis=1)
+    return masks[hidden], probs[hidden], probs[~hidden]
+
+
+class TestHiddenMaskCoincidence:
+    """For neighbours differing in row i*, the masks that hide row i* entirely
+    and their probabilities are bit-identical between the two datasets: the
+    hidden part of the two output mixtures coincides, which is what the
+    amplification proof rests on."""
+
     def test_mass_identity(self):
         mech = DatasetMechanism(
             McarPattern([((0, 0, 1, 1), 0.35), ((1, 1, 0, 0), 0.35), ((1, 1, 1, 1), 0.3)]),
             n=2,
         )
-        dec = mixture_decomposition(mech, neighbor_pair())
-        total = (1 - dec.p_star) * math.fsum(dec.w0.values()) + dec.p_star * math.fsum(
-            dec.w1.values()
-        )
-        assert total == pytest.approx(1.0, abs=1e-12)
-        assert math.fsum(dec.w0.values()) == pytest.approx(1.0, abs=1e-12)
-        assert math.fsum(dec.w1.values()) == pytest.approx(1.0, abs=1e-12)
-        assert math.fsum(dec.w1p.values()) == pytest.approx(1.0, abs=1e-12)
-
-    def test_hidden_part_supported_on_fully_masked_row(self):
-        mech = DatasetMechanism(
-            McarPattern([((0, 0, 1, 1), 0.7), ((1, 1, 1, 1), 0.3)]), n=2
-        )
         pair = neighbor_pair()
-        dec = mixture_decomposition(mech, pair)
-        assert dec.p_star == pytest.approx(0.7)
-        i_star = pair.differing_index
-        assert dec.w0 and all(key[i_star] == (1, 1, 1, 1) for key in dec.w0)
-        assert all(key[i_star] != (1, 1, 1, 1) for key in dec.w1)
+        for ds in (pair.left, pair.right):
+            hidden, p_hidden, p_rest = split_support(mech, ds, 0)
+            assert len(hidden)
+            assert math.fsum(p_hidden.tolist()) == pytest.approx(1 - p_star(mech), abs=1e-12)
+            assert math.fsum(p_rest.tolist()) == pytest.approx(p_star(mech), abs=1e-12)
 
-    def test_mar_hidden_tables_bit_exact_over_random_pairs(self):
+    def test_mar_hidden_part_bit_exact_over_random_pairs(self):
         mech = DatasetMechanism(
             MarAnchoredPattern(
                 anchor=(0,),
@@ -93,20 +94,22 @@ class TestMixtureDecomposition:
             ),
             n=2,
         )
+        assert abs(p_star(mech) - 0.75) < 1e-15
         rng = np.random.default_rng(13)
         for _ in range(100):
             vals = rng.uniform(-0.5, 0.5, (2, 4))
             left = CompleteDataset(tuple(map(tuple, vals)))
-            right = left.substitute(int(rng.integers(2)), rng.uniform(-0.5, 0.5, 4))
-            pair = is_neighbor(left, right)
-            # internal bit-exact comparison raises on any discrepancy
-            dec = mixture_decomposition(mech, pair)
-            assert abs(dec.p_star - 0.75) < 1e-15
+            i_star = int(rng.integers(2))
+            right = left.substitute(i_star, rng.uniform(-0.5, 0.5, 4))
+            masks_l, probs_l, _ = split_support(mech, left, i_star)
+            masks_r, probs_r, _ = split_support(mech, right, i_star)
+            assert len(masks_l) and masks_l.tobytes() == masks_r.tobytes()
+            assert probs_l.tobytes() == probs_r.tobytes()
 
-    def test_p_star_one_has_empty_hidden_table(self):
+    def test_p_star_one_has_no_hidden_mask(self):
         mech = anchored_mechanism(2)
-        dec = mixture_decomposition(mech, neighbor_pair())
-        assert dec.p_star == 1.0 and dec.w0 == {}
+        assert p_star(mech) == 1.0
+        assert len(split_support(mech, neighbor_pair().left, 0)[0]) == 0
 
     def test_broken_mar_detected(self):
         class LeakyPattern(McarPattern):
@@ -121,8 +124,11 @@ class TestMixtureDecomposition:
         mech = DatasetMechanism(
             LeakyPattern([((0, 0, 1, 1), 0.5), ((1, 1, 1, 1), 0.5)]), n=2
         )
-        with pytest.raises(MechanismConsistencyError):
-            mixture_decomposition(mech, neighbor_pair())
+        pair = neighbor_pair()
+        masks_l, probs_l, _ = split_support(mech, pair.left, 0)
+        masks_r, probs_r, _ = split_support(mech, pair.right, 0)
+        assert masks_l.tobytes() == masks_r.tobytes()
+        assert probs_l.tobytes() != probs_r.tobytes()
 
 
 class TestComposedOutputMixture:

@@ -4,17 +4,13 @@ import numpy as np
 import pytest
 
 from amplipriv import (
-    CellTagError,
     CompleteDataset,
     DimensionError,
     IncompleteDataset,
     Mask,
     MaskMatrix,
     apply_mask,
-    feature_gap,
-    is_neighbor,
     load_dataset_csv,
-    observed_indices,
     save_dataset_csv,
 )
 
@@ -68,92 +64,7 @@ class TestApplyMask:
             mask = MaskMatrix(tuple(map(tuple, rng.integers(0, 2, (n, d)))))
             once = apply_mask(z, mask)
             twice = apply_mask(once, mask)
-            assert once == twice
-
-
-class TestObservedIndices:
-    def test_nothing_masked(self):
-        assert observed_indices(Mask((0, 0, 0))) == (0, 1, 2)
-
-    def test_all_masked(self):
-        assert observed_indices(Mask((1, 1))) == ()
-
-    def test_alternating(self):
-        assert observed_indices(Mask((0, 1, 0, 1))) == (0, 2)
-
-
-class TestFeatureGap:
-    def test_both_na(self):
-        assert feature_gap(None, None) == 0.0
-
-    def test_both_real(self):
-        assert feature_gap(3.0, 1.0) == 2.0
-
-    def test_mixed_raises(self):
-        with pytest.raises(CellTagError):
-            feature_gap(None, 1.0)
-        with pytest.raises(CellTagError):
-            feature_gap(1.0, None)
-
-
-class TestIsNeighbor:
-    def test_equal_datasets(self):
-        z = CompleteDataset(((1.0,), (2.0,)))
-        pair = is_neighbor(z, z)
-        assert pair is not None and pair.differing_index is None
-
-    def test_single_substitution(self):
-        a = CompleteDataset(((1.0,), (2.0,), (3.0,)))
-        b = CompleteDataset(((1.0,), (9.0,), (3.0,)))
-        pair = is_neighbor(a, b)
-        assert pair is not None and pair.differing_index == 1
-
-    def test_two_rows_differ(self):
-        a = CompleteDataset(((1.0,), (2.0,)))
-        b = CompleteDataset(((9.0,), (8.0,)))
-        assert is_neighbor(a, b) is None
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionError):
-            is_neighbor(CompleteDataset(((1.0,),)), CompleteDataset(((1.0,), (2.0,))))
-        with pytest.raises(DimensionError):
-            is_neighbor(
-                CompleteDataset(((1.0,),)),
-                CompleteDataset(((1.0,),)).as_incomplete(),
-            )
-
-    def test_symmetry_and_permutation_invariance(self):
-        rng = np.random.default_rng(21)
-        for _ in range(100):
-            n, d = int(rng.integers(2, 6)), int(rng.integers(1, 4))
-            vals = rng.integers(0, 3, (n, d)).astype(float)
-            a = CompleteDataset(tuple(map(tuple, vals)))
-            other = vals.copy()
-            k = int(rng.integers(0, 3))
-            for idx in rng.choice(n, size=k, replace=False):
-                other[idx] = rng.integers(4, 7, d)
-            perm = rng.permutation(n)
-            b = CompleteDataset(tuple(map(tuple, other[perm])))
-            b_unperm = CompleteDataset(tuple(map(tuple, other)))
-            forward = is_neighbor(a, b)
-            assert (forward is None) == (is_neighbor(b, a) is None)
-            assert (forward is None) == (is_neighbor(a, b_unperm) is None)
-            assert (forward is None) == (k > 1)
-
-    def test_rows_compared_bit_exactly(self):
-        a = CompleteDataset(((0.0, 1.0), (2.0, 3.0)))
-        b = CompleteDataset(((-0.0, 1.0), (2.0, 3.0)))
-        pair = is_neighbor(a, b)
-        # -0.0 has different bits than 0.0, so exactly one row differs
-        assert pair is not None and pair.differing_index == 0
-
-    def test_incomplete_neighbors(self):
-        z = CompleteDataset(((1.0, 2.0), (3.0, 4.0)))
-        mask = mk_mask((0, 1), (1, 0))
-        left = apply_mask(z, mask)
-        right = apply_mask(z.substitute(0, (5.0, 6.0)), mask)
-        pair = is_neighbor(left, right)
-        assert pair is not None and pair.differing_index == 0
+            assert once.cells == twice.cells
 
 
 class TestDatasetValidation:
@@ -161,6 +72,12 @@ class TestDatasetValidation:
         with pytest.raises(ValueError):
             CompleteDataset(((2.0,),), bound_B=1.0)
         CompleteDataset(((1.0,),), bound_B=1.0)
+
+    @pytest.mark.parametrize("bound", [float("nan"), float("inf"), -1.0])
+    def test_bound_must_be_finite_and_nonnegative(self, bound):
+        # NaN < 0 is False, so a NaN bound once passed as no bound at all
+        with pytest.raises(ValueError, match="bound_B: must be finite and nonnegative"):
+            CompleteDataset(((1.0,),), bound_B=bound)
 
     def test_ragged_rows_rejected(self):
         with pytest.raises(DimensionError):
@@ -208,7 +125,7 @@ class TestCsvRoundTrip:
         assert "NA" in text and text.splitlines()[0] == "f1,f2"
         back = load_dataset_csv(path)
         assert isinstance(back, IncompleteDataset)
-        assert back == masked
+        assert back.cells == masked.cells
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -10,15 +10,13 @@ from scipy import stats
 
 from amplipriv import (
     DimensionError,
-    DiscreteDistribution,
     VectorMixture,
-    hockey_stick_discrete,
     hockey_stick_mixture_1d,
     mc_delta_vector,
-    mix_discrete,
 )
 from amplipriv.divergence import _Kernel
 from amplipriv.noise import FAMILIES
+from oracles import DiscreteDistribution, hockey_stick_discrete, mix_discrete
 
 GAUSS_TV_UNIT_SHIFT = 0.3829249225480262  # Phi(1/2) - Phi(-1/2), closed form
 

@@ -15,21 +15,21 @@ from amplipriv import (
     CappedBernoulli,
     CompleteDataset,
     DatasetMechanism,
-    DimensionError,
     MarAnchoredPattern,
     Mask,
-    MaskMatrix,
     McarBernoulli,
     McarPattern,
     MechanismClass,
     SchemaError,
     UnsupportedMechanismError,
-    dataset_mask_probability,
+    make_standard_query,
     p_star,
     sample_mask,
+    sensitivity_masked,
     tight_rho,
     verify_rho,
 )
+from amplipriv.audit import _support_arrays
 from amplipriv.cli import feature_mechanism_from_spec
 
 
@@ -46,22 +46,35 @@ def all_masks(d):
         yield Mask(bits)
 
 
+def prob(mech, sample, mask):
+    """P[F(sample) = mask], read off the support: 0 off it."""
+    return dict(mech.support(sample)).get(mask, 0.0)
+
+
+def matrix_prob(mech, dataset, rows):
+    """P[mask matrix = rows], read off the product support the audit enumerates."""
+    masks, probs = _support_arrays(mech, dataset)
+    hits = [p for m, p in zip(masks.astype(int).tolist(), probs.tolist())
+            if m == [list(r) for r in rows]]
+    return hits[0] if hits else 0.0
+
+
 class TestMaskProbability:
     def test_bernoulli_product(self):
         mech = McarBernoulli((0.5, 0.5))
-        assert mech.mask_probability((7.0, -3.0), Mask((0, 1))) == 0.25
-        total = sum(mech.mask_probability((0.0, 0.0), m) for m in all_masks(2))
+        assert prob(mech, (7.0, -3.0), Mask((0, 1))) == 0.25
+        total = sum(prob(mech, (0.0, 0.0), m) for m in all_masks(2))
         assert abs(total - 1.0) < 1e-12
 
     def test_pattern_lookup(self):
         mech = McarPattern([((0, 0), 0.7), ((1, 1), 0.3)])
-        assert mech.mask_probability((1.0, 2.0), Mask((1, 1))) == 0.3
-        assert mech.mask_probability((1.0, 2.0), Mask((0, 1))) == 0.0
+        assert prob(mech, (1.0, 2.0), Mask((1, 1))) == 0.3
+        assert prob(mech, (1.0, 2.0), Mask((0, 1))) == 0.0
 
     def test_mar_anchored_scores(self):
         mech = mar_example()
         # anchor value is negative, so the second candidate fires
-        assert mech.mask_probability((-1.0, 5.0), Mask((0, 1))) == pytest.approx(
+        assert prob(mech, (-1.0, 5.0), Mask((0, 1))) == pytest.approx(
             0.8, abs=0
         )
         support = {m.bits: p for m, p in mech.support((-1.0, 5.0))}
@@ -79,7 +92,7 @@ class TestMaskProbability:
         for mech in mechs:
             for _ in range(5):
                 z = tuple(rng.uniform(-1, 1, mech.d))
-                total = sum(mech.mask_probability(z, m) for m in all_masks(mech.d))
+                total = sum(prob(mech, z, m) for m in all_masks(mech.d))
                 assert abs(total - 1.0) < 1e-12
 
 
@@ -87,50 +100,29 @@ class TestDatasetMaskProbability:
     def test_product_of_rows(self):
         mech = DatasetMechanism(McarBernoulli((0.5, 0.5)), n=2)
         z = CompleteDataset(((0.0, 0.0), (1.0, 1.0)))
-        m = MaskMatrix((Mask((0, 1)), Mask((1, 0))))
-        assert dataset_mask_probability(mech, z, m) == 0.0625
+        assert matrix_prob(mech, z, ((0, 1), (1, 0))) == 0.0625
 
     def test_all_matrices_sum_to_one(self):
         mech = DatasetMechanism(McarBernoulli((0.5, 0.5)), n=2)
         z = CompleteDataset(((0.0, 0.0), (1.0, 1.0)))
-        total = 0.0
-        for r1 in all_masks(2):
-            for r2 in all_masks(2):
-                total += dataset_mask_probability(mech, z, MaskMatrix((r1, r2)))
-        assert abs(total - 1.0) < 1e-12
+        masks, probs = _support_arrays(mech, z)
+        assert len(masks) == 16
+        assert abs(math.fsum(probs.tolist()) - 1.0) < 1e-12
 
     def test_single_row_equals_feature_probability(self):
         mech = DatasetMechanism(mar_example(), n=1)
         z = CompleteDataset(((0.5, 3.0),))
-        m = MaskMatrix((Mask((0, 0)),))
-        want = mech.feature_mech.mask_probability((0.5, 3.0), Mask((0, 0)))
-        assert dataset_mask_probability(mech, z, m) == want
+        want = prob(mech.feature_mech, (0.5, 3.0), Mask((0, 0)))
+        assert matrix_prob(mech, z, ((0, 0),)) == want
 
     def test_repeated_pattern_rows(self):
         mech = DatasetMechanism(McarPattern([((0, 0), 0.7), ((1, 1), 0.3)]), n=3)
         z = CompleteDataset(((0.0, 0.0),) * 3)
-        m = MaskMatrix((Mask((1, 1)),) * 3)
-        assert dataset_mask_probability(mech, z, m) == pytest.approx(0.027, abs=1e-12)
+        assert matrix_prob(mech, z, ((1, 1),) * 3) == pytest.approx(0.027, abs=1e-12)
         total = 0.0
         for combo in itertools.product([(0, 0), (1, 1)], repeat=3):
-            total += dataset_mask_probability(
-                mech, z, MaskMatrix(tuple(Mask(b) for b in combo))
-            )
+            total += matrix_prob(mech, z, combo)
         assert abs(total - 1.0) < 1e-12
-
-    def test_shape_mismatch(self):
-        mech = DatasetMechanism(McarBernoulli((0.5, 0.5)), n=2)
-        z = CompleteDataset(((0.0, 0.0),))
-        with pytest.raises(DimensionError):
-            dataset_mask_probability(mech, z, MaskMatrix((Mask((0, 0)),)))
-
-    def test_log_space_path_for_large_n(self):
-        n = 100
-        mech = DatasetMechanism(McarPattern([((0,), 0.5), ((1,), 0.5)]), n=n)
-        z = CompleteDataset(((0.0,),) * n)
-        m = MaskMatrix((Mask((0,)),) * n)
-        got = dataset_mask_probability(mech, z, m)
-        assert got == pytest.approx(0.5**n, rel=1e-12)
 
 
 class TestSampleMask:
@@ -256,6 +248,19 @@ class TestVerifyRho:
         assert verify_rho(mech, 0.5) is True
         assert tight_rho(mech) == 0.5
 
+    def test_tight_rho_keeps_every_observed_count(self):
+        # c / d * d can round below c (15 / 22 * 22 is 14.999999999999998), so
+        # flooring rho * d kept one constant too few and refused the tight rho
+        for d in range(1, 65):
+            q = make_standard_query("bounded_mean", n=1, d=d)  # every constant 1
+            for c in range(d + 1):
+                mech = DatasetMechanism(McarBernoulli([0.5] * c + [1.0] * (d - c)), n=1)
+                rho = tight_rho(mech)
+                assert verify_rho(mech, rho), (c, d)
+                assert sensitivity_masked(q, 1.0, rho).C_tilde_p == 2.0 * c, (c, d)
+                if c:
+                    assert CappedBernoulli([0.5] * d, rho).obs_cap == c, (c, d)
+
 
 def two_anchor_example():
     # thresholds pair with the anchors in order: feature 0 takes
@@ -341,10 +346,10 @@ class TestClassify:
         z = data.draw(st.tuples(*[COORDINATE] * mech.d))
         mask = Mask(data.draw(st.tuples(*[st.integers(0, 1)] * mech.d)))
         z_alt = tuple(data.draw(COORDINATE) if b else v for v, b in zip(z, mask.bits))
-        assert mech.mask_probability(z, mask) == mech.mask_probability(z_alt, mask)
+        assert prob(mech, z, mask) == prob(mech, z_alt, mask)
         assert abs(math.fsum(p for _, p in mech.support(z)) - 1.0) <= 1e-12
         # so the hiding probability is one constant
-        assert mech.mask_probability(z, Mask((1,) * mech.d)) == mech.all_missing_probability()
+        assert prob(mech, z, Mask((1,) * mech.d)) == mech.all_missing_probability()
 
 
 class TestHiddenMaskCoincidence:
@@ -356,9 +361,9 @@ class TestHiddenMaskCoincidence:
             left = CompleteDataset(tuple(map(tuple, vals)))
             right = left.substitute(0, rng.uniform(-1, 1, 2))
             for other_bits in ((0, 0), (0, 1), (1, 1)):
-                mm = MaskMatrix((Mask((1, 1)), Mask(other_bits)))
-                pl = dataset_mask_probability(mech, left, mm)
-                pr = dataset_mask_probability(mech, right, mm)
+                rows = ((1, 1), other_bits)
+                pl = matrix_prob(mech, left, rows)
+                pr = matrix_prob(mech, right, rows)
                 assert pl == pr  # bit-exact equality
 
 
@@ -389,8 +394,8 @@ class TestSpecParsing:
             "score_table": {"1": [1.0, 0.0], "0": [0.0, 1.0]},
         }
         mech = feature_mechanism_from_spec(spec)
-        assert mech.mask_probability((-1.0, 5.0), Mask((0, 1))) == pytest.approx(0.8)
-        assert mech.mask_probability((3.0, 5.0), Mask((0, 0))) == pytest.approx(0.8)
+        assert prob(mech, (-1.0, 5.0), Mask((0, 1))) == pytest.approx(0.8)
+        assert prob(mech, (3.0, 5.0), Mask((0, 0))) == pytest.approx(0.8)
 
     def test_mnar_kind_rejected_with_mar_message(self):
         with pytest.raises(UnsupportedMechanismError, match="MAR"):

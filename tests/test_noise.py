@@ -14,16 +14,17 @@ from amplipriv import (
     DegenerateQueryError,
     McarBernoulli,
     McarPattern,
+    VectorMixture,
     calibrate_gaussian,
     calibrate_laplace,
-    lipschitz_postprocess,
-    log_output_density,
     make_standard_query,
+    named_postprocess,
     release_record,
     run_composed,
     run_mechanism,
 )
-from amplipriv.noise import calibrate, release_json
+from amplipriv.cli import emit_report
+from amplipriv.noise import NoiseMechanism, calibrate
 
 # frozen from a 40-digit evaluation of (1 + 1e-6) * sqrt(2 * ln(1.25 / 1e-5))
 SIGMA_C2_1_EPS_1_DELTA_1E5 = 4.844810107410652
@@ -31,6 +32,13 @@ SIGMA_C2_1_EPS_1_DELTA_1E5 = 4.844810107410652
 
 def unit_query():
     return make_standard_query("bounded_mean", n=2, d=1)  # C_1 = 2B * 1/2 = B
+
+
+def log_output_density(mech, data, point):
+    """The mechanism's output log-density at ``point`` on one dataset: the
+    one-component mixture at the query's value."""
+    mix = VectorMixture([1.0], [mech.query(data)], mech.family, mech.scale)
+    return float(mix.log_density(np.array([point], dtype=float))[0])
 
 
 class TestCalibrateDispatch:
@@ -62,9 +70,21 @@ class TestCalibrateLaplace:
 
     def test_degenerate_query_refused(self):
         q = unit_query()
-        zero = lipschitz_postprocess(q, lambda v: np.zeros_like(v), 0.0)
+        zero = named_postprocess(q, "scale", factor=0.0)
         with pytest.raises(DegenerateQueryError):
             calibrate_laplace(zero, epsilon=1.0, B=1.0)
+
+    def test_nan_bound_refused(self):
+        # NaN < 0 is False: the bound once gave scale nan and a release of nan
+        with pytest.raises(ValueError, match="^B: must be finite and nonnegative"):
+            calibrate_laplace(unit_query(), 1.0, float("nan"))
+
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf"), 0.0])
+    def test_mechanism_scale_must_be_finite_and_positive(self, scale):
+        good = calibrate_laplace(unit_query(), epsilon=1.0, B=1.0)
+        with pytest.raises(ValueError, match="^scale: must be finite and positive"):
+            NoiseMechanism(query=good.query, family=good.family, scale=scale,
+                           budget=good.budget, C_used=good.C_used, bound_B=good.bound_B)
 
 
 class TestCalibrateGaussian:
@@ -257,17 +277,11 @@ class TestFixedMaskCertificate:
     def test_laplace_density_ratio_under_masked_sensitivity(self):
         # under any supported mask the masked pair's density ratio stays within
         # the reduced budget exp((C_tilde / C) * eps)
-        from amplipriv import (
-            Mask,
-            MaskMatrix,
-            apply_mask,
-            lipschitz_postprocess,
-            sensitivity_masked,
-        )
+        from amplipriv import Mask, MaskMatrix, apply_mask, sensitivity_masked
 
         B, eps, rho = 0.5, 1.0, 0.5
         base = make_standard_query("clipped_mean", n=2, d=4, clip=B)
-        q = lipschitz_postprocess(base, lambda v: v.sum(axis=-1, keepdims=True), 1.0)
+        q = named_postprocess(base, "sum")
         mech = calibrate_laplace(q, epsilon=eps, B=B)
         bounds = sensitivity_masked(q, B, rho)
         cap = math.exp(bounds.ratio * eps) * (1 + 1e-9)
@@ -313,7 +327,10 @@ class TestReleaseRecord:
         with pytest.raises(ValueError):
             release_record(mech, run.output, seed=3, audit=True)
 
-    def test_json_stable(self):
+    def test_json_stable(self, tmp_path):
         mech = calibrate_laplace(unit_query(), epsilon=1.0, B=1.0)
         record = release_record(mech, np.array([0.25]), seed=3)
-        assert release_json(record) == release_json(json.loads(release_json(record)))
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        emit_report(record, "json", first)
+        emit_report(json.loads(first.read_text()), "json", second)
+        assert first.read_bytes() == second.read_bytes()

@@ -11,17 +11,16 @@ import amplipriv.queries as queries
 from amplipriv import (
     CompleteDataset,
     DimensionError,
-    LipschitzContractError,
     Mask,
     MaskMatrix,
     apply_mask,
     linear_combination,
-    lipschitz_postprocess,
     make_standard_query,
+    named_postprocess,
     sensitivity_complete,
     sensitivity_masked,
-    verify_fwl,
 )
+from oracles import verify_fwl
 
 
 def full_mask(n, d):
@@ -118,23 +117,18 @@ class TestStandardConstants:
 class TestCombinators:
     def test_identity_postprocess_keeps_constants(self):
         q = make_standard_query("bounded_mean", n=4, d=2)
-        out = lipschitz_postprocess(q, lambda v: v, 1.0)
+        out = named_postprocess(q, "identity")
         assert np.array_equal(out.constants_L, q.constants_L)
 
     def test_constant_map_zeroes_constants(self):
         q = make_standard_query("bounded_mean", n=4, d=2)
-        out = lipschitz_postprocess(q, lambda v: np.zeros_like(v), 0.0)
+        out = named_postprocess(q, "scale", factor=0.0)
         assert np.all(out.constants_L == 0.0)
 
     def test_scaling_doubles_constants(self):
         q = make_standard_query("bounded_mean", n=4, d=2)
-        out = lipschitz_postprocess(q, lambda v: 2.0 * v, 2.0)
+        out = named_postprocess(q, "scale", factor=2.0)
         assert out.constants_L.tolist() == [0.5, 0.5]
-
-    def test_lipschitz_violation_detected(self):
-        q = make_standard_query("bounded_mean", n=4, d=2)
-        with pytest.raises(LipschitzContractError):
-            lipschitz_postprocess(q, lambda v: 10.0 * v, 1.0)
 
     def test_linear_combination_single(self):
         q = make_standard_query("bounded_mean", n=4, d=2)
@@ -172,7 +166,7 @@ class TestSensitivity:
 
     def test_zero_cases(self):
         q = make_standard_query("bounded_mean", n=4, d=2)
-        zero = lipschitz_postprocess(q, lambda v: np.zeros_like(v), 0.0)
+        zero = named_postprocess(q, "scale", factor=0.0)
         assert sensitivity_complete(zero, 1.0) == 0.0
         assert sensitivity_complete(q, 0.0) == 0.0
 
@@ -211,6 +205,15 @@ class TestSensitivity:
     def test_floor_zero_gives_zero(self):
         q = make_standard_query("bounded_mean", n=2, d=3)
         assert sensitivity_masked(q, 1.0, rho=0.2).C_tilde_p == 0.0
+
+    @pytest.mark.parametrize("B", [float("nan"), float("inf"), -1.0])
+    def test_bound_must_be_finite_and_nonnegative(self, B):
+        # NaN < 0 is False, so a NaN bound once gave NaN constants
+        q = make_standard_query("bounded_mean", n=2, d=3)
+        with pytest.raises(ValueError, match="^B: must be finite and nonnegative"):
+            sensitivity_complete(q, B)
+        with pytest.raises(ValueError, match="^B: must be finite and nonnegative"):
+            sensitivity_masked(q, B, 0.5)
 
     def test_rho_zero_gives_zero(self):
         # a mechanism that observes no feature has tight rho 0
@@ -260,7 +263,7 @@ class TestVerifyFwl:
 
     def test_constant_query_never_violates(self):
         q = make_standard_query("bounded_mean", n=3, d=4)
-        const = lipschitz_postprocess(q, lambda v: np.zeros_like(v), 0.0)
+        const = named_postprocess(q, "scale", factor=0.0)
         report = verify_fwl(const, trials=100, B=1.0, seed=0)
         assert report.max_violation <= 0.0
 
@@ -279,9 +282,9 @@ class TestVerifyFwl:
 
     def test_closure_soundness_depth_three(self):
         base = make_standard_query("bounded_mean", n=3, d=4)
-        level1 = lipschitz_postprocess(base, lambda v: 0.5 * v, 0.5)
+        level1 = named_postprocess(base, "scale", factor=0.5)
         level2 = linear_combination([level1, base], [2.0, -1.0])
-        level3 = lipschitz_postprocess(level2, lambda v: v.sum(axis=-1, keepdims=True), 1.0)
+        level3 = named_postprocess(level2, "sum")
         for q in (level1, level2, level3):
             report = verify_fwl(q, trials=300, B=1.0, seed=5)
             assert report.max_violation <= 1e-12
@@ -376,11 +379,7 @@ class TestNamedMaps:
         with pytest.raises(ValueError, match="Lipschitz constants must be nonnegative"):
             queries.named_postprocess(self.BASES[1], "scale", factor=float("nan"))
 
-    def test_scenario_query_builds_them_without_a_spot_check(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("a named map was spot-checked")
-
-        monkeypatch.setattr(queries, "lipschitz_postprocess", refuse)
+    def test_scenario_query_builds_every_map(self):
         built = list(_named_map_cases())
         assert len(built) == 12
         assert {q.descriptor["kind"] for q in built} == {"postprocess"}
@@ -409,26 +408,6 @@ class TestBatchEvaluation:
         data, na, values = _random_masked_stack(np.random.default_rng(5), 3, 2)
         assert q.evaluate_batch(values, na).tobytes() == _per_mask(q, data, na).tobytes()
 
-    @pytest.mark.parametrize("mapping", [
-        lambda v: np.array([v.sum()]),  # sums the whole stack, not each row
-        lambda v: np.zeros(3),  # one vector whatever the input
-        lambda v: v.sum(axis=-1),  # one number per row, not a row
-        lambda v: v[0] + 0.0 * v,  # every row sent to the first row's image
-    ])
-    def test_map_not_acting_on_rows_refused(self, mapping):
-        base = make_standard_query("clipped_mean", n=2, d=3, clip=0.5)
-        with pytest.raises(ValueError, match=r"^mapping: must map each row of an \(M, 3\) stack"):
-            lipschitz_postprocess(base, mapping, 1.0)
-
-    def test_map_raising_on_a_stack_is_not_hidden(self):
-        def one_vector(v):
-            if np.ndim(v) != 1:
-                raise TypeError("one vector only")
-            return v
-
-        with pytest.raises(TypeError, match="one vector only"):
-            lipschitz_postprocess(make_standard_query("bounded_mean", n=2, d=3), one_vector, 1.0)
-
     def test_map_acting_on_rows_runs_once(self):
         base = make_standard_query("clipped_mean", n=2, d=3, clip=0.5)
         shapes = []
@@ -437,7 +416,7 @@ class TestBatchEvaluation:
             shapes.append(np.shape(v))
             return 2.0 * v
 
-        q = lipschitz_postprocess(base, double, 2.0)
+        q = queries._composed(base, double, 2.0, 3)
         data, na, values = _random_masked_stack(np.random.default_rng(8), 2, 3)
         want = np.array([2.0 * base(ds) for ds in _masked(data, na)])
         shapes.clear()
