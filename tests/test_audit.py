@@ -65,7 +65,7 @@ def split_support(mech, dataset, i_star):
     return masks[hidden], probs[hidden], probs[~hidden]
 
 
-class TestHiddenMaskCoincidence:
+class TestMixtureDecomposition:
     """For neighbours differing in row i*, the masks that hide row i* entirely
     and their probabilities are bit-identical between the two datasets: the
     hidden part of the two output mixtures coincides, which is what the
@@ -83,7 +83,19 @@ class TestHiddenMaskCoincidence:
             assert math.fsum(p_hidden.tolist()) == pytest.approx(1 - p_star(mech), abs=1e-12)
             assert math.fsum(p_rest.tolist()) == pytest.approx(p_star(mech), abs=1e-12)
 
-    def test_mar_hidden_part_bit_exact_over_random_pairs(self):
+    def test_hidden_part_supported_on_fully_masked_row(self):
+        mech = DatasetMechanism(
+            McarPattern([((0, 0, 1, 1), 0.7), ((1, 1, 1, 1), 0.3)]), n=2
+        )
+        assert p_star(mech) == pytest.approx(0.7)
+        masks, probs = _support_arrays(mech, neighbor_pair().left)
+        hidden = masks[:, 0].all(axis=1)
+        # the hidden part carries the all-missing mass, the rest row 0's one other pattern
+        assert hidden.any() and not hidden.all()
+        assert math.fsum(probs[hidden].tolist()) == pytest.approx(0.3, abs=1e-12)
+        assert (masks[~hidden, 0] == [False, False, True, True]).all()
+
+    def test_mar_hidden_tables_bit_exact_over_random_pairs(self):
         mech = DatasetMechanism(
             MarAnchoredPattern(
                 anchor=(0,),
@@ -106,7 +118,7 @@ class TestHiddenMaskCoincidence:
             assert len(masks_l) and masks_l.tobytes() == masks_r.tobytes()
             assert probs_l.tobytes() == probs_r.tobytes()
 
-    def test_p_star_one_has_no_hidden_mask(self):
+    def test_p_star_one_has_empty_hidden_table(self):
         mech = anchored_mechanism(2)
         assert p_star(mech) == 1.0
         assert len(split_support(mech, neighbor_pair().left, 0)[0]) == 0

@@ -66,6 +66,53 @@ class TestApplyMask:
             twice = apply_mask(once, mask)
             assert once.cells == twice.cells
 
+    def test_incomplete_neighbors(self):
+        # a shared mask gives both neighbours one NA pattern, so every cell pair
+        # is NA/NA or real/real, and the rows other than i* stay identical
+        rng = np.random.default_rng(21)
+        for _ in range(50):
+            n, d = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+            left = CompleteDataset(tuple(map(tuple, rng.normal(size=(n, d)))))
+            i_star = int(rng.integers(n))
+            right = left.substitute(i_star, rng.normal(size=d))
+            mask = MaskMatrix(tuple(map(tuple, rng.integers(0, 2, (n, d)))))
+            ml, mr = apply_mask(left, mask), apply_mask(right, mask)
+            assert np.array_equal(ml.na_mask, mr.na_mask)
+            assert [i for i in range(n) if ml.cells[i] != mr.cells[i]] in ([], [i_star])
+
+
+class TestObservedCount:
+    def test_nothing_masked(self):
+        assert Mask((0, 0, 0)).observed_count == 3
+        assert not Mask((0, 0, 0)).is_all_missing()
+
+    def test_all_masked(self):
+        assert Mask((1, 1)).observed_count == 0
+        assert Mask((1, 1)).is_all_missing()
+
+    def test_alternating(self):
+        assert Mask((0, 1, 0, 1)).observed_count == 2
+        assert not Mask((0, 1, 0, 1)).is_all_missing()
+
+
+class TestSubstitute:
+    """``substitute`` is the neighbour move every audit pair is built with."""
+
+    def test_single_substitution(self):
+        a = CompleteDataset(((1.0,), (2.0,), (3.0,)), bound_B=9.0)
+        b = a.substitute(1, (9.0,))
+        assert b.rows == ((1.0,), (9.0,), (3.0,)) and b.bound_B == 9.0
+        assert a.rows == ((1.0,), (2.0,), (3.0,))
+
+    def test_shape_mismatch(self):
+        with pytest.raises(DimensionError):
+            CompleteDataset(((1.0, 2.0),)).substitute(0, (1.0,))
+
+    def test_replacement_past_bound_rejected(self):
+        z = CompleteDataset(((0.5, -0.5),), bound_B=0.5)
+        with pytest.raises(ValueError, match="exceeds declared bound"):
+            z.substitute(0, (0.5, 0.75))
+
 
 class TestDatasetValidation:
     def test_bound_enforced(self):
@@ -102,6 +149,13 @@ class TestDatasetValidation:
         # int() would turn 1.5 and -0.5 into valid bits
         with pytest.raises(ValueError, match="mask bits must be 0 or 1"):
             Mask((0, bit))
+
+    def test_incomplete_dataset_is_immutable(self):
+        out = apply_mask(CompleteDataset(((1.0, 2.0),)), mk_mask((0, 1)))
+        with pytest.raises(AttributeError):
+            out.cells = ()
+        with pytest.raises(ValueError):
+            out.values_filled[0, 0] = 5.0
 
 
 class TestCsvRoundTrip:

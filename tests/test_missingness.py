@@ -15,6 +15,7 @@ from amplipriv import (
     CappedBernoulli,
     CompleteDataset,
     DatasetMechanism,
+    DimensionError,
     MarAnchoredPattern,
     Mask,
     McarBernoulli,
@@ -123,6 +124,13 @@ class TestDatasetMaskProbability:
         for combo in itertools.product([(0, 0), (1, 1)], repeat=3):
             total += matrix_prob(mech, z, combo)
         assert abs(total - 1.0) < 1e-12
+
+    def test_shape_mismatch(self):
+        mech = DatasetMechanism(McarBernoulli((0.5, 0.5)), n=2)
+        with pytest.raises(DimensionError):
+            _support_arrays(mech, CompleteDataset(((0.0, 0.0),)))
+        with pytest.raises(DimensionError):
+            _support_arrays(mech, CompleteDataset(((0.0,), (0.0,))))
 
 
 class TestSampleMask:
