@@ -7,11 +7,11 @@ them against the accountant's bounds. It also builds the explicit
 no-amplification instance for the p_star = 1 regime.
 
 The mask support is enumerated as arrays: an (M, n, d) bool stack of mask
-matrices and their M probabilities. The query evaluates the whole stack in
-one ``FwlQuery.evaluate_batch`` call, so no per-mask dataset is built. The
-centre law this yields does not depend on epsilon, only the noise scale does,
-so an audit builds each dataset's centre law once and reuses it at every grid
-point.
+matrices and their M probabilities, one stack per audit under an MCAR law.
+The query evaluates a stack in one ``FwlQuery.evaluate_batch`` call and equal
+centres merge by one sort, so no per-mask dataset or dict is built. The centre
+law does not depend on epsilon, only the noise scale does, so an audit builds
+each dataset's centre law once and reuses it at every grid point.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .errors import DimensionError, UnsupportedMechanismError
 from .missingness import (
     DatasetMechanism,
     MarAnchoredPattern,
+    MechanismClass,
     p_star,
     tight_rho,
 )
@@ -45,17 +46,23 @@ def _support_arrays(mech: DatasetMechanism, dataset: CompleteDataset):
 
     Mask matrices come in ``itertools.product`` order over the rows' supports,
     and each probability is the running product of the row probabilities in
-    row order. The size is checked before anything is allocated, reading each
-    row's support at most one past the limit and no row once the product passes it.
+    row order; an MCAR law ignores the row, so one row's support stands for
+    all. The size is checked before anything is allocated: a support the
+    mechanism states too large is not read, else each row's is read at most
+    one past the limit and no row once the product passes it.
     """
     if dataset.n != mech.n or dataset.d != mech.d:
         raise DimensionError("dataset shape does not match the mechanism")
-    per_row, size = [], 1
+    fm, per_row, size = mech.feature_mech, [], 1
+    read = 0 if (fm.support_size() or 0) > _SUPPORT_LIMIT else _SUPPORT_LIMIT + 1
     for row in dataset.rows:
-        per_row.append(list(itertools.islice(mech.feature_mech.support(row), _SUPPORT_LIMIT + 1)))
-        size *= len(per_row[-1])
-        if size > _SUPPORT_LIMIT:
-            exact = len(per_row) == dataset.n and len(per_row[-1]) <= _SUPPORT_LIMIT
+        if not (fm.mechanism_class is MechanismClass.MCAR and per_row):
+            support = list(itertools.islice(fm.support(row), read))
+            table = np.array([m.bits for m, _ in support], bool), np.array([p for _, p in support])
+        per_row.append(table)
+        size *= len(support)
+        if size > _SUPPORT_LIMIT or not read:
+            exact = read and len(per_row) == dataset.n and len(support) <= _SUPPORT_LIMIT
             raise UnsupportedMechanismError(
                 f"mask support has {size if exact else f'more than {_SUPPORT_LIMIT}'} elements; "
                 "exact enumeration needs a finite, desk-scale support"
@@ -63,10 +70,10 @@ def _support_arrays(mech: DatasetMechanism, dataset: CompleteDataset):
     masks = np.empty((size, dataset.n, dataset.d), dtype=bool)
     probs = np.ones(size)
     # row i's choice for each mask matrix, the last row varying fastest
-    choices = np.unravel_index(np.arange(size), [len(s) for s in per_row])
-    for i, (support, choice) in enumerate(zip(per_row, choices)):
-        masks[:, i] = np.array([m.bits for m, _ in support], dtype=bool)[choice]
-        probs *= np.array([p for _, p in support])[choice]
+    choices = np.unravel_index(np.arange(size), [len(p) for _, p in per_row])
+    for i, ((bits, row_probs), choice) in enumerate(zip(per_row, choices)):
+        masks[:, i] = bits[choice]
+        probs *= row_probs[choice]
     return masks, probs
 
 
@@ -79,17 +86,21 @@ def _dataset_support(mech: DatasetMechanism, dataset: CompleteDataset):
         yield MaskMatrix(tuple(Mask(tuple(r)) for r in bits)), prob
 
 
-def _centre_law(cm: ComposedMechanism, dataset: CompleteDataset) -> list:
-    """(centre tuple, weight) pairs of the output law over the mask support:
-    bit-identical centres merged in enumeration order, sorted by centre, zero
-    weights dropped."""
-    masks, probs = _support_arrays(cm.missing, dataset)
-    values = np.where(masks, 0.0, dataset.to_array())
-    centres = cm.noise.query.evaluate_batch(values, masks)
-    acc: dict = {}
-    for center, prob in zip(map(tuple, centres.tolist()), probs.tolist()):
-        acc[center] = acc.get(center, 0.0) + prob
-    return [(c, w) for c, w in sorted(acc.items()) if w > 0.0]
+def _centre_law(cm: ComposedMechanism, dataset: CompleteDataset, support: tuple) -> tuple:
+    """Weights and centres of the output law over the support ``(masks, probs)``,
+    sorted by centre, weights <= 0 dropped: masks with equal centres (-0.0 and
+    0.0 too) merge, keeping the first's, their weights added in mask order."""
+    masks, probs = support
+    if masks.shape[1:] != (dataset.n, dataset.d):
+        raise DimensionError("dataset shape does not match the mechanism")
+    centres = cm.noise.query.evaluate_batch(np.where(masks, 0.0, dataset.to_array()), masks)
+    order = np.lexsort(centres.T[::-1])  # stable: equal centres keep enumeration order
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (centres[order[1:]] != centres[order[:-1]]).any(axis=1)
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(first) - 1
+    weights = np.bincount(inverse, weights=probs)
+    return weights[weights > 0.0], centres[order[first]][weights > 0.0]
 
 
 def _require_scalar(cm: ComposedMechanism, prefix: str = "") -> None:
@@ -100,28 +111,20 @@ def _require_scalar(cm: ComposedMechanism, prefix: str = "") -> None:
         )
 
 
-def _mixture(law: list, mech: NoiseMechanism) -> VectorMixture:
-    return VectorMixture(
-        weights=np.array([w for _, w in law]),
-        centers=np.array([c for c, _ in law]),
-        family=mech.family,
-        scale=mech.scale,
-    )
-
-
 def composed_output_mixture(
     cm: ComposedMechanism, dataset: CompleteDataset
 ) -> VectorMixture:
     """Output law of the composed mechanism as a 1-D noise mixture."""
     _require_scalar(cm)
-    return _mixture(_centre_law(cm, dataset), cm.noise)
+    return composed_vector_mixture(cm, dataset)
 
 
 def composed_vector_mixture(
     cm: ComposedMechanism, dataset: CompleteDataset
 ) -> VectorMixture:
     """Output law at any output dimension, for Monte Carlo estimation."""
-    return _mixture(_centre_law(cm, dataset), cm.noise)
+    law = _centre_law(cm, dataset, _support_arrays(cm.missing, dataset))
+    return VectorMixture(*law, cm.noise.family, cm.noise.scale)
 
 
 @dataclass(frozen=True)
@@ -170,7 +173,8 @@ def verify_amplification(
     and refuted.
 
     Recalibration changes only the noise scale, so the centre laws of
-    ``pair.left`` and ``pair.right`` are built once, before the grid.
+    ``pair.left`` and ``pair.right`` are built once, before the grid: over one
+    mask support when the mechanism is MCAR.
     """
     if method not in ("exact", "mc"):
         raise ValueError("method: must be 'exact' or 'mc'")
@@ -178,7 +182,10 @@ def verify_amplification(
         _require_scalar(cm, "method: ")
     check_samples(n_samples)  # whatever the method, as the scenario's audit.samples is
     epsilons = list(epsilons)
-    laws = [_centre_law(cm, ds) for ds in (pair.left, pair.right)] if epsilons else []
+    laws, shared = [], cm.missing.feature_mech.mechanism_class is MechanismClass.MCAR
+    for ds in (pair.left, pair.right) if epsilons else ():
+        support = support if shared and laws else _support_arrays(cm.missing, ds)
+        laws.append(_centre_law(cm, ds, support))
     ps = p_star(cm.missing)
     rho = tight_rho(cm.missing)
     bounds = sensitivity_masked(cm.noise.query, cm.noise.bound_B, rho)
@@ -196,7 +203,7 @@ def verify_amplification(
         else:
             eps_eval = report.amplified.epsilon
             bound = report.amplified.delta
-        pm, qm = (_mixture(law, mech) for law in laws)
+        pm, qm = (VectorMixture(*law, mech.family, mech.scale) for law in laws)
         if method == "exact":
             est = hockey_stick_mixture_1d(pm, qm, eps_eval, tol=tol)
             margin = 10.0 * est.tolerance

@@ -224,27 +224,26 @@ def hockey_stick_mixture_1d(
 ) -> DivergenceEstimate:
     """Positive-part integral between two mixtures of output dimension 1.
 
-    The sign of log p - eps - log q is read on one grid through every
+    The sign of g = log p - eps - log q is read on one grid through every
     component centre (Laplace densities kink there), spacing 1/8 of the finer
-    scale, spanning 40 of the wider scales beyond the outer centres. All sign
-    changes are bisected together. Over each interval where p > e^eps q,
-    including the two unbounded end intervals, the integral is exact:
-    sum_i w_i mass_i - e^eps sum_j v_j mass_j from each mixture's component
-    CDFs and survival functions.
+    scale, spanning 40 of the wider scales beyond the outer centres. A cell
+    whose ends share a sign holds no root when |g| at its ends, less float
+    error, exceeds its width times a bound on |g'|; one that fails is split
+    in 8 until each part passes, changes sign or can tell no more (adjacent
+    floats, or g within float error of 0 at both ends). A cell whose ends
+    differ in sign is taken to hold one root; all are bisected together. Over
+    each interval where p > e^eps q, including the two unbounded end
+    intervals, the integral is exact: sum_i w_i mass_i - e^eps sum_j v_j
+    mass_j from each mixture's component CDFs and survival functions.
 
     ``tolerance`` bounds the error: each root is bisected to adjacent floats
     inside a bracket holding no centre, so every component is monotone there
     and p + e^eps q is at most its sum at the two bracket ends; half the
-    bracket width times that bounds the mass a misplaced root moves. The CDF
-    sums add 8 ulp of (1 + e^eps) per interval. The result does not depend on
-    ``tol``, which is validated only.
-
-    The bound assumes the sign grid sees every sign change. Past 40 of the
-    wider scales beyond the outer centres the grid takes the sign of the
-    last grid point to hold out to infinity, and two sign changes inside one
-    grid step (1/8 of the finer scale, wider where a piece between centres
-    would need more than 4096 steps) cancel unseen. ``tolerance`` covers
-    neither case.
+    bracket width times that bounds the mass a misplaced root moves. A cell
+    given up adds the mass its sign can misplace, and a tail past the grid
+    its mass unless the bound there is 0 (Laplace at one scale; a Gaussian
+    tail's mass underflows to 0). The CDF sums add 8 ulp of (1 + e^eps) per
+    interval. The result does not depend on ``tol``, which is validated only.
     """
     if not tol > 0:
         raise ValueError(f"tol: must be positive, got {tol!r}")
@@ -261,24 +260,65 @@ def hockey_stick_mixture_1d(
     # P's centres first: of two signed zeros the set keeps the first seen
     centers = sorted(set(P.centers[:, 0].tolist() + Q.centers[:, 0].tolist()))
     max_scale, min_scale = max(P.scale, Q.scale), min(P.scale, Q.scale)
-    breakpoints = [
-        centers[0] - _TAIL_SCALES * max_scale,
-        *centers,
-        centers[-1] + _TAIL_SCALES * max_scale,
-    ]
-    pieces = []
-    for a, b in zip(breakpoints[:-1], breakpoints[1:]):
-        steps = int(min(4096, max(64, math.ceil((b - a) / (min_scale / 8.0)))))
-        pieces.append(np.linspace(a, b, steps + 1)[:-1])
-    pieces.append(np.array(breakpoints[-1:]))
-    grid = np.concatenate(pieces)
+    span = _TAIL_SCALES * max_scale
+    breaks = [centers[0] - span, *centers, centers[-1] + span]
+    pieces = list(zip(breaks[:-1], breaks[1:]))
+    steps = [int(min(4096, max(64, math.ceil((b - a) / (min_scale / 8.0))))) for a, b in pieces]
+    grid = np.concatenate([np.linspace(a, b, n + 1)[:-1] for (a, b), n in zip(pieces, steps)]
+                          + [breaks[-1:]])
 
     kernel = _Kernel((P, Q))  # P and Q together, at every point below
-    log_p, log_q = kernel(grid[:, None])
-    positive = log_p > epsilon + log_q
-    idx = np.flatnonzero(positive[:-1] != positive[1:])
-    a, b = grid[idx], grid[idx + 1]
-    a_positive = positive[idx]
+    logs = 1.0 + epsilon + max(float(np.abs(M.log_coef).max()) for M in (P, Q))
+
+    def sample(x):  # rows log p, log q, g and a bound on g's float error
+        v = kernel(x[:, None])
+        return np.vstack((v, v[0] - (epsilon + v[1]), 2.0 ** -40 * (logs + np.abs(v).sum(axis=0))))
+
+    def slope_bound(a, b):
+        # Off the centres (log p)' is minus a mean of psi_P(x - c) = score((x - c) / s) / s
+        # over P's centres, so |g'| <= max(psi_Q(x - q_min) - psi_P(x - p_max), psi_P(x -
+        # p_min) - psi_Q(x - q_max)): affine on a cell [a, b], so largest at an end (from inside)
+        x, side = np.concatenate((a, b)), np.repeat([1, -1], len(a))
+        (q_lo, q_hi), (p_lo, p_hi) = (
+            FAMILIES[M.family].score((x - np.array([[c.min()], [c.max()]])) * k) * k
+            for M in (Q, P) for c, k in [(M.kernel_centers[0], side / M.scale)])
+        return np.maximum(q_lo - p_hi, p_lo - q_hi).reshape(2, -1).max(axis=0) * (1 + 2.0 ** -40)
+
+    with np.errstate(invalid="ignore"):  # pieces between breaks, then the tails: nan if Gaussian
+        slope = slope_bound(np.array([-np.inf, *breaks]), np.array([*breaks, np.inf]))
+    values = sample(grid)
+    x, v, bound = grid[None], values[:, None], np.repeat(slope[1:-1], steps)[None]
+    found, lost = [], 0.0  # cells lie between neighbours in a row of x, each with its bound
+    while True:
+        pos, absg = v[2] > 0.0, np.abs(v[2])
+        r, c = np.nonzero(pos[:, :-1] != pos[:, 1:])
+        found.append((x[r, c], x[r, c + 1], pos[r, c]))
+        reach = bound * np.diff(x) + v[3, :, :-1] + v[3, :, 1:]
+        r, c = np.nonzero((pos[:, :-1] == pos[:, 1:]) & (absg[:, :-1] + absg[:, 1:] <= reach))
+        a, b, va, vb, reach = x[r, c], x[r, c + 1], v[:, r, c], v[:, r, c + 1], reach[r, c]
+        # give up cells that cannot be split or tell g from 0, or all past 65536,
+        # adding the mass their sign can misplace: no centre is inside a cell
+        stuck = ((np.abs(va[2]) <= va[3]) & (np.abs(vb[2]) <= vb[3])
+                 | (b <= np.nextafter(a, np.inf)) | (r.size > 1 << 16))
+        if stuck.any():  # |g| <= G there: its sign errs on expm1(min(G, 1)) of p or e^eps q
+            G = np.minimum(0.5 * (np.abs(va[2]) + np.abs(vb[2]) + reach), 1.0)
+            dens = np.exp(va[:2]) + np.exp(vb[:2])
+            lost += float(np.sum(((b - a) * np.expm1(G)
+                                  * np.maximum(dens[0], alpha * dens[1]))[stuck]))
+        if stuck.all():
+            break
+        # split each cell left in 8 parts, each with its own bound
+        a, b, va, vb = (t[..., ~stuck, None] for t in (a, b, va, vb))
+        x = np.hstack((a, a + (b - a) * (np.arange(1, 8) / 8.0), b))
+        v = np.concatenate((va, sample(x[:, 1:-1].ravel()).reshape(4, len(x), 7), vb), axis=2)
+        bound = slope_bound(x[:, :-1].ravel(), x[:, 1:].ravel()).reshape(len(x), 8)
+    a, b, a_positive = (np.concatenate(t) for t in zip(*found))
+    order = np.argsort(a, kind="stable")
+    a, b, a_positive = a[order], b[order], a_positive[order]
+    # a tail keeps its end's sign where its bound is 0, else loses its mass
+    tail = sum(w * FAMILIES[M.family].tail(np.array([span / M.scale]))[0]
+               for M, w in ((P, 1.0), (Q, alpha)))
+    lost += float(tail) * sum(t != 0.0 for t in slope[[0, -1]].tolist())
     # bisect every bracket down to adjacent floats
     while True:
         mid = 0.5 * (a + b)
@@ -296,7 +336,7 @@ def hockey_stick_mixture_1d(
     # interval k runs from edge k to edge k + 1; past a root it takes the
     # sign of that bracket's right end
     edges = np.concatenate(([-np.inf], 0.5 * (a + b), [np.inf]))
-    keep = np.flatnonzero(np.concatenate((positive[:1], ~a_positive)))
+    keep = np.flatnonzero(np.concatenate((values[2, :1] > 0.0, ~a_positive)))
 
     signed = ((P, P.weights), (Q, -alpha * Q.weights))
     sums = []
@@ -311,12 +351,12 @@ def hockey_stick_mixture_1d(
             mass = np.where(za >= 0, ta - tb, np.where(zb <= 0, tb - ta, 1.0 - ta - tb))
             terms += (mass * signed_weight).ravel().tolist()
         sums.append(math.fsum(terms))
-    sum_err = 8.0 * _EPS * (1.0 + alpha) * (idx.size + 1)
+    sum_err = 8.0 * _EPS * (1.0 + alpha) * (a.size + 1)
     return DivergenceEstimate(
         value=float(min(max(math.fsum(sums), 0.0), 1.0)),
         method=METHOD_QUADRATURE,
         epsilon_at=epsilon,
-        tolerance=root_err + sum_err,
+        tolerance=root_err + sum_err + lost,
     )
 
 

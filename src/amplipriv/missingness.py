@@ -59,6 +59,9 @@ class FeatureMechanism:
         """Iterable of (Mask, probability) with positive probability."""
         raise NotImplementedError
 
+    def support_size(self):  # how many masks ``support`` yields; None: only reading it tells
+        return None
+
     def all_missing_probability(self) -> float:
         """P[F(.) = all-ones mask]; data-independent for every family here."""
         raise NotImplementedError
@@ -99,6 +102,11 @@ class McarBernoulli(FeatureMechanism):
             prob = math.prod((p if bits[j] else 1.0 - p for j, p in free), start=1.0)
             if prob > 0.0:
                 yield Mask(tuple(bits)), prob
+
+    def support_size(self):
+        # products round monotonically: none is 0 if that of the smaller factors is not
+        free = [min(p, 1.0 - p) for p in self.pi if 0.0 < p < 1.0]
+        return 2 ** len(free) if math.prod(free, start=1.0) > 0.0 else None
 
     def all_missing_probability(self):
         return math.prod(self.pi)

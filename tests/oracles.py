@@ -2,7 +2,8 @@
 
 ``DiscreteDistribution`` and ``hockey_stick_discrete`` give the exact
 hockey-stick divergence of finite laws, the ground truth for the mixture
-identities the amplification proof uses. ``verify_fwl`` samples shared-mask
+identities the amplification proof uses. ``dict_centre_law`` merges equal
+centres with a dict, the reference for the audit's array merge. ``verify_fwl`` samples shared-mask
 neighbour pairs and tests the feature-wise Lipschitz inequality of a query's
 declared constants.
 """
@@ -79,6 +80,16 @@ def hockey_stick_discrete(
     return DivergenceEstimate(
         value=min(value, 1.0), method=METHOD_EXACT, epsilon_at=epsilon, tolerance=0.0
     )
+
+
+def dict_centre_law(centres: np.ndarray, probs: np.ndarray) -> list:
+    """(centre tuple, weight) pairs of a centre law: masks with equal centre
+    tuples (-0.0 and 0.0 compare equal) merged in enumeration order, sorted
+    by centre, zero weights dropped."""
+    acc: dict = {}
+    for center, prob in zip(map(tuple, centres.tolist()), probs.tolist()):
+        acc[center] = acc.get(center, 0.0) + prob
+    return [(c, w) for c, w in sorted(acc.items()) if w > 0.0]
 
 
 def _norm(v: np.ndarray, p: int) -> np.ndarray:

@@ -1,10 +1,15 @@
 """Audit engine: hidden-mask coincidence, theorem verification, tightness instance."""
 
 import math
+import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from amplipriv import audit
 from amplipriv import (
     ComposedMechanism,
     CompleteDataset,
@@ -27,7 +32,10 @@ from amplipriv import (
     verify_amplification,
 )
 from amplipriv.audit import _support_arrays
+from amplipriv.errors import UnsupportedMechanismError
+from amplipriv.missingness import MechanismClass
 from amplipriv.noise import PrivacyBudget
+from oracles import dict_centre_law
 
 
 def sum_query(n, d, B):
@@ -374,9 +382,9 @@ class TestArrayEnumeration:
         calls = []
         real = audit._centre_law
 
-        def counting(cm, dataset):
+        def counting(cm, dataset, support):
             calls.append(dataset)
-            return real(cm, dataset)
+            return real(cm, dataset, support)
 
         monkeypatch.setattr(audit, "_centre_law", counting)
         B = 0.5
@@ -407,3 +415,102 @@ class TestArrayEnumeration:
                 tol=1e-7,
             )
             assert (row.empirical, row.tolerance) == (est.value, est.tolerance)
+
+
+def _stub_composed(centres):
+    """Just what ``_centre_law`` reads of a composed mechanism: a query that
+    returns ``centres`` whatever the masks."""
+    query = SimpleNamespace(evaluate_batch=lambda values, na: centres)
+    return SimpleNamespace(noise=SimpleNamespace(query=query))
+
+
+def _bits(law):
+    """Each (centre, weight) as float.hex, which shows the sign of a zero."""
+    return [(tuple(map(float.hex, c)), float.hex(w)) for c, w in law]
+
+
+_POOL = [-0.0, 0.0, 0.25, -0.25, 0.1, 0.1 + 1e-17, 1.0 / 3.0, -2.5, 7.0]
+
+
+class TestCentreLawMerge:
+    """The array merge of equal centres gives the dict merge's bits."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        k=st.sampled_from([1, 3]),
+        rows=st.lists(st.tuples(st.integers(0, len(_POOL) - 1), st.integers(0, len(_POOL) - 1),
+                                st.integers(0, len(_POOL) - 1),
+                                st.sampled_from([0.0, 0.5, 0.1, 1e-300, 0.3, 1.0 / 7.0])),
+                      min_size=1, max_size=60),
+    )
+    @example(k=1, rows=[(0, 0, 0, 0.5), (1, 0, 0, 0.25), (2, 0, 0, 0.25)])  # -0.0 first
+    @example(k=1, rows=[(1, 0, 0, 0.5), (0, 0, 0, 0.25), (2, 0, 0, 0.25)])  # 0.0 first
+    @example(k=3, rows=[(0, 1, 2, 0.0), (1, 0, 2, 0.1), (2, 2, 2, 0.0)])
+    def test_matches_the_dict_merge(self, k, rows):
+        centres = np.array([[_POOL[i] for i in r[:k]] for r in rows])
+        probs = np.array([r[3] for r in rows])
+        masks = np.zeros((len(rows), 1, 2), dtype=bool)
+        cm = _stub_composed(centres)
+        got_weights, got_centres = audit._centre_law(cm, CompleteDataset(((0.0, 0.0),)),
+                                                     (masks, probs))
+        got = list(zip(map(tuple, got_centres.tolist()), got_weights.tolist()))
+        assert _bits(got) == _bits(dict_centre_law(centres, probs))
+
+
+class TestEnumerationCount:
+    """How often the audit reads a feature mechanism's support."""
+
+    @staticmethod
+    def count_support(monkeypatch, cls):
+        rows = []
+        real = cls.support
+
+        def counting(self, sample):
+            rows.append(tuple(sample))
+            return real(self, sample)
+
+        monkeypatch.setattr(cls, "support", counting)
+        return rows
+
+    @staticmethod
+    def run_audit(missing):
+        q = sum_query(2, 4, 0.5)
+        cm = ComposedMechanism(noise=calibrate_laplace(q, epsilon=1.0, B=0.5), missing=missing)
+        return verify_amplification(cm, neighbor_pair(), [0.5, 1.0], method="exact")
+
+    def test_mcar_support_read_once(self, monkeypatch):
+        rows = self.count_support(monkeypatch, McarBernoulli)
+        self.run_audit(DatasetMechanism(McarBernoulli([0.5, 0.2, 0.0, 1.0]), n=2))
+        assert len(rows) == 1
+
+    def test_mar_support_read_per_row_and_dataset(self, monkeypatch):
+        rows = self.count_support(monkeypatch, MarAnchoredPattern)
+        missing = anchored_mechanism(2)
+        assert missing.feature_mech.mechanism_class is MechanismClass.MAR
+        self.run_audit(missing)
+        pair = neighbor_pair()
+        assert rows == list(pair.left.rows + pair.right.rows)
+
+    def test_anchored_spec_labelled_mcar_is_shared(self, monkeypatch):
+        rows = self.count_support(monkeypatch, MarAnchoredPattern)
+        fm = MarAnchoredPattern(
+            anchor=(0,), q_all=0.1, candidates=[(0, 1, 1, 1), (0, 0, 1, 1)],
+            thresholds=[[0.0]], score_table={"1": [0.3, 0.7], "0": [0.3, 0.7]},
+        )
+        assert fm.mechanism_class is MechanismClass.MCAR
+        shared = self.run_audit(DatasetMechanism(fm, n=2))
+        assert len(rows) == 1
+        # the shared support gives the rows the per-row one does
+        monkeypatch.setattr(fm, "mechanism_class", MechanismClass.MAR)
+        assert self.run_audit(DatasetMechanism(fm, n=2)).rows == shared.rows
+        assert len(rows) == 1 + 4
+
+
+class TestSupportSizeRefusal:
+    def test_oversized_bernoulli_row_refused_at_the_shipped_limit(self):
+        mech = DatasetMechanism(McarBernoulli([0.5] * 24), n=1)
+        start = time.perf_counter()
+        with pytest.raises(UnsupportedMechanismError,
+                           match=f"mask support has more than {audit._SUPPORT_LIMIT} elements"):
+            _support_arrays(mech, CompleteDataset(((0.0,) * 24,)))
+        assert time.perf_counter() - start < 0.05

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, optimize, stats
 
 from amplipriv import (
     DimensionError,
@@ -14,7 +14,7 @@ from amplipriv import (
     hockey_stick_mixture_1d,
     mc_delta_vector,
 )
-from amplipriv.divergence import _Kernel
+from amplipriv.divergence import _TAIL_SCALES as _TAIL, _Kernel
 from amplipriv.noise import FAMILIES
 from oracles import DiscreteDistribution, hockey_stick_discrete, mix_discrete
 
@@ -180,6 +180,99 @@ class TestQuadrature:
             mc = mc_delta_vector(p, q, eps, n_samples=200_000, seed=trial)
             half = (mc.ci[1] - mc.ci[0]) / 2
             assert abs(mc.value - exact.value) <= 3 * half + 1e-9
+
+
+class TestSignCertificate:
+    """The sign grid's cells are certified by a slope bound, not assumed."""
+
+    def test_window_between_two_grid_points_is_found(self):
+        # p > e^eps q only on a window about 0.03 wide near x = 0.0314, inside
+        # one grid cell whose ends are both negative
+        P = unit("gaussian", 0.5, 1.0)
+        Q = VectorMixture([0.5, 0.5], [[-4.0], [4.0]], "gaussian", 1.0)
+        eps = 7.880832973283487
+        est = hockey_stick_mixture_1d(P, Q, eps)
+
+        def positive_part(x):
+            p = stats.norm.pdf(x, 0.5)
+            q = 0.5 * (stats.norm.pdf(x, -4.0) + stats.norm.pdf(x, 4.0))
+            return max(p - math.exp(eps) * q, 0.0)
+
+        ref, ref_err = integrate.quad(positive_part, -1.0, 1.0, points=[0.0314],
+                                      epsabs=1e-16, epsrel=1e-12, limit=200)
+        assert ref == pytest.approx(1.5183e-5, rel=1e-4)
+        assert abs(est.value - ref) <= est.tolerance + ref_err
+        assert est.tolerance < 1e-9
+
+    @pytest.mark.parametrize("family", ["gaussian", "laplace"])
+    def test_a_sign_it_cannot_tell_is_charged_to_the_tolerance(self, family):
+        # g is exactly 0 everywhere, so no cell can be certified: every one is
+        # given up and its mass bound goes to the tolerance
+        p = VectorMixture([0.5, 0.5], [[0.0], [1.0]], family, 0.5)
+        est = hockey_stick_mixture_1d(p, p, 0.0)
+        assert est.value == 0.0
+        assert 1e-3 < est.tolerance < 1.0
+
+    def test_far_tails_do_not_blunt_the_float_error_bound(self):
+        # log p reaches about -8e14 at this grid's ends; the error allowed for
+        # g where p and q cross must come from the values there, not from those
+        P, Q = unit("gaussian", 0.0, 1e-3), unit("gaussian", 0.5, 1e3)
+        est = hockey_stick_mixture_1d(P, Q, 0.1)
+        assert est.value == pytest.approx(1.0, abs=1e-4)
+        assert est.tolerance < 1e-12
+
+    def test_laplace_tails_at_one_scale_cost_no_tolerance(self):
+        # past the outer centres a Laplace g at one scale is constant, so the
+        # tails need no mass; at two scales g is linear there and they do
+        p, q = unit("laplace", 0.0, 1.0), unit("laplace", 1.0, 1.0)
+        r = unit("laplace", 1.0, 2.0)
+        tail = 0.5 * math.exp(-_TAIL)  # r's mass 40 of its scales past its centre
+        assert hockey_stick_mixture_1d(p, q, 0.5).tolerance < 1e-14
+        assert hockey_stick_mixture_1d(p, r, 0.5).tolerance > tail
+
+
+def _mixture_delta_oracle(P, Q, eps):
+    """delta from roots found on a dense scan and refined by brentq, and each
+    positive interval's mass from scipy's CDFs: apart from the package's
+    grid, kernel and tail sums."""
+    dist = {"gaussian": stats.norm, "laplace": stats.laplace}
+
+    def diff(x):
+        x = np.atleast_1d(x)[None]
+        return sum(sign * (M.weights[:, None] * dist[M.family].pdf(x, M.centers, M.scale)).sum(0)
+                   for M, sign in ((P, 1.0), (Q, -math.exp(eps))))
+
+    def mass(M, a, b):
+        cdf = dist[M.family].cdf
+        return np.sum(M.weights * (cdf(b, M.centers[:, 0], M.scale) - cdf(a, M.centers[:, 0], M.scale)))
+
+    reach = 40 * max(P.scale, Q.scale)
+    x = np.linspace(min(P.centers.min(), Q.centers.min()) - reach,
+                    max(P.centers.max(), Q.centers.max()) + reach, 400001)
+    f = diff(x)
+    cross = np.flatnonzero(np.sign(f[:-1]) != np.sign(f[1:]))
+    roots = [optimize.brentq(lambda t: diff(t)[0], x[i], x[i + 1], xtol=1e-300, rtol=8.9e-16)
+             for i in cross]
+    edges = [-np.inf, *roots, np.inf]
+    positive = [f[0] > 0, *(f[cross + 1] > 0)]
+    return math.fsum(mass(P, a, b) - math.exp(eps) * mass(Q, a, b)
+                     for a, b, pos in zip(edges[:-1], edges[1:], positive) if pos)
+
+
+class TestMixtureTolerance:
+    @pytest.mark.parametrize("trial", range(12))
+    def test_value_within_its_tolerance_of_an_independent_oracle(self, trial):
+        rng = np.random.default_rng(100 + trial)
+        family = ("gaussian", "laplace")[trial % 2]
+        scale = float(rng.uniform(0.3, 2.0))
+
+        def mixture():
+            return VectorMixture(rng.dirichlet(np.ones(3)), rng.uniform(-2, 2, (3, 1)), family, scale)
+
+        P, Q = mixture(), mixture()
+        eps = float(rng.uniform(0.0, 1.5))
+        est = hockey_stick_mixture_1d(P, Q, eps)
+        assert abs(est.value - _mixture_delta_oracle(P, Q, eps)) <= est.tolerance
 
 
 class TestMonteCarlo:

@@ -133,6 +133,26 @@ class TestDatasetMaskProbability:
             _support_arrays(mech, CompleteDataset(((0.0,), (0.0,))))
 
 
+class TestSupportSize:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, 1.0, 0.5, 0.3, 1e-200, 1e-120, 1.0 - 1e-16, 1e-310]),
+                    min_size=1, max_size=9))
+    def test_bernoulli_states_its_support_or_leaves_it_to_enumeration(self, pi):
+        fm = McarBernoulli(pi)
+        size, read = fm.support_size(), len(list(fm.support(())))
+        free = sum(1 for p in pi if 0.0 < p < 1.0)
+        # a mask whose probability underflows to 0 is not in the support
+        assert size == read if size is not None else read < 2 ** free
+
+    def test_stated_size_counts_only_the_free_features(self):
+        assert McarBernoulli([0.5, 0.0, 1.0, 0.25]).support_size() == 4
+        assert McarBernoulli([1e-200, 1e-200, 0.5]).support_size() is None
+
+    def test_other_families_leave_it_to_enumeration(self):
+        assert McarPattern([((0, 0), 0.7), ((1, 1), 0.3)]).support_size() is None
+        assert mar_example().support_size() is None
+
+
 class TestSampleMask:
     def test_point_mass_pattern(self):
         mech = DatasetMechanism(McarPattern([((0, 0), 1.0)]), n=3)
