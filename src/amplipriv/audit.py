@@ -180,7 +180,8 @@ def verify_amplification(
         raise ValueError("method: must be 'exact' or 'mc'")
     if method == "exact":
         _require_scalar(cm, "method: ")
-    check_samples(n_samples)  # whatever the method, as the scenario's audit.samples is
+    # whatever the method, as the scenario's audit.samples is
+    check_samples(n_samples, cm.noise.query.output_dim)
     epsilons = list(epsilons)
     laws, shared = [], cm.missing.feature_mech.mechanism_class is MechanismClass.MCAR
     for ds in (pair.left, pair.right) if epsilons else ():

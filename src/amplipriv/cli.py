@@ -27,6 +27,7 @@ import numpy as np
 from .accountant import amplify_fwl
 from .audit import tightness_counterexample, verify_amplification
 from .datasets import CompleteDataset, Mask, NeighborPair, load_dataset_csv
+from .divergence import MC_MAX_COORDINATES, MC_MIN_SAMPLES
 from .errors import SchemaError, UnsupportedMechanismError
 from .missingness import MECHANISMS, DatasetMechanism, p_star, tight_rho, verify_rho
 from .noise import FAMILIES, LAPLACE, ComposedMechanism, calibrate, release_record, run_composed
@@ -189,7 +190,8 @@ FIELDS = {f.path: f for f in (
     F("audit.method", _choice("method", ("exact", "mc")), "quadrature or Monte Carlo", "exact"),
     F("audit.tolerance", _num, "positive; checked, but moves neither the measured delta nor "
       "its reported tolerance", 1e-9),
-    F("audit.samples", _int, "Monte Carlo samples, at least 1000 whatever the method", 100_000),
+    F("audit.samples", _int, f"Monte Carlo samples, at least {MC_MIN_SAMPLES} whatever the "
+      f"method; samples times the output dimension at most {MC_MAX_COORDINATES}", 100_000),
     F("audit.claim", _object, "a budget audited in place of the accountant's", None),
     F("audit.claim.epsilon", _num, "claimed epsilon", rule=NONNEGATIVE),
     F("audit.claim.delta", _num, "claimed delta",

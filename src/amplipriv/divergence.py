@@ -18,6 +18,12 @@ evaluating each mixture alone. The Monte Carlo estimator and the 1-D
 quadrature evaluate P and Q through one such joint kernel per call; a single
 mixture's ``log_density`` uses a kernel over itself, built once and cached.
 
+The Monte Carlo path works in place: the unit draw, scaled, becomes the
+sample, and the kernel's log q row becomes the statistic. It holds
+8 (k + 2) bytes per sample of dimension k, the sample and then the two
+log-density rows beside it, plus the kernel's block buffers: about
+8 (k + 3) bytes per sample at an audit's 50,000.
+
 The divergence at level e^eps is sup_S (P(S) - e^eps Q(S)); the optimal S is
 the set where the signed density p - e^eps q is positive, so it is the
 positive-part integral of that density. For 1-D Laplace/Gaussian mixtures the
@@ -44,6 +50,9 @@ from .noise import FAMILIES
 _NORM_TOL = 1e-12
 _MC_ALPHA = 0.01  # Monte Carlo intervals are two-sided at 99%
 MC_MIN_SAMPLES = 1000  # fewer and the interval is too wide to mean anything
+# the estimator holds 8 (k + 2) bytes per sample of dimension k, at most 24 per sample
+# coordinate (k = 1), so this many sample coordinates need at most 1.5 GiB
+MC_MAX_COORDINATES = 1 << 26
 
 METHOD_QUADRATURE = "quadrature"
 METHOD_MC = "monte_carlo"
@@ -123,10 +132,14 @@ class VectorMixture:
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """``size`` draws (size, k): a choice over the components, then one
-        unit draw of the family."""
+        unit draw of the family, read from ``rng`` in that order. The draw is
+        scaled in place and the chosen centres are added one coordinate at a
+        time, so the Monte Carlo path holds about 8 (k + 3) bytes per sample."""
         idx = rng.choice(len(self.weights), size=size, p=self.weights)
-        out = self.centers[idx]
-        out += self.scale * FAMILIES[self.family].draw(rng, out.shape)
+        out = FAMILIES[self.family].draw(rng, (size, self.centers.shape[1]))
+        out *= self.scale
+        for j, column in enumerate(self.centers.T):  # centre + noise, one coordinate at a time
+            out[:, j] += column[idx]
         return out
 
 
@@ -363,10 +376,14 @@ def hockey_stick_mixture_1d(
 # --- Monte Carlo --------------------------------------------------------------
 
 
-def check_samples(n_samples: int) -> None:
-    """Refuse a Monte Carlo sample count too small for the interval to mean anything."""
+def check_samples(n_samples: int, k: int) -> None:
+    """Refuse a Monte Carlo sample count too small for the interval to mean
+    anything, or too large to hold at output dimension ``k``."""
     if n_samples < MC_MIN_SAMPLES:
         raise ValueError(f"n_samples: need at least {MC_MIN_SAMPLES}, got {n_samples!r}")
+    if n_samples * k > MC_MAX_COORDINATES:
+        raise ValueError(f"n_samples: at most {MC_MAX_COORDINATES // k} at output "
+                         f"dimension {k}, got {n_samples!r}")
 
 
 def mc_delta_vector(
@@ -387,14 +404,20 @@ def mc_delta_vector(
         raise DimensionError(f"P has output dimension {k} but Q has output dimension {k_q}")
     if not 0 <= epsilon < math.inf:
         raise ValueError("epsilon must be finite and nonnegative")
-    check_samples(n_samples)
+    check_samples(n_samples, k)
     rng = substream(seed, _KEY_MC, 0)
     x = P.sample(rng, n_samples)
-    log_p, log_q = _Kernel((P, Q))(x)
-    if np.any(~np.isfinite(log_p)):
+    log_p, stat = _Kernel((P, Q))(x)
+    del x  # the statistic's temporaries need not sit beside the sample
+    if not (math.isfinite(log_p.min()) and math.isfinite(log_p.max())):
         raise SupportError("P log-density was not finite at a sampled point")
+    # (1 - e^(eps + log q - log p))_+ in place of log q
+    np.add(epsilon, stat, out=stat)
+    stat -= log_p
     with np.errstate(over="ignore"):
-        stat = np.clip(1.0 - np.exp(epsilon + log_q - log_p), 0.0, None)
+        np.exp(stat, out=stat)
+    np.subtract(1.0, stat, out=stat)
+    np.clip(stat, 0.0, None, out=stat)
     est = float(np.mean(stat))
     log_term = math.log(4.0 / _MC_ALPHA)
     half = math.sqrt(

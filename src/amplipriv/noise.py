@@ -30,20 +30,44 @@ GAUSSIAN_MARGIN = 1.0 + 1e-6
 LAPLACE = "laplace"
 GAUSSIAN = "gaussian"
 
+_PAIRS = 1 << 14  # Box-Muller pairs per sine buffer: 128 kB
+
 
 def _laplace_draw(rng: np.random.Generator, shape: tuple) -> np.ndarray:
-    u = np.clip(rng.random(shape), 1e-300, 1.0 - 1e-16)
-    return np.where(u < 0.5, np.log(2.0 * u), -np.log(2.0 * (1.0 - u)))
+    # inverse CDF in place, one log per coordinate: log(2u) below 1/2,
+    # -log(2(1 - u)) from 1/2 up
+    u = rng.random(shape)
+    np.clip(u, 1e-300, 1.0 - 1e-16, out=u)
+    upper = u >= 0.5
+    np.subtract(1.0, u, out=u, where=upper)
+    u *= 2.0
+    np.log(u, out=u)
+    return np.negative(u, out=u, where=upper)
 
 
 def _gaussian_draw(rng: np.random.Generator, shape: tuple) -> np.ndarray:
+    # Box-Muller in place: all radii are drawn, into the second half, before
+    # all angles, into the first; then r cos(theta) fills the first half and
+    # r sin(theta) the second, through a sine buffer of at most _PAIRS
     k = math.prod(shape)
     pairs = (k + 1) // 2
-    u1 = np.clip(rng.random(pairs), 1e-300, 1.0)
-    u2 = rng.random(pairs)
-    r = np.sqrt(-2.0 * np.log(u1))
-    theta = 2.0 * math.pi * u2
-    return np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:k].reshape(shape)
+    out = np.empty(2 * pairs)
+    theta, r = out[:pairs], out[pairs:]
+    rng.random(out=r)
+    np.clip(r, 1e-300, 1.0, out=r)
+    np.log(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    rng.random(out=theta)
+    theta *= 2.0 * math.pi
+    sin = np.empty(min(pairs, _PAIRS))
+    for i in range(0, pairs, _PAIRS):
+        t, rb = theta[i : i + _PAIRS], r[i : i + _PAIRS]
+        s = np.sin(t, out=sin[: len(t)])
+        np.cos(t, out=t)
+        t *= rb
+        rb *= s
+    return out[:k].reshape(shape)
 
 
 def _half_square(z: np.ndarray) -> np.ndarray:
@@ -64,6 +88,11 @@ class NoiseFamily:
     float array; ``tail(|z|)`` is the mass beyond |z| on the far side of the
     centre, computed directly so tail masses far below 1e-16 keep their digits.
     ``score(z)``, the penalty's slope, is affine on each side of 0, from the right at 0.
+
+    ``draw(rng, shape)`` returns a fresh array that the caller owns and may
+    overwrite. Laplace reads one uniform per coordinate, in C order; the
+    Gaussian, for k coordinates, reads all (k + 1) // 2 radii, then as many
+    angles. Released values and Monte Carlo reports depend on that order.
     """
 
     draw: Callable[[np.random.Generator, tuple], np.ndarray]

@@ -3,9 +3,11 @@
 ``DiscreteDistribution`` and ``hockey_stick_discrete`` give the exact
 hockey-stick divergence of finite laws, the ground truth for the mixture
 identities the amplification proof uses. ``dict_centre_law`` merges equal
-centres with a dict, the reference for the audit's array merge. ``verify_fwl`` samples shared-mask
-neighbour pairs and tests the feature-wise Lipschitz inequality of a query's
-declared constants.
+centres with a dict, the reference for the audit's array merge. ``ORACLE_DRAWS``
+and ``gather_sample`` are the unit noise draws and the mixture sample written
+as whole-array expressions, the reference for the in-place Monte Carlo path.
+``verify_fwl`` samples shared-mask neighbour pairs and tests the feature-wise
+Lipschitz inequality of a query's declared constants.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from amplipriv.datasets import CompleteDataset, Mask, MaskMatrix, apply_mask
-from amplipriv.divergence import DivergenceEstimate
+from amplipriv.divergence import DivergenceEstimate, VectorMixture
 from amplipriv.missingness import substream
 from amplipriv.queries import FwlQuery
 
@@ -90,6 +92,35 @@ def dict_centre_law(centres: np.ndarray, probs: np.ndarray) -> list:
     for center, prob in zip(map(tuple, centres.tolist()), probs.tolist()):
         acc[center] = acc.get(center, 0.0) + prob
     return [(c, w) for c, w in sorted(acc.items()) if w > 0.0]
+
+
+def _laplace_draw(rng: np.random.Generator, shape: tuple) -> np.ndarray:
+    """Unit Laplace noise by the inverse CDF, both log branches at every coordinate."""
+    u = np.clip(rng.random(shape), 1e-300, 1.0 - 1e-16)
+    return np.where(u < 0.5, np.log(2.0 * u), -np.log(2.0 * (1.0 - u)))
+
+
+def _gaussian_draw(rng: np.random.Generator, shape: tuple) -> np.ndarray:
+    """Unit Gaussian noise by Box-Muller: all radii, then all angles, the
+    cosines before the sines."""
+    k = math.prod(shape)
+    pairs = (k + 1) // 2
+    u1 = np.clip(rng.random(pairs), 1e-300, 1.0)
+    u2 = rng.random(pairs)
+    r = np.sqrt(-2.0 * np.log(u1))
+    theta = 2.0 * math.pi * u2
+    return np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:k].reshape(shape)
+
+
+ORACLE_DRAWS = {"laplace": _laplace_draw, "gaussian": _gaussian_draw}
+
+
+def gather_sample(mixture: VectorMixture, rng: np.random.Generator, size: int) -> np.ndarray:
+    """``size`` draws of ``mixture``: a choice over the components, then the
+    gathered centres plus the scaled unit draw."""
+    idx = rng.choice(len(mixture.weights), size=size, p=mixture.weights)
+    draw = ORACLE_DRAWS[mixture.family](rng, (size, mixture.centers.shape[1]))
+    return mixture.centers[idx] + mixture.scale * draw
 
 
 def _norm(v: np.ndarray, p: int) -> np.ndarray:

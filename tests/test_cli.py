@@ -415,6 +415,8 @@ class TestSchemaDiagnostics:
                      lambda scn: scn["audit"].update(tolerance=0), id="tolerance-zero"),
         pytest.param("scenario.audit.samples: need at least 1000, got 999",
                      lambda scn: scn["audit"].update(method="mc", samples=999), id="mc-samples"),
+        pytest.param("scenario.audit.samples: at most 67108864 at output dimension 1",
+                     lambda scn: scn["audit"].update(samples=10**13), id="samples-too-many"),
     ])
     def test_malformed_scenario_names_the_field(self, tmp_path, laplace_scn, capsys,
                                                 field, edit):
@@ -747,6 +749,43 @@ class TestSchemaFuzz:
                 assert not nan.search(report.read_text()), command
 
 
+class TestMonteCarloFootprint:
+    @staticmethod
+    def _oversized(tmp_path, laplace_scn):
+        scn = json.loads(laplace_scn.read_text())
+        scn["query"]["post"] = []  # the 4-coordinate mean
+        scn["audit"].update(method="mc", samples=10**13)
+        path = tmp_path / "oversized.json"
+        path.write_text(json.dumps(scn))
+        return path
+
+    def test_oversized_samples_refused_before_allocating(self, tmp_path, laplace_scn, capsys):
+        path = self._oversized(tmp_path, laplace_scn)
+        tracemalloc.start()
+        try:
+            code = run("audit", path, tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: scenario.audit.samples: at most 16777216 at output dimension 4, "
+            "got 10000000000000\n")
+        assert peak < 2_000_000  # the draws alone would take 320 TB
+
+    def test_oversized_samples_end_without_a_traceback(self, tmp_path, laplace_scn):
+        path = self._oversized(tmp_path, laplace_scn)
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        done = subprocess.run(
+            [sys.executable, "-m", "amplipriv.cli", "audit", str(path), "--out", str(tmp_path)],
+            env=env, capture_output=True, text=True,
+        )
+        assert done.returncode == 1
+        assert "scenario.audit.samples" in done.stderr and "Traceback" not in done.stderr
+
+
 class TestExactAuditFootprint:
     def test_oversized_support_refused_before_allocating(self, tmp_path, capsys):
         # 3 rows of 6 Bernoulli features: 64^3 = 262144 mask matrices
@@ -872,8 +911,9 @@ class TestCsvDataset:
 def test_readme_schema_documents_exactly_the_table():
     readme = (SCENARIOS.parent / "README.md").read_text()
     block = readme.split("### Scenario schema", 1)[1].split("\n## ", 1)[0]
-    documented = re.findall(r"^\| `([^`]+)` \|", block, re.MULTILINE)
-    assert sorted(documented) == sorted(FIELDS)  # each table path once, and no other
+    rows = re.findall(r"^\| `([^`]+)` \| .*? \| (.*) \|$", block, re.MULTILINE)
+    assert sorted(path for path, _ in rows) == sorted(FIELDS)  # each table path once, and no other
+    assert [path for path, doc in rows if not doc.startswith(FIELDS[path].doc)] == []
 
 
 class TestParser:

@@ -14,9 +14,9 @@ from amplipriv import (
     hockey_stick_mixture_1d,
     mc_delta_vector,
 )
-from amplipriv.divergence import _TAIL_SCALES as _TAIL, _Kernel
+from amplipriv.divergence import MC_MAX_COORDINATES, _TAIL_SCALES as _TAIL, _Kernel, check_samples
 from amplipriv.noise import FAMILIES
-from oracles import DiscreteDistribution, hockey_stick_discrete, mix_discrete
+from oracles import DiscreteDistribution, gather_sample, hockey_stick_discrete, mix_discrete
 
 GAUSS_TV_UNIT_SHIFT = 0.3829249225480262  # Phi(1/2) - Phi(-1/2), closed form
 
@@ -345,6 +345,27 @@ class TestMonteCarlo:
         assert repr(est.value) == "0.20600537380186307"
         assert repr(est.ci) == "(0.19923253450774636, 0.21277821309597977)"
 
+    @pytest.mark.parametrize("family", ["laplace", "gaussian"])
+    @pytest.mark.parametrize("size, k", [(1, 1), (3, 1), (7, 3), (1001, 3), (50_000, 3)])
+    def test_sample_matches_the_gather_oracle(self, family, size, k):
+        rng = np.random.default_rng(k)
+        mix = VectorMixture(weights=np.full(16, 1 / 16), centers=rng.choice([-0.5, -0.0, 0.0, 0.5],
+                            (16, k)), family=family, scale=1.5)
+        ours, theirs = np.random.default_rng(size), np.random.default_rng(size)
+        got, want = mix.sample(ours, size), gather_sample(mix, theirs, size)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert ours.random() == theirs.random()
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_oversized_sample_count_refused(self, k):
+        p = VectorMixture(weights=[1.0], centers=np.zeros((1, k)), family="laplace", scale=1.0)
+        with pytest.raises(ValueError, match="n_samples: at most %d at output dimension %d, "
+                           "got 10000000000000" % (MC_MAX_COORDINATES // k, k)):
+            mc_delta_vector(p, p, 0.5, n_samples=10**13, seed=0)
+        check_samples(MC_MAX_COORDINATES // k, k)  # the cap itself is accepted
+        with pytest.raises(ValueError, match="n_samples: at most"):
+            check_samples(MC_MAX_COORDINATES // k + 1, k)
+
     def test_deterministic_given_seed(self):
         p = unit("gaussian", 0.0, 1.0)
         q = unit("gaussian", 0.5, 1.0)
@@ -487,6 +508,26 @@ class TestJointKernel:
         # the two output rows take 0.8 MB and one (points x components)
         # buffer over every point would take 25.6 MB; the temporaries of a
         # block of points take a few hundred kB
+        assert peak < 3_000_000
+
+    @pytest.mark.parametrize("family", ["laplace", "gaussian"])
+    def test_mc_estimate_memory_is_per_sample_coordinate(self, family):
+        # an audit-sized estimate: 50,000 samples, 64 components, k = 3
+        rng = np.random.default_rng(64)
+        p, q = (
+            VectorMixture(weights=np.full(64, 1 / 64), centers=rng.choice([-0.5, 0.0, 0.5], (64, 3)),
+                          family=family, scale=1.5)
+            for _ in range(2)
+        )
+        tracemalloc.start()
+        try:
+            mc_delta_vector(p, q, 0.3, n_samples=50_000, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # about 8 (k + 3) bytes per sample, 2.4 MB: the points and the two
+        # log-density rows, plus the kernel's block buffers; whole-array
+        # draws, sample and statistic would take 6.4-6.6 MB
         assert peak < 3_000_000
 
 

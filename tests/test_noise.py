@@ -24,7 +24,8 @@ from amplipriv import (
     run_mechanism,
 )
 from amplipriv.cli import emit_report
-from amplipriv.noise import NoiseMechanism, calibrate
+from amplipriv.noise import FAMILIES, NoiseMechanism, calibrate
+from oracles import ORACLE_DRAWS
 
 # frozen from a 40-digit evaluation of (1 + 1e-6) * sqrt(2 * ln(1.25 / 1e-5))
 SIGMA_C2_1_EPS_1_DELTA_1E5 = 4.844810107410652
@@ -166,6 +167,23 @@ class TestRunMechanism:
         data = CompleteDataset(((0.0,),)).as_incomplete()
         out = run_mechanism(mech, data, seed=123)
         assert abs(out.var() / target - 1.0) < 0.02
+
+
+class TestUnitDraws:
+    @pytest.mark.parametrize("family", ["laplace", "gaussian"])
+    @pytest.mark.parametrize("shape", [(1,), (3,), (7,), (1001, 3), (50_000, 3)])
+    def test_in_place_draw_matches_the_oracle(self, family, shape):
+        # same values bit for bit, and the stream left at the same position
+        ours, theirs = np.random.default_rng(2024), np.random.default_rng(2024)
+        got, want = FAMILIES[family].draw(ours, shape), ORACLE_DRAWS[family](theirs, shape)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert ours.random() == theirs.random()
+
+    @pytest.mark.parametrize("family", ["laplace", "gaussian"])
+    def test_draw_is_a_fresh_writable_array(self, family):
+        rng = np.random.default_rng(5)
+        a, b = (FAMILIES[family].draw(rng, (7,)) for _ in range(2))
+        assert a.flags.writeable and not np.shares_memory(a, b)
 
 
 class TestRunComposed:
