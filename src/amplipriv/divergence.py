@@ -244,7 +244,8 @@ def hockey_stick_mixture_1d(
     error, exceeds its width times a bound on |g'|; one that fails is split
     in 8 until each part passes, changes sign or can tell no more (adjacent
     floats, or g within float error of 0 at both ends). A cell whose ends
-    differ in sign is taken to hold one root; all are bisected together. Over
+    differ in sign is taken to hold one root, and all are bisected together;
+    one with one end where g is exactly 0 is taken to hold just that root. Over
     each interval where p > e^eps q, including the two unbounded end
     intervals, the integral is exact: sum_i w_i mass_i - e^eps sum_j v_j
     mass_j from each mixture's component CDFs and survival functions.
@@ -307,7 +308,9 @@ def hockey_stick_mixture_1d(
         r, c = np.nonzero(pos[:, :-1] != pos[:, 1:])
         found.append((x[r, c], x[r, c + 1], pos[r, c]))
         reach = bound * np.diff(x) + v[3, :, :-1] + v[3, :, 1:]
-        r, c = np.nonzero((pos[:, :-1] == pos[:, 1:]) & (absg[:, :-1] + absg[:, 1:] <= reach))
+        # a point where g is exactly 0 is a root, held by a cell with one such end
+        r, c = np.nonzero((pos[:, :-1] == pos[:, 1:]) & (absg[:, :-1] + absg[:, 1:] <= reach)
+                          & ((absg[:, :-1] == 0.0) == (absg[:, 1:] == 0.0)))
         a, b, va, vb, reach = x[r, c], x[r, c + 1], v[:, r, c], v[:, r, c + 1], reach[r, c]
         # give up cells that cannot be split or tell g from 0, or all past 65536,
         # adding the mass their sign can misplace: no centre is inside a cell

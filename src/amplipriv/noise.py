@@ -161,10 +161,7 @@ class ComposedMechanism:
     missing: DatasetMechanism
 
     def __post_init__(self):
-        if (
-            self.missing.n != self.noise.query.n
-            or self.missing.d != self.noise.query.d
-        ):
+        if (self.missing.n, self.missing.d) != (self.noise.query.n, self.noise.query.d):
             raise DimensionError("missing mechanism shape must match the query")
 
 
@@ -241,17 +238,16 @@ def release_record(
     mask: Optional[MaskMatrix] = None,
     audit: bool = False,
 ) -> dict:
-    """JSON-ready release; audit mode is the only way the mask leaves the run."""
-    import hashlib  # here, so that programs that release nothing never load OpenSSL
-
-    commitment = hashlib.sha256(str(int(seed)).encode()).hexdigest()
+    """JSON-ready release; audit mode is the only way the mask leaves the run.
+    Nothing derived from ``seed`` is published: the noise is reproducible
+    from it, so even a hash of it would let a brute force over seeds give
+    back the noiseless value."""
     record = {
         "output": [repr(float(v)) for v in np.asarray(output).reshape(-1)],
         "epsilon_base": repr(m.budget.epsilon),
         "delta_base": repr(m.budget.delta),
         "family": m.family,
         "scale": repr(m.scale),
-        "seed_commitment": commitment,
     }
     if audit:
         if mask is None:

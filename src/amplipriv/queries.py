@@ -27,10 +27,17 @@ class FwlQuery:
     """A dataset-level query with per-feature Lipschitz constants.
 
     ``batch(values, na)`` evaluates a stack of M masked datasets at once (see
-    ``evaluate_batch``) and is the query's one evaluator; calling the query on
-    one dataset evaluates it as a stack of one. ``norm_p`` is the norm the
-    inequality is declared for; a query valid under the l1 norm is
-    automatically valid under l2 with the same constants.
+    ``evaluate_batch``), and ``post``, when set, maps its (M, k) outputs on;
+    calling the query on one dataset evaluates it as a stack of one.
+    ``norm_p`` is the norm the inequality is declared for; a query valid under
+    the l1 norm is automatically valid under l2 with the same constants.
+
+    ``batch`` is row-additive: its output is a sum over rows of a term that
+    reads only that row and is 0 for an all-NA row, so the term of row i is
+    ``batch`` on the dataset with every other row NA. The exact audit builds
+    the centre law from these terms, row by row. The catalog kinds, linear
+    combinations and the linear named maps keep ``batch`` row-additive; a
+    ``clamp`` does not, so it and every map after it go in ``post``.
     """
 
     batch: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -40,6 +47,7 @@ class FwlQuery:
     n: int
     d: int
     descriptor: dict = field(default_factory=dict)
+    post: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         L = np.asarray(self.constants_L, dtype=float)
@@ -56,9 +64,7 @@ class FwlQuery:
 
     def __call__(self, data: IncompleteDataset) -> np.ndarray:
         if data.n != self.n or data.d != self.d:
-            raise DimensionError(
-                f"query expects {self.n}x{self.d} data, got {data.n}x{data.d}"
-            )
+            raise DimensionError(f"query expects {self.n}x{self.d} data, got {data.n}x{data.d}")
         return self.evaluate_batch(data.values_filled[None], data.na_mask[None])[0]
 
     def evaluate_batch(self, values: np.ndarray, na: np.ndarray) -> np.ndarray:
@@ -75,7 +81,8 @@ class FwlQuery:
                 f"query expects (M, {self.n}, {self.d}) values and NA flags, got "
                 f"{values.shape} and {na.shape}"
             )
-        out = np.asarray(self.batch(values, na), dtype=float)
+        out = self.batch(values, na)
+        out = np.asarray(out if self.post is None else self.post(out), dtype=float)
         if out.shape != (len(values), self.output_dim):
             raise DimensionError(
                 f"batch evaluator returned shape {out.shape}, expected "
@@ -244,15 +251,17 @@ def make_standard_query(kind: str, **params) -> FwlQuery:
 # --- closure combinators -----------------------------------------------------
 
 
-def _composed(q: FwlQuery, mapping, Lambda: float, k: int) -> FwlQuery:
+def _composed(q: FwlQuery, mapping, Lambda: float, k: int, linear: bool = True) -> FwlQuery:
     """``q`` followed by ``mapping``, a Lambda-Lipschitz map of each output row
-    onto k coordinates, applied once to the whole stack of outputs."""
-
-    def batch(values, na):
-        return mapping(q.batch(values, na))
-
+    onto k coordinates, applied once to the whole stack of outputs. A linear
+    map after a row-additive ``batch`` wraps it; any other map, and every map
+    after one, goes in ``post``."""
+    if linear and q.post is None:
+        batch, post = (lambda values, na: mapping(q.batch(values, na))), None
+    else:
+        batch, post = q.batch, (lambda v: mapping(v if q.post is None else q.post(v)))
     return FwlQuery(batch, Lambda * q.constants_L, q.norm_p, k, q.n, q.d,
-                    {"kind": "postprocess", "lambda": Lambda, "inner": q.descriptor})
+                    {"kind": "postprocess", "lambda": Lambda, "inner": q.descriptor}, post)
 
 
 POST_MAPS = ("identity", "scale", "project", "clamp", "sum")
@@ -264,8 +273,8 @@ def named_postprocess(q: FwlQuery, name: str, **params) -> FwlQuery:
     ``project`` onto distinct output ``indices`` (1), ``clamp`` to [``lo``, ``hi``]
     (1) or ``sum`` (1 under l1, sqrt(k) under l2 for k outputs). Each acts on
     the last axis, so the composed query evaluates stacks of datasets at
-    once; no map runs when the query is built."""
-    mapping, lam, k = (lambda v: v), 1.0, q.output_dim
+    once; no map runs when the query is built. All but ``clamp`` are linear."""
+    mapping, lam, k, linear = (lambda v: v), 1.0, q.output_dim, True
     if name == "scale":
         factor = params["factor"]
         mapping, lam = (lambda v: factor * v), abs(factor)
@@ -278,19 +287,22 @@ def named_postprocess(q: FwlQuery, name: str, **params) -> FwlQuery:
         mapping, k = (lambda v: v[..., idx]), len(idx)
     elif name == "clamp":
         lo, hi = params["lo"], params["hi"]
-        mapping = lambda v: np.clip(v, lo, hi)  # noqa: E731
+        mapping, linear = (lambda v: np.clip(v, lo, hi)), False
     elif name == "sum":
         lam = 1.0 if q.norm_p == 1 else math.sqrt(k)
         mapping, k = (lambda v: v.sum(axis=-1, keepdims=True)), 1
     elif name != "identity":
         raise ValueError(f"name: unknown post-processing map {name!r}")
-    return _composed(q, mapping, lam, k)
+    return _composed(q, mapping, lam, k, linear)
 
 
 def linear_combination(queries: Sequence[FwlQuery], coeffs: Sequence[float]) -> FwlQuery:
-    """Weighted sum of queries; constants add with absolute coefficients."""
+    """Weighted sum of queries; constants add with absolute coefficients. A
+    part with a ``post`` map is refused: the sum would not be row-additive."""
     if len(queries) != len(coeffs) or not queries:
         raise DimensionError("need one coefficient per query")
+    if any(q.post is not None for q in queries):
+        raise ValueError("queries: a part with a clamp is not row-additive")
     q0 = queries[0]
     for q in queries:
         if (q.output_dim, q.norm_p, q.n, q.d) != (q0.output_dim, q0.norm_p, q0.n, q0.d):

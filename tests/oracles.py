@@ -2,8 +2,10 @@
 
 ``DiscreteDistribution`` and ``hockey_stick_discrete`` give the exact
 hockey-stick divergence of finite laws, the ground truth for the mixture
-identities the amplification proof uses. ``dict_centre_law`` merges equal
-centres with a dict, the reference for the audit's array merge. ``ORACLE_DRAWS``
+identities the amplification proof uses. ``product_support`` enumerates every
+mask matrix of a dataset mechanism, and ``enumerated_centre_law`` evaluates
+the query on each and merges equal centres with a dict (``dict_centre_law``):
+the reference for the audit's row-by-row convolution. ``ORACLE_DRAWS``
 and ``gather_sample`` are the unit noise draws and the mixture sample written
 as whole-array expressions, the reference for the in-place Monte Carlo path.
 ``verify_fwl`` samples shared-mask neighbour pairs and tests the feature-wise
@@ -12,6 +14,7 @@ Lipschitz inequality of a query's declared constants.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -20,7 +23,7 @@ import numpy as np
 
 from amplipriv.datasets import CompleteDataset, Mask, MaskMatrix, apply_mask
 from amplipriv.divergence import DivergenceEstimate, VectorMixture
-from amplipriv.missingness import substream
+from amplipriv.missingness import DatasetMechanism, substream
 from amplipriv.queries import FwlQuery
 
 _NORM_TOL = 1e-12
@@ -92,6 +95,27 @@ def dict_centre_law(centres: np.ndarray, probs: np.ndarray) -> list:
     for center, prob in zip(map(tuple, centres.tolist()), probs.tolist()):
         acc[center] = acc.get(center, 0.0) + prob
     return [(c, w) for c, w in sorted(acc.items()) if w > 0.0]
+
+
+def product_support(mech: DatasetMechanism, dataset: CompleteDataset) -> tuple:
+    """Every mask matrix of the product law as an (M, n, d) bool array, True
+    where a cell is missing, in ``itertools.product`` order over the rows'
+    supports, and the (M,) probabilities: the product of the row
+    probabilities in row order."""
+    per_row = [list(mech.feature_mech.support(row)) for row in dataset.rows]
+    combos = list(itertools.product(*per_row))
+    masks = np.array([[m.bits for m, _ in combo] for combo in combos], dtype=bool)
+    probs = np.array([math.prod(p for _, p in combo) for combo in combos])
+    return masks.reshape(len(combos), dataset.n, dataset.d), probs
+
+
+def enumerated_centre_law(query: FwlQuery, mech: DatasetMechanism,
+                          dataset: CompleteDataset) -> list:
+    """(centre tuple, weight) pairs of the output law: the query on every mask
+    matrix of ``product_support``, merged by ``dict_centre_law``."""
+    masks, probs = product_support(mech, dataset)
+    centres = query.evaluate_batch(np.where(masks, 0.0, dataset.to_array()), masks)
+    return dict_centre_law(centres, probs)
 
 
 def _laplace_draw(rng: np.random.Generator, shape: tuple) -> np.ndarray:

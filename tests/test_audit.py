@@ -2,7 +2,6 @@
 
 import math
 import time
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,6 +10,7 @@ from hypothesis import strategies as st
 
 from amplipriv import audit
 from amplipriv import (
+    CappedBernoulli,
     ComposedMechanism,
     CompleteDataset,
     DatasetMechanism,
@@ -31,11 +31,11 @@ from amplipriv import (
     tightness_counterexample,
     verify_amplification,
 )
-from amplipriv.audit import _support_arrays
 from amplipriv.errors import UnsupportedMechanismError
 from amplipriv.missingness import MechanismClass
 from amplipriv.noise import PrivacyBudget
-from oracles import dict_centre_law
+from amplipriv.queries import QUERY_KINDS
+from oracles import dict_centre_law, enumerated_centre_law, product_support
 
 
 def sum_query(n, d, B):
@@ -65,10 +65,10 @@ def neighbor_pair(B=0.5):
 
 
 def split_support(mech, dataset, i_star):
-    """The audit's mask support of ``dataset`` split by whether row ``i_star``
+    """The product mask support of ``dataset`` split by whether row ``i_star``
     is all missing: (hidden masks, their probabilities, the other
     probabilities)."""
-    masks, probs = _support_arrays(mech, dataset)
+    masks, probs = product_support(mech, dataset)
     hidden = masks[:, i_star].all(axis=1)
     return masks[hidden], probs[hidden], probs[~hidden]
 
@@ -96,7 +96,7 @@ class TestMixtureDecomposition:
             McarPattern([((0, 0, 1, 1), 0.7), ((1, 1, 1, 1), 0.3)]), n=2
         )
         assert p_star(mech) == pytest.approx(0.7)
-        masks, probs = _support_arrays(mech, neighbor_pair().left)
+        masks, probs = product_support(mech, neighbor_pair().left)
         hidden = masks[:, 0].all(axis=1)
         # the hidden part carries the all-missing mass, the rest row 0's one other pattern
         assert hidden.any() and not hidden.all()
@@ -338,7 +338,7 @@ class TestTightnessCounterexample:
 
 
 class TestArrayEnumeration:
-    def test_support_arrays_match_row_by_row_product(self):
+    def test_dataset_support_matches_row_by_row_product(self):
         import itertools
 
         from amplipriv import audit
@@ -355,38 +355,42 @@ class TestArrayEnumeration:
         data = CompleteDataset(
             ((0.3, -0.2, 0.5, -0.5), (-0.4, 0.1, 0.2, 0.3), (0.1, 0.1, -0.3, 0.2))
         )
-        masks, probs = audit._support_arrays(mech, data)
+        support = list(audit._dataset_support(mech, data))
+        masks, probs = product_support(mech, data)
         per_row = [list(mech.feature_mech.support(r)) for r in data.rows]
         combos = list(itertools.product(*per_row))
-        assert masks.shape == (len(combos), 3, 4)
-        for mask, prob, combo in zip(masks, probs.tolist(), combos):
+        assert len(support) == masks.shape[0] == len(combos) and masks.shape[1:] == (3, 4)
+        for (matrix, prob), mask, want_prob, combo in zip(support, masks, probs.tolist(), combos):
             want = 1.0
             for _, p in combo:
                 want *= p
-            assert prob == want  # the same running product, bit for bit
+            assert prob == want_prob == want  # the same running product, bit for bit
+            assert [list(r.bits) for r in matrix.rows] == [list(m.bits) for m, _ in combo]
             assert mask.astype(int).tolist() == [list(m.bits) for m, _ in combo]
 
     @pytest.mark.parametrize("rows", [((0.1, 0.2), (0.3, 0.4)), ((0.1, 0.2, 0.3),)])
-    def test_support_arrays_refuse_a_dataset_of_another_shape(self, rows):
+    def test_row_supports_refuse_a_dataset_of_another_shape(self, rows):
         from amplipriv import audit
 
         mech = DatasetMechanism(McarBernoulli([0.5] * 3), n=2)
         with pytest.raises(DimensionError, match="dataset shape"):
-            audit._support_arrays(mech, CompleteDataset(rows))
+            audit._row_supports(mech, [CompleteDataset(rows)])
 
     @pytest.mark.parametrize("grid", [[1.0], [0.25, 0.5, 1.0, 0.75, 0.125]])
     @pytest.mark.parametrize("method", ["exact", "mc"])
     def test_centre_law_built_once_per_dataset(self, monkeypatch, grid, method):
+        # each dataset's centre law is built once, one row law per row,
+        # whatever the grid
         from amplipriv import audit
 
         calls = []
-        real = audit._centre_law
+        real = audit._row_law
 
-        def counting(cm, dataset, support):
-            calls.append(dataset)
-            return real(cm, dataset, support)
+        def counting(query, data, i, support):
+            calls.append((data.tolist(), i))
+            return real(query, data, i, support)
 
-        monkeypatch.setattr(audit, "_centre_law", counting)
+        monkeypatch.setattr(audit, "_row_law", counting)
         B = 0.5
         q = sum_query(2, 4, B)
         cm = ComposedMechanism(
@@ -395,7 +399,8 @@ class TestArrayEnumeration:
         pair = neighbor_pair()
         table = verify_amplification(cm, pair, grid, method=method, n_samples=2000)
         assert len(table.rows) == len(grid)
-        assert calls == [pair.left, pair.right]
+        assert calls == [(ds.to_array().tolist(), i) for ds in (pair.left, pair.right)
+                         for i in range(2)]
 
     def test_hoisted_law_matches_per_epsilon_mixtures(self):
         B = 0.5
@@ -415,13 +420,6 @@ class TestArrayEnumeration:
                 tol=1e-7,
             )
             assert (row.empirical, row.tolerance) == (est.value, est.tolerance)
-
-
-def _stub_composed(centres):
-    """Just what ``_centre_law`` reads of a composed mechanism: a query that
-    returns ``centres`` whatever the masks."""
-    query = SimpleNamespace(evaluate_batch=lambda values, na: centres)
-    return SimpleNamespace(noise=SimpleNamespace(query=query))
 
 
 def _bits(law):
@@ -449,10 +447,7 @@ class TestCentreLawMerge:
     def test_matches_the_dict_merge(self, k, rows):
         centres = np.array([[_POOL[i] for i in r[:k]] for r in rows])
         probs = np.array([r[3] for r in rows])
-        masks = np.zeros((len(rows), 1, 2), dtype=bool)
-        cm = _stub_composed(centres)
-        got_weights, got_centres = audit._centre_law(cm, CompleteDataset(((0.0, 0.0),)),
-                                                     (masks, probs))
+        got_weights, got_centres = audit._merge(centres, probs)
         got = list(zip(map(tuple, got_centres.tolist()), got_weights.tolist()))
         assert _bits(got) == _bits(dict_centre_law(centres, probs))
 
@@ -512,5 +507,91 @@ class TestSupportSizeRefusal:
         start = time.perf_counter()
         with pytest.raises(UnsupportedMechanismError,
                            match=f"mask support has more than {audit._SUPPORT_LIMIT} elements"):
-            _support_arrays(mech, CompleteDataset(((0.0,) * 24,)))
+            audit._row_supports(mech, [CompleteDataset(((0.0,) * 24,))])
         assert time.perf_counter() - start < 0.05
+
+
+# entries and parameters: multiples of 1/8 (dyadic, so every sum below is
+# exact) or values whose sums round (0.1 + 0.2 != 0.3)
+_DYADIC = [-0.5, -0.375, -0.125, 0.0, 0.25, 0.5]
+_ROUNDING = [-0.5, -0.3, -0.1, 0.0, 0.2, 0.1 + 0.2, 1.0 / 3.0, 0.5]
+_POSTS = [
+    [],
+    [("clamp", {"lo": -0.125, "hi": 0.25}), ("sum", {})],
+    [("sum", {}), ("clamp", {"lo": -0.25, "hi": 0.125})],
+    [("scale", {"factor": -0.75}), ("clamp", {"lo": -0.25, "hi": 0.25}), ("sum", {}),
+     ("scale", {"factor": 0.5})],
+]
+
+
+@st.composite
+def _convolution_cases(draw):
+    n, d = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    dyadic = draw(st.booleans())
+    pool = _DYADIC if dyadic else _ROUNDING
+    entry = st.sampled_from(pool)
+    rows = tuple(tuple(draw(entry) for _ in range(d)) for _ in range(n))
+    matrix = lambda k: np.array([[draw(entry) for _ in range(d)] for _ in range(k)])  # noqa: E731
+    kind = draw(st.sampled_from(QUERY_KINDS))
+    params = {
+        "linear": lambda: {"matrices": [matrix(2) for _ in range(draw(st.sampled_from([1, n])))]},
+        "bounded_mean": dict,
+        "clipped_mean": lambda: {"clip": 0.375 if dyadic else 0.3},
+        "covariance": lambda: {"B": 0.5},
+        "mean_projection": lambda: {"projection": matrix(2)},
+        "histogram": lambda: {"lo": -0.5, "hi": 0.5, "bins": draw(st.sampled_from([1, 2, 4]))},
+    }[kind]()
+    query = make_standard_query(kind, n=n, d=d, **params)
+    for name, args in draw(st.sampled_from(_POSTS)):
+        query = named_postprocess(query, name, **args)
+
+    prob = st.sampled_from([0.0, 0.25, 0.5, 1.0] if dyadic else [0.0, 0.1, 0.3, 0.5, 1.0])
+    family = draw(st.sampled_from(["bernoulli", "capped", "pattern", "mar"]))
+    if family in ("bernoulli", "capped"):
+        pi = [draw(prob) for _ in range(d)]
+        fm = McarBernoulli(pi) if family == "bernoulli" else CappedBernoulli(
+            [min(max(p, 0.25), 0.75) for p in pi], rho_cap=draw(st.sampled_from([0.5, 1.0])))
+    else:
+        bits = st.tuples(*[st.integers(0, 1)] * d)
+        cands = list(dict.fromkeys(draw(st.lists(bits, min_size=1, max_size=3))))
+        split = [0.5, 0.25, 0.25] if dyadic else [0.3, 0.6, 0.1]
+        weights = split[:len(cands) - 1] + [1.0 - sum(split[:len(cands) - 1])]
+        if family == "pattern":
+            fm = McarPattern(list(zip(cands, weights)))
+        else:  # anchored on feature 0, which every candidate observes
+            cands = list(dict.fromkeys((0, *c[1:]) for c in cands))
+            low = [1.0] + [0.0] * (len(cands) - 1)
+            fm = MarAnchoredPattern(anchor=(0,), q_all=draw(prob) * 0.5, candidates=cands,
+                                    thresholds=[[0.0]],
+                                    score_table={"0": low, "1": low[::-1]})
+    return query, DatasetMechanism(fm, n=n), CompleteDataset(rows), dyadic
+
+
+class TestRowConvolution:
+    """The centre law convolved row by row is the law of the query on every
+    mask matrix, merged: bit for bit (up to the sign of a zero) when every
+    sum is exact, and within 32 ulp of the largest centre otherwise."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=_convolution_cases())
+    def test_matches_the_enumerated_law(self, case):
+        query, mech, dataset, dyadic = case
+        weights, centres = audit._centre_law(query, dataset,
+                                             audit._row_supports(mech, [dataset])[0])
+        want = enumerated_centre_law(query, mech, dataset)
+        want_centres = np.array([c for c, _ in want])
+        want_weights = np.array([w for _, w in want])
+        assert math.fsum(weights.tolist()) == pytest.approx(1.0, abs=1e-12)
+        probs = product_support(mech, dataset)[1]
+        if dyadic and mech.n in (1, 2) and all((p * 1024).is_integer() for p in probs.tolist()):
+            assert centres.shape == want_centres.shape
+            assert (centres == want_centres).all()
+            assert weights.tobytes() == want_weights.tobytes()
+            return
+        # pooled: every centre of either law carries the same weight within
+        # the tolerance in both
+        tol = 32 * np.finfo(float).eps * max(1.0, np.abs(want_centres).max())
+        for c in np.vstack((centres, want_centres)):
+            got = weights[(np.abs(centres - c) <= tol).all(axis=1)].sum()
+            ref = want_weights[(np.abs(want_centres - c) <= tol).all(axis=1)].sum()
+            assert got == pytest.approx(ref, abs=1e-12)

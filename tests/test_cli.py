@@ -76,7 +76,7 @@ class TestBundledScenarios:
         assert rec_a == rec_b
         record = json.loads(rec_a)
         assert "mask" not in record
-        assert "seed_commitment" in record
+        assert "seed_commitment" not in record
 
     def test_seed_override_changes_release(self, tmp_path, laplace_scn):
         out_a = tmp_path / "a"
@@ -409,7 +409,7 @@ class TestSchemaDiagnostics:
                      lambda scn: scn.update(family="gaussian", epsilon_grid=[0.5, 1.5],
                                             budget={"epsilon": 0.5, "delta": 0.001}),
                      id="gaussian-grid-epsilon"),
-        pytest.param("scenario.audit.method: exact mixture enumeration needs a 1-D query output",
+        pytest.param("scenario.audit.method: the exact audit needs a 1-D query output",
                      lambda scn: scn["query"].update(post=[]), id="exact-on-a-vector"),
         pytest.param("scenario.audit.tolerance: must be positive, got 0.0",
                      lambda scn: scn["audit"].update(tolerance=0), id="tolerance-zero"),
@@ -787,8 +787,20 @@ class TestMonteCarloFootprint:
 
 
 class TestExactAuditFootprint:
-    def test_oversized_support_refused_before_allocating(self, tmp_path, capsys):
-        # 3 rows of 6 Bernoulli features: 64^3 = 262144 mask matrices
+    @staticmethod
+    def _traced_audit(path, tmp_path):
+        tracemalloc.start()
+        try:
+            code = run("audit", path, tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return code, peak
+
+    def test_a_product_support_past_the_limit_runs_in_little_memory(self, tmp_path, capsys,
+                                                                    monkeypatch):
+        # 3 rows of 6 Bernoulli features: 64^3 = 262144 mask matrices, more
+        # than the limit, but the law convolved row by row stays small
         rows = [[0.1 * (i + j) - 0.4 for j in range(6)] for i in range(3)]
         scn = {
             "seed": 1, "bound_B": 0.5, "dataset": {"inline": rows},
@@ -801,22 +813,29 @@ class TestExactAuditFootprint:
         }
         path = tmp_path / "big.json"
         path.write_text(json.dumps(scn))
-        tracemalloc.start()
-        try:
-            code = run("audit", path, tmp_path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert code == 1
-        assert "mask support has 262144 elements" in capsys.readouterr().err
-        # the (M, n, d) mask stack alone would take 4.7 MB
-        assert peak < 2_000_000
+        laws, real = [], audit._centre_law
+
+        def traced(query, dataset, supports):  # the peak while each law is built
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            weights, centres = real(query, dataset, supports)
+            laws.append((len(weights), tracemalloc.get_traced_memory()[1] - start))
+            return weights, centres
+
+        monkeypatch.setattr(audit, "_centre_law", traced)
+        code, _ = self._traced_audit(path, tmp_path)
+        assert code == 0
+        assert capsys.readouterr().out.endswith(" PASS\n")
+        # 153 and 194 centres, split by rounding; the (M, n, d) mask stack
+        # alone would take 4.7 MB
+        assert [n for n, _ in laws] == [153, 194]
+        assert max(peak for _, peak in laws) < 2_000_000
 
     @staticmethod
-    def _one_feature_sum(tmp_path, pi, n):
+    def _one_feature_sum(tmp_path, pi, n, rows=None):
         d = len(pi)
         scn = {
-            "seed": 1, "bound_B": 0.5, "dataset": {"inline": [[0.1] * d] * n},
+            "seed": 1, "bound_B": 0.5, "dataset": {"inline": rows or [[0.1] * d] * n},
             "neighbor": {"row": 0, "replacement": [-0.2] * d},
             "mechanism": {"kind": "mcar_bernoulli", "pi": pi},
             "query": {"kind": "clipped_mean", "params": {"n": n, "d": d, "clip": 0.5},
@@ -845,20 +864,40 @@ class TestExactAuditFootprint:
         assert "mask support has more than 4096 elements" in capsys.readouterr().err
         assert peak < 4_000_000
 
-    def test_rows_past_the_limit_are_not_read(self, tmp_path, capsys, monkeypatch):
-        # 40 rows of 1024 masks each: the product passes the lowered limit at
-        # the second row, so the other 38 rows' supports are never read
+    def test_a_law_past_the_limit_is_refused_before_allocating(self, tmp_path, capsys,
+                                                              monkeypatch):
+        # 40 rows of 1024 masks each: after row 0 the law has 14 distinct
+        # centres (11 sums, split by rounding), and 14 x 1024 passes the
+        # lowered limit, so row 1's stack is never built
         monkeypatch.setattr(audit, "_SUPPORT_LIMIT", 4096)
+        built = []
+        real = audit._row_law
+
+        def counting(query, data, i, support):
+            built.append(i)
+            return real(query, data, i, support)
+
+        monkeypatch.setattr(audit, "_row_law", counting)
         path = self._one_feature_sum(tmp_path, [0.5] * 10, n=40)
-        tracemalloc.start()
-        try:
-            code = run("audit", path, tmp_path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        code, peak = self._traced_audit(path, tmp_path)
         assert code == 1
-        assert "mask support has more than 4096 elements" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: the centre law has 14 distinct centres before row 1, whose support "
+            "has 1024 masks: 14336 terms, more than 4096\n")
+        assert built == [0]
         assert peak < 2_000_000
+
+    def test_an_exact_audit_at_64_rows(self, tmp_path, capsys):
+        # 4^64 mask matrices; entries +-0.5 make every row term and sum exact,
+        # so the law has at most 257 centres
+        rows = [[0.5 if (i * 7 + j) % 3 else -0.5 for j in range(2)] for i in range(64)]
+        path = self._one_feature_sum(tmp_path, [0.5, 0.5], n=64, rows=rows)
+        scn = json.loads(path.read_text())
+        scn["epsilon_grid"] = [0.5, 1.0]
+        path.write_text(json.dumps(scn))
+        assert run("audit", path, tmp_path) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert [line.split()[-1] for line in out[-2:]] == ["PASS", "PASS"]
 
     def test_fixed_features_are_not_enumerated(self, tmp_path, capsys):
         # 40 features, two of them random: 4 masks per row, not 2^40
@@ -869,7 +908,7 @@ class TestExactAuditFootprint:
     @pytest.mark.parametrize("command, loaded", [
         ("audit", ""),
         ("amplify", ""),
-        # a release draws noise and hashes its seed: the probe does see modules
+        # a release draws noise, and numpy.random loads hashlib: the probe does see modules
         ("simulate", "numpy.random,hashlib,_hashlib"),
     ])
     def test_no_rng_or_openssl_without_a_release(self, tmp_path, laplace_scn, command, loaded):

@@ -213,6 +213,22 @@ class TestSignCertificate:
         assert est.value == 0.0
         assert 1e-3 < est.tolerance < 1.0
 
+    def test_a_grid_point_where_g_is_zero_is_a_root(self, monkeypatch):
+        # at eps = 0 the root 0.5 of N(0, 1) against N(1, 1) is a grid point,
+        # where g is exactly 0; the cell beside it holds that root and is not
+        # split down to float resolution
+        calls = []
+        real = _Kernel.__call__
+
+        def counting(self, x):
+            calls.append(len(x))
+            return real(self, x)
+
+        monkeypatch.setattr(_Kernel, "__call__", counting)
+        est = hockey_stick_mixture_1d(unit("gaussian", 0.0, 1.0), unit("gaussian", 1.0, 1.0), 0.0)
+        assert abs(est.value - (2.0 * stats.norm.cdf(0.5) - 1.0)) <= est.tolerance
+        assert len(calls) <= 51
+
     def test_far_tails_do_not_blunt_the_float_error_bound(self):
         # log p reaches about -8e14 at this grid's ends; the error allowed for
         # g where p and q cross must come from the values there, not from those

@@ -30,8 +30,9 @@ from amplipriv import (
     tight_rho,
     verify_rho,
 )
-from amplipriv.audit import _support_arrays
+from amplipriv.audit import _row_supports
 from amplipriv.cli import feature_mechanism_from_spec
+from oracles import product_support
 
 
 # the first candidate when the anchor value is >= 0, the second below it
@@ -53,8 +54,8 @@ def prob(mech, sample, mask):
 
 
 def matrix_prob(mech, dataset, rows):
-    """P[mask matrix = rows], read off the product support the audit enumerates."""
-    masks, probs = _support_arrays(mech, dataset)
+    """P[mask matrix = rows], read off the enumerated product support."""
+    masks, probs = product_support(mech, dataset)
     hits = [p for m, p in zip(masks.astype(int).tolist(), probs.tolist())
             if m == [list(r) for r in rows]]
     return hits[0] if hits else 0.0
@@ -106,7 +107,7 @@ class TestDatasetMaskProbability:
     def test_all_matrices_sum_to_one(self):
         mech = DatasetMechanism(McarBernoulli((0.5, 0.5)), n=2)
         z = CompleteDataset(((0.0, 0.0), (1.0, 1.0)))
-        masks, probs = _support_arrays(mech, z)
+        masks, probs = product_support(mech, z)
         assert len(masks) == 16
         assert abs(math.fsum(probs.tolist()) - 1.0) < 1e-12
 
@@ -128,9 +129,9 @@ class TestDatasetMaskProbability:
     def test_shape_mismatch(self):
         mech = DatasetMechanism(McarBernoulli((0.5, 0.5)), n=2)
         with pytest.raises(DimensionError):
-            _support_arrays(mech, CompleteDataset(((0.0, 0.0),)))
+            _row_supports(mech, [CompleteDataset(((0.0, 0.0),))])
         with pytest.raises(DimensionError):
-            _support_arrays(mech, CompleteDataset(((0.0,), (0.0,))))
+            _row_supports(mech, [CompleteDataset(((0.0,), (0.0,)))])
 
 
 class TestSupportSize:

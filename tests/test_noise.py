@@ -329,11 +329,26 @@ class TestReleaseRecord:
         run = run_composed(cm, CompleteDataset(((0.3,), (0.5,))), seed=3)
         record = release_record(mech, run.output, seed=3)
         assert "mask" not in record
-        assert set(record) == {
-            "output", "epsilon_base", "delta_base", "family", "scale",
-            "seed_commitment",
-        }
+        assert set(record) == {"output", "epsilon_base", "delta_base", "family", "scale"}
         assert record["epsilon_base"] == "1.0"
+
+    def test_no_field_matches_a_brute_force_over_seeds(self):
+        # the noise is reproducible from the seed, so no published field may
+        # be found by a search over seeds: neither a seed nor a hash of one
+        import hashlib
+
+        mech = calibrate_laplace(unit_query(), epsilon=1.0, B=1.0)
+        missing = DatasetMechanism(McarBernoulli((0.5,)), n=2)
+        cm = ComposedMechanism(noise=mech, missing=missing)
+        run = run_composed(cm, CompleteDataset(((0.3,), (0.5,))), seed=20240)
+        record = release_record(mech, run.output, seed=20240)
+        published = {v for value in record.values()
+                     for v in (value if isinstance(value, list) else [value])}
+        for seed in range(10**5 + 1):
+            text = str(seed).encode()
+            guesses = {text.decode(), hashlib.sha256(text).hexdigest(),
+                       hashlib.sha1(text).hexdigest(), hashlib.md5(text).hexdigest()}
+            assert not guesses & published, seed
 
     def test_audit_mode_adds_mask(self):
         mech = calibrate_laplace(unit_query(), epsilon=1.0, B=1.0)
