@@ -31,6 +31,19 @@ integral is a sum of component CDF and survival function differences between
 the sign changes of p - e^eps q, so the only
 approximation is where those roots sit; the reported ``tolerance`` bounds the
 mass that root error can move plus the float error of the sums.
+
+When P and Q are Laplace at one scale b, of any dimension k, the divergence
+is certified 0 without a grid or a draw. In each box between adjacent centre
+values of every coordinate, p and q times one positive factor are
+multilinear in the e^(2 x_j / b) with nonnegative coefficients, so p/q is
+monotone in each coordinate; past a coordinate's outer centre value it does
+not depend on that coordinate. So sup log p/q lies on the lattice of centre
+coordinates, which one kernel call reads. Where that sup, less eps and plus
+its float error, is negative, both estimators return what their grid or
+draw would: the quadrature 0 with the tolerance of a rootless grid, Monte
+Carlo the estimate and interval of an all-zero statistic. Reports keep
+their bytes; a pair with delta > 0, another family or two scales takes the
+grid or the draw.
 """
 
 from __future__ import annotations
@@ -45,7 +58,7 @@ import numpy as np
 
 from .errors import DimensionError, SupportError
 from .missingness import substream, _KEY_MC
-from .noise import FAMILIES
+from .noise import FAMILIES, LAPLACE
 
 _NORM_TOL = 1e-12
 _MC_ALPHA = 0.01  # Monte Carlo intervals are two-sided at 99%
@@ -94,6 +107,8 @@ class VectorMixture:
                 f"centers must be (m, k) with m = {len(weights)} components, "
                 f"got shape {centers.shape}"
             )
+        if not np.isfinite(centers).all():
+            raise ValueError("centers must be finite")
         if self.family not in FAMILIES:
             raise ValueError(f"unknown mixture family '{self.family}'")
         scale = float(self.scale)
@@ -226,10 +241,45 @@ class DivergenceEstimate:
             raise ValueError("quadrature estimates must carry a tolerance bound")
 
 
-# --- exact integral between roots ---------------------------------------------
+# --- the centre lattice: where log p/q peaks for Laplace at one scale ---------
 
 _TAIL_SCALES = 40.0
 _EPS = float(np.finfo(float).eps)
+# a unit Laplace draw is -log(2(1 - u)) or log(2u) with u clipped to [1e-300, 1 - 1e-16],
+# so it lies within -log(2e-300) < 691 of 0
+_DRAW_REACH = 691.0
+
+
+def _lattice_sup(
+    P: VectorMixture, Q: VectorMixture, kernel: _Kernel, epsilon: float, limit: float,
+    reach: float,
+) -> Optional[tuple]:
+    """(top, err), or None unless P and Q are Laplace at one scale and the
+    lattice of centre coordinates (each coordinate's distinct centre values
+    over P and Q) has at most ``limit`` points. ``kernel`` is their joint one.
+
+    top is the lattice maximum of g = log p - log q - eps, which is sup g over
+    R^k (see the module docstring). err bounds top's float error plus twice
+    the kernel's error bound at any point within ``reach`` scales of the
+    lattice, so top + err < 0 means the divergence is 0 and g, as computed
+    there, lies below minus its own error bound.
+    """
+    if not (P.family == Q.family == LAPLACE and P.scale == Q.scale):
+        return None
+    k = P.centers.shape[1]
+    axes = [sorted(set(P.centers[:, j].tolist() + Q.centers[:, j].tolist())) for j in range(k)]
+    if math.prod(map(len, axes)) > limit:
+        return None
+    log_p, log_q = kernel(np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, k))
+    log_coef = max(float(np.abs(M.log_coef).max()) for M in (P, Q))
+    logs = 1.0 + epsilon + log_coef
+    # within reach, log p <= log_coef + log m, and log p >= -log_coef less a penalty of at
+    # most sum_j (span_j / b + reach); so is log q
+    far = (1.0 + log_coef + math.log(max(P.log_coef.size, Q.log_coef.size))
+           + sum((a[-1] - a[0]) / P.scale + reach for a in axes))
+    top = float((log_p - (epsilon + log_q)).max())
+    at_lattice = logs + float((np.abs(log_p) + np.abs(log_q)).max())
+    return top, 2.0 ** -40 * (at_lattice + 2.0 * (logs + 2.0 * far))
 
 
 def hockey_stick_mixture_1d(
@@ -270,6 +320,11 @@ def hockey_stick_mixture_1d(
                 "needs 1, use Monte Carlo for vector outputs"
             )
     alpha = math.exp(epsilon)
+    kernel = _Kernel((P, Q))  # P and Q together, at every point below
+    sup = _lattice_sup(P, Q, kernel, epsilon, math.inf, _TAIL_SCALES)
+    if sup is not None and sup[0] + sup[1] < 0.0:  # as the grid finds no root and no lost mass
+        return DivergenceEstimate(value=0.0, method=METHOD_QUADRATURE, epsilon_at=epsilon,
+                                  tolerance=8.0 * _EPS * (1.0 + alpha))
 
     # P's centres first: of two signed zeros the set keeps the first seen
     centers = sorted(set(P.centers[:, 0].tolist() + Q.centers[:, 0].tolist()))
@@ -281,7 +336,6 @@ def hockey_stick_mixture_1d(
     grid = np.concatenate([np.linspace(a, b, n + 1)[:-1] for (a, b), n in zip(pieces, steps)]
                           + [breaks[-1:]])
 
-    kernel = _Kernel((P, Q))  # P and Q together, at every point below
     logs = 1.0 + epsilon + max(float(np.abs(M.log_coef).max()) for M in (P, Q))
 
     def sample(x):  # rows log p, log q, g and a bound on g's float error
@@ -408,24 +462,26 @@ def mc_delta_vector(
     if not 0 <= epsilon < math.inf:
         raise ValueError("epsilon must be finite and nonnegative")
     check_samples(n_samples, k)
-    rng = substream(seed, _KEY_MC, 0)
-    x = P.sample(rng, n_samples)
-    log_p, stat = _Kernel((P, Q))(x)
-    del x  # the statistic's temporaries need not sit beside the sample
-    if not (math.isfinite(log_p.min()) and math.isfinite(log_p.max())):
-        raise SupportError("P log-density was not finite at a sampled point")
-    # (1 - e^(eps + log q - log p))_+ in place of log q
-    np.add(epsilon, stat, out=stat)
-    stat -= log_p
-    with np.errstate(over="ignore"):
-        np.exp(stat, out=stat)
-    np.subtract(1.0, stat, out=stat)
-    np.clip(stat, 0.0, None, out=stat)
-    est = float(np.mean(stat))
+    kernel = _Kernel((P, Q))
+    sup = _lattice_sup(P, Q, kernel, epsilon, n_samples, _DRAW_REACH)
+    if sup is not None and sup[0] + sup[1] < 0.0:  # every draw's statistic would be 0
+        est = var = 0.0
+    else:
+        x = P.sample(substream(seed, _KEY_MC, 0), n_samples)
+        log_p, stat = kernel(x)
+        del x  # the statistic's temporaries need not sit beside the sample
+        if not (math.isfinite(log_p.min()) and math.isfinite(log_p.max())):
+            raise SupportError("P log-density was not finite at a sampled point")
+        # (1 - e^(eps + log q - log p))_+ in place of log q
+        np.add(epsilon, stat, out=stat)
+        stat -= log_p
+        with np.errstate(over="ignore"):
+            np.exp(stat, out=stat)
+        np.subtract(1.0, stat, out=stat)
+        np.clip(stat, 0.0, None, out=stat)
+        est, var = float(np.mean(stat)), float(np.var(stat, ddof=1))
     log_term = math.log(4.0 / _MC_ALPHA)
-    half = math.sqrt(
-        2.0 * float(np.var(stat, ddof=1)) * log_term / n_samples
-    ) + 7.0 * log_term / (3.0 * (n_samples - 1))
+    half = math.sqrt(2.0 * var * log_term / n_samples) + 7.0 * log_term / (3.0 * (n_samples - 1))
     return DivergenceEstimate(
         value=min(est, 1.0),
         method=METHOD_MC,

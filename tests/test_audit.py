@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from amplipriv import audit
+from amplipriv import audit, divergence, missingness
 from amplipriv import (
     CappedBernoulli,
     ComposedMechanism,
@@ -247,6 +247,34 @@ class TestVerifyAmplification:
         )
         assert table.rows[0].method == "monte_carlo"
         assert table.passed
+
+    def test_a_certified_monte_carlo_row_draws_nothing(self, monkeypatch):
+        # at eps' = 0.5 the centre lattice certifies delta = 0: the row is the
+        # sampled one without a stream or a sample
+        B = 0.5
+        q = sum_query(2, 4, B)
+        cm = ComposedMechanism(
+            noise=calibrate_laplace(q, epsilon=1.0, B=B),
+            missing=anchored_mechanism(2),
+        )
+
+        def rows():
+            return verify_amplification(
+                cm, neighbor_pair(), [1.0], method="mc", n_samples=50_000, seed=2
+            ).rows
+
+        with monkeypatch.context() as mp:
+            mp.setattr(divergence, "_lattice_sup", lambda *args: None)
+            sampled = rows()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a certified row drew a sample")
+
+        monkeypatch.setattr(VectorMixture, "sample", refuse)
+        for module in (missingness, divergence):
+            monkeypatch.setattr(module, "substream", refuse)
+        assert repr(rows()) == repr(sampled)
+        assert sampled[0].empirical == 0.0
 
     def test_vector_output_goes_through_monte_carlo(self):
         # k = 4 output: exact is rejected, the MC path audits it anyway

@@ -912,6 +912,21 @@ class TestExactAuditFootprint:
         ("simulate", "numpy.random,hashlib,_hashlib"),
     ])
     def test_no_rng_or_openssl_without_a_release(self, tmp_path, laplace_scn, command, loaded):
+        assert self._loaded(command, laplace_scn, tmp_path) == loaded
+
+    @pytest.mark.parametrize("method", ["exact", "mc"])
+    def test_a_certified_audit_loads_no_numpy_ma_or_rng(self, tmp_path, laplace_scn, method):
+        # every row of this audit is certified from the centre lattice, so the
+        # Monte Carlo audit draws nothing; numpy.ma would add 0.8 MB, numpy.random 5.5 MB
+        scn = json.loads(laplace_scn.read_text())
+        scn["audit"] = {"method": method, "samples": 50_000}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scn))
+        assert self._loaded("audit", path, tmp_path, ("numpy.ma", "numpy.random")) == ""
+
+    @staticmethod
+    def _loaded(command, scenario, out, modules=("numpy.random", "hashlib", "_hashlib")):
+        """Which of ``modules`` a fresh process has loaded after the command."""
         src = Path(__file__).resolve().parent.parent / "src"
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
@@ -919,14 +934,13 @@ class TestExactAuditFootprint:
             "import sys\n"
             "from amplipriv.cli import run_scenario\n"
             "assert run_scenario(sys.argv[1], sys.argv[2], sys.argv[3]) == 0\n"
-            "print('loaded:' + ','.join(m for m in ('numpy.random', 'hashlib', '_hashlib')"
-            " if m in sys.modules))\n"
+            "print('loaded:' + ','.join(m for m in sys.argv[4:] if m in sys.modules))\n"
         )
-        out = subprocess.run(
-            [sys.executable, "-c", probe, command, str(laplace_scn), str(tmp_path)],
+        stdout = subprocess.run(
+            [sys.executable, "-c", probe, command, str(scenario), str(out), *modules],
             env=env, capture_output=True, text=True, check=True,
         ).stdout
-        assert out.splitlines()[-1] == "loaded:" + loaded
+        return stdout.splitlines()[-1].removeprefix("loaded:")
 
 
 class TestCsvDataset:

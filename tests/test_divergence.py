@@ -1,20 +1,31 @@
 """Divergence computation against closed-form oracles and the convexity
 identities the amplification argument rests on."""
 
+import contextlib
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import integrate, optimize, stats
 
 from amplipriv import (
     DimensionError,
     VectorMixture,
+    divergence,
     hockey_stick_mixture_1d,
     mc_delta_vector,
 )
-from amplipriv.divergence import MC_MAX_COORDINATES, _TAIL_SCALES as _TAIL, _Kernel, check_samples
+from amplipriv.divergence import (
+    _DRAW_REACH,
+    MC_MAX_COORDINATES,
+    _TAIL_SCALES as _TAIL,
+    _Kernel,
+    check_samples,
+)
+from amplipriv.missingness import _KEY_MC, substream
 from amplipriv.noise import FAMILIES
 from oracles import DiscreteDistribution, gather_sample, hockey_stick_discrete, mix_discrete
 
@@ -33,6 +44,20 @@ def laplace_delta(shift, scale, eps):
     if eps >= shift / scale:
         return 0.0
     return 1.0 - math.exp(-(shift / scale - eps) / 2.0)
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The number of points of each joint kernel call, as they are made."""
+    calls = []
+    real = _Kernel.__call__
+
+    def counting(self, x):
+        calls.append(len(x))
+        return real(self, x)
+
+    monkeypatch.setattr(_Kernel, "__call__", counting)
+    return calls
 
 
 def unit(family, centre, scale):
@@ -213,21 +238,13 @@ class TestSignCertificate:
         assert est.value == 0.0
         assert 1e-3 < est.tolerance < 1.0
 
-    def test_a_grid_point_where_g_is_zero_is_a_root(self, monkeypatch):
+    def test_a_grid_point_where_g_is_zero_is_a_root(self, kernel_calls):
         # at eps = 0 the root 0.5 of N(0, 1) against N(1, 1) is a grid point,
         # where g is exactly 0; the cell beside it holds that root and is not
         # split down to float resolution
-        calls = []
-        real = _Kernel.__call__
-
-        def counting(self, x):
-            calls.append(len(x))
-            return real(self, x)
-
-        monkeypatch.setattr(_Kernel, "__call__", counting)
         est = hockey_stick_mixture_1d(unit("gaussian", 0.0, 1.0), unit("gaussian", 1.0, 1.0), 0.0)
         assert abs(est.value - (2.0 * stats.norm.cdf(0.5) - 1.0)) <= est.tolerance
-        assert len(calls) <= 51
+        assert len(kernel_calls) <= 51
 
     def test_far_tails_do_not_blunt_the_float_error_bound(self):
         # log p reaches about -8e14 at this grid's ends; the error allowed for
@@ -245,6 +262,123 @@ class TestSignCertificate:
         tail = 0.5 * math.exp(-_TAIL)  # r's mass 40 of its scales past its centre
         assert hockey_stick_mixture_1d(p, q, 0.5).tolerance < 1e-14
         assert hockey_stick_mixture_1d(p, r, 0.5).tolerance > tail
+
+
+def lattice(P, Q, eps, reach):
+    """The centre lattice's (top, err) for P and Q, with no limit on its size."""
+    return divergence._lattice_sup(P, Q, _Kernel((P, Q)), eps, math.inf, reach)
+
+
+@st.composite
+def laplace_pair(draw, ks=st.integers(1, 3)):
+    """Two small Laplace mixtures of one output dimension k and one scale,
+    their centres drawn from a lattice of quarters or from anywhere in [-2, 2]."""
+    k, scale = draw(ks), draw(st.sampled_from([0.25, 0.5, 1.0, 2.5]))
+    value = st.one_of(st.integers(-8, 8).map(lambda i: i / 4.0), st.floats(-2.0, 2.0))
+
+    def mixture():
+        m = draw(st.integers(1, 4))
+        w = np.array(draw(st.lists(st.integers(1, 9), min_size=m, max_size=m)), dtype=float)
+        c = draw(st.lists(st.lists(value, min_size=k, max_size=k), min_size=m, max_size=m))
+        return VectorMixture(w / w.sum(), c, "laplace", scale)
+
+    return mixture(), mixture()
+
+
+def level(P, Q, slack):
+    """An epsilon ``slack`` above the pair's lattice maximum of log p - log q,
+    so that about two draws in three are certified."""
+    return max(lattice(P, Q, 0.0, 0.0)[0] + slack, 0.0)
+
+
+@contextlib.contextmanager
+def certificate_off():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(divergence, "_lattice_sup", lambda *args: None)
+        yield
+
+
+class TestLatticeCertificate:
+    """For Laplace at one scale the supremum of log p - log q lies on the
+    lattice of centre coordinates, so where it is negative the divergence is
+    0 with no grid and no draw, and the reports are those of the grid and the
+    draw."""
+
+    PAIR = (VectorMixture([0.5, 0.5], [[0.0, 1.0], [1.0, -0.5]], "laplace", 1.0),
+            VectorMixture([0.25, 0.75], [[0.5, 1.0], [1.0, 0.0]], "laplace", 1.0))
+
+    @settings(max_examples=150, deadline=None)
+    @given(pair=laplace_pair(), slack=st.floats(-1.0, 2.0), seed=st.integers(0, 2**32 - 1))
+    @example(pair=PAIR, slack=0.0, seed=0)
+    def test_the_lattice_maximum_bounds_g_everywhere(self, pair, slack, seed):
+        P, Q = pair
+        eps = level(P, Q, slack)
+        top, err = lattice(P, Q, eps, 50.0)
+        assert err < 1e-8
+        # a cloud 50 scales past the outer centres, and one about the lattice's corners
+        rng, b = np.random.default_rng(seed), P.scale
+        both = np.vstack((P.centers, Q.centers))
+        lo, hi = both.min(axis=0) - 50.0 * b, both.max(axis=0) + 50.0 * b
+        near = both[rng.integers(len(both), size=2000)] + rng.uniform(-b, b, (2000, len(lo)))
+        x = np.vstack((rng.uniform(lo, hi, (2000, len(lo))), near))
+        log_p, log_q = _Kernel((P, Q))(x)
+        assert (log_p - (eps + log_q)).max() <= top + err
+
+    @settings(max_examples=150, deadline=None)
+    @given(pair=laplace_pair(st.just(1)), slack=st.floats(-1.0, 2.0))
+    def test_a_certified_quadrature_is_the_grid_paths_result(self, pair, slack):
+        P, Q = pair
+        eps = level(P, Q, slack)
+        top, err = lattice(P, Q, eps, _TAIL)
+        est = hockey_stick_mixture_1d(P, Q, eps)
+        with certificate_off():
+            grid = hockey_stick_mixture_1d(P, Q, eps)
+        assert repr(est) == repr(grid)
+        if top + err < 0.0:
+            assert (est.value, est.tolerance) == (0.0, 8.0 * divergence._EPS * (1.0 + math.exp(eps)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(pair=laplace_pair(), slack=st.floats(-1.0, 2.0), seed=st.integers(0, 2**32 - 1))
+    def test_a_certified_estimate_is_the_sampled_one(self, pair, slack, seed):
+        P, Q = pair
+        eps = level(P, Q, slack)
+        top, err = lattice(P, Q, eps, _DRAW_REACH)
+        est = mc_delta_vector(P, Q, eps, 1000, seed)
+        with certificate_off():
+            sampled = mc_delta_vector(P, Q, eps, 1000, seed)
+        assert repr(est) == repr(sampled)
+        if top + err < 0.0:  # every sampled statistic is 0
+            log_p, log_q = _Kernel((P, Q))(P.sample(substream(seed, _KEY_MC, 0), 1000))
+            assert not np.clip(1.0 - np.exp(eps + log_q - log_p), 0.0, None).any()
+
+    @pytest.mark.parametrize("P, Q, eps", [
+        (unit("gaussian", 0.0, 1.0), unit("gaussian", 1.0, 1.0), 5.0),  # no Gaussian pair
+        (unit("laplace", 0.0, 1.0), unit("laplace", 1.0, 1.0), 0.5),  # a root at x = 0.75
+        (unit("laplace", 0.0, 2.0), unit("laplace", 0.0, 1.0), 0.5),  # two scales
+    ])
+    def test_never_certified(self, P, Q, eps):
+        for reach in (_TAIL, _DRAW_REACH):
+            sup = lattice(P, Q, eps, reach)
+            assert sup is None or sup[0] + sup[1] >= 0.0
+        if P.scale != Q.scale:
+            # log p - log q is -ln 2 at the one centre, yet p > e^eps q in the tails
+            log_p, log_q = _Kernel((P, Q))(np.zeros((1, 1)))
+            assert log_p[0] - log_q[0] == pytest.approx(-math.log(2.0))
+            assert hockey_stick_mixture_1d(P, Q, eps).value > 0.0
+
+    def test_a_certified_quadrature_evaluates_only_the_centres(self, kernel_calls):
+        P, Q = unit("laplace", 0.0, 1.0), unit("laplace", 1.0, 1.0)
+        est = hockey_stick_mixture_1d(P, Q, 1.5)
+        assert est.value == laplace_delta(1.0, 1.0, 1.5) == 0.0
+        assert kernel_calls == [2]
+
+    def test_a_lattice_larger_than_the_sample_is_not_read(self, kernel_calls):
+        # 11 values per coordinate make 1331 lattice points, more than 1000 draws
+        P = VectorMixture(np.full(11, 1 / 11), np.repeat(np.arange(11.0)[:, None], 3, axis=1),
+                          "laplace", 1.0)
+        est = mc_delta_vector(P, P, 1.0, 1000, 0)
+        assert est.value == 0.0 and kernel_calls == [1000]
+        assert divergence._lattice_sup(P, P, _Kernel((P, P)), 1.0, 1000, _DRAW_REACH) is None
 
 
 def _mixture_delta_oracle(P, Q, eps):
@@ -559,6 +693,8 @@ class TestMixtureValidation:
         (dict(weights=np.array([math.nan, 1.0])), "nonnegative"),
         (dict(centers=np.array([0.0, 1.0])), "centers must be"),
         (dict(centers=np.zeros((3, 2))), "centers must be"),
+        (dict(centers=np.array([[0.0, math.nan], [1.0, 1.0]])), "centers must be finite"),
+        (dict(centers=np.array([[0.0, 0.0], [-math.inf, 1.0]])), "centers must be finite"),
     ])
     def test_invalid_mixture_rejected(self, change, message):
         fields = dict(weights=np.array([0.5, 0.5]), centers=np.array([[0.0, 0.0], [1.0, 1.0]]),
