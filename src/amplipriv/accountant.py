@@ -11,7 +11,6 @@ a value rounded below what was computed.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -65,9 +64,6 @@ class AmplificationReport:
         if self.first_order is not None:
             out["first_order"] = repr(self.first_order)
         return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
 
 
 def amplified_epsilon(epsilon: float, p_star: float) -> float:

@@ -33,7 +33,7 @@ from .datasets import apply_mask  # noqa: F401  (patched by bench/tracing.py, it
 from .divergence import VectorMixture, check_samples, hockey_stick_mixture_1d, mc_delta_vector
 from .errors import DimensionError, UnsupportedMechanismError
 from .missingness import DatasetMechanism, MarAnchoredPattern, MechanismClass, p_star, tight_rho
-from .noise import GAUSSIAN, ComposedMechanism, NoiseMechanism, calibrate, calibrate_gaussian
+from .noise import GAUSSIAN, ComposedMechanism, calibrate, calibrate_gaussian
 from .queries import make_standard_query, sensitivity_masked
 
 # the most terms one row of the convolution may form: the running law's
@@ -239,12 +239,8 @@ def verify_amplification(
 
 @dataclass(frozen=True)
 class TightnessResult:
-    composed: ComposedMechanism
-    base_mechanism: NoiseMechanism
-    pair: NeighborPair
     p_star: float
     equality_gap: float
-    epsilon_at: float
 
 
 def tightness_counterexample(
@@ -286,6 +282,5 @@ def tightness_counterexample(
 
     d_composed = hockey_stick_mixture_1d(pm, qm, epsilon, tol=tol)
     d_base = hockey_stick_mixture_1d(base_p, base_q, epsilon, tol=tol)
-    return TightnessResult(composed=composed, base_mechanism=mech, pair=NeighborPair(left, right),
-                           p_star=p_star(missing), epsilon_at=epsilon,
+    return TightnessResult(p_star=p_star(missing),
                            equality_gap=abs(d_composed.value - d_base.value))

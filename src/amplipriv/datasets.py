@@ -98,9 +98,6 @@ class Mask:
     def observed_count(self) -> int:
         return self.bits.count(0)
 
-    def is_all_missing(self) -> bool:
-        return all(b == 1 for b in self.bits)
-
 
 @dataclass(frozen=True)
 class MaskMatrix:

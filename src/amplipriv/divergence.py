@@ -4,15 +4,18 @@ one-dimensional mixtures, Monte Carlo everywhere else.
 ``VectorMixture`` is the one mixture type: weights over (m, k) centres with
 one noise family and scale from the table in ``noise``, a 1-D law being the
 case k = 1. The quadrature takes two mixtures of dimension 1; the one Monte
-Carlo estimator, ``mc_delta_vector``, takes two of any equal dimension.
+Carlo estimator, ``mc_delta_vector``, takes two of any equal dimension. An
+audit compares the output laws of one calibrated mechanism on two datasets,
+so P and Q share one family and one scale, and both estimators refuse a pair
+that does not.
 
-Log-densities come from one kernel that evaluates one or more mixtures at the
-same points. It walks the points in blocks and, within a block, the k
-coordinates in order: per coordinate, one penalty table holds the distinct
-(family, scale, centre) columns of all the mixtures, so P and Q, which share
-most centres and have few distinct values per coordinate, fill it once (an
-audit-sized Monte Carlo pair has 64 components each but at most 6 columns per
-coordinate). Each mixture gathers its columns from the tables, sums them in
+Log-densities come from one kernel that evaluates one or more mixtures of one
+family and scale at the same points. It walks the points in blocks and,
+within a block, the k coordinates in order: per coordinate, one penalty table
+holds the distinct centres of all the mixtures, so P and Q, which share most
+centres and have few distinct values per coordinate, fill it once (an
+audit-sized Monte Carlo pair has 64 components each but at most 6 centres per
+coordinate). Each mixture gathers its rows from the tables, sums them in
 coordinate order and takes its log-sum-exp; the result is bit-identical to
 evaluating each mixture alone. The Monte Carlo estimator and the 1-D
 quadrature evaluate P and Q through one such joint kernel per call; a single
@@ -42,14 +45,13 @@ coordinates, which one kernel call reads. Where that sup, less eps and plus
 its float error, is negative, both estimators return what their grid or
 draw would: the quadrature 0 with the tolerance of a rootless grid, Monte
 Carlo the estimate and interval of an all-zero statistic. Reports keep
-their bytes; a pair with delta > 0, another family or two scales takes the
-grid or the draw.
+their bytes; a pair with delta > 0 or of the Gaussian family takes the grid
+or the draw.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
@@ -81,10 +83,10 @@ class VectorMixture:
     component i adds i.i.d. noise of one family and scale to every coordinate
     of its centre, row i of ``centers`` (m, k). A 1-D law is the case k = 1.
 
-    When built it holds the kernel's columns: ``code``, the family's position
-    in ``FAMILIES``; ``log_coef``, log w_i - k log_norm(scale) for each
-    positive-weight component in index order; and ``kernel_centers``, per
-    coordinate one contiguous row of those components' centres.
+    When built it holds the kernel's columns: ``log_coef``, log w_i -
+    k log_norm(scale) for each positive-weight component in index order; and
+    ``kernel_centers``, per coordinate one contiguous row of those
+    components' centres.
     """
 
     weights: np.ndarray
@@ -119,7 +121,6 @@ class VectorMixture:
         object.__setattr__(self, "scale", scale)
         cols = np.flatnonzero(weights > 0.0).tolist()
         norm = centers.shape[1] * FAMILIES[self.family].log_norm(scale)
-        object.__setattr__(self, "code", list(FAMILIES).index(self.family))
         object.__setattr__(self, "log_coef", np.array([math.log(weights[i]) - norm for i in cols]))
         object.__setattr__(self, "kernel_centers", tuple(np.ascontiguousarray(centers[cols].T)))
 
@@ -159,36 +160,31 @@ class VectorMixture:
 
 
 class _Kernel:
-    """Log-densities of one or more mixtures of one dimension k at the same
-    points, from one penalty table per block and coordinate over their
-    distinct (family, scale, centre) columns, grouped by family: x - c, then
-    / s, then the family penalty, one row per column. Values are
-    bit-identical to evaluating each mixture alone: equal columns (centres
-    -0.0 and 0.0 too) give equal penalties, and each mixture sums its
-    gathered rows in coordinate order and its components along contiguous
-    (points x components) rows.
+    """Log-densities of one or more mixtures of one dimension k, one family
+    and one scale at the same points, from one penalty table per block and
+    coordinate over their distinct centres: x - c, then / scale, then the
+    family penalty, one row per centre. Values are bit-identical to
+    evaluating each mixture alone: equal centres (-0.0 and 0.0 too) give
+    equal penalties, and each mixture sums its gathered rows in coordinate
+    order and its components along contiguous (points x components) rows.
     """
 
     def __init__(self, mixtures: Sequence[VectorMixture]):
+        first = mixtures[0]
+        for m in mixtures[1:]:
+            if (m.family, m.scale) != (first.family, first.scale):
+                raise ValueError(
+                    "mixtures must share one noise family and scale, got "
+                    f"{first.family} at scale {first.scale!r} and {m.family} at scale {m.scale!r}"
+                )
+        self.scale, self.penalty = first.scale, FAMILIES[first.family].penalty
         self.tables, gathers = [], []
-        for j in range(mixtures[0].centers.shape[1]):
-            keys = [
-                [(m.code, m.scale, c) for c in m.kernel_centers[j].tolist()]
-                for m in mixtures
-            ]
-            cols = sorted(set().union(*keys))  # family code first: families contiguous
-            row = {key: u for u, key in enumerate(cols)}
-            spans = []
-            for code, fam in enumerate(FAMILIES.values()):
-                lo, hi = bisect_left(cols, (code,)), bisect_left(cols, (code + 1,))
-                if lo < hi:
-                    spans.append((fam, lo, hi))
-            self.tables.append((
-                np.array([c for _, _, c in cols]).reshape(-1, 1),
-                np.array([s for _, s, _ in cols]).reshape(-1, 1),
-                spans,
-            ))
-            gathers.append([np.array([row[key] for key in ks], dtype=np.intp) for ks in keys])
+        for j in range(first.centers.shape[1]):
+            keys = [m.kernel_centers[j].tolist() for m in mixtures]
+            cols = sorted(set().union(*keys))
+            row = {c: u for u, c in enumerate(cols)}
+            self.tables.append(np.array(cols).reshape(-1, 1))
+            gathers.append([np.array([row[c] for c in ks], dtype=np.intp) for ks in keys])
         # per mixture, its coefficients and its rows of each coordinate's table
         self.mixtures = [
             (m.log_coef[:, None], rows) for m, rows in zip(mixtures, zip(*gathers))
@@ -200,12 +196,10 @@ class _Kernel:
         for i in range(0, len(x), _BLOCK):
             xb = x[i : i + _BLOCK]
             tables = []
-            for j, (centers, scales, spans) in enumerate(self.tables):
+            for j, centers in enumerate(self.tables):
                 t = np.subtract(xb[:, j], centers)
-                t /= scales
-                for fam, lo, hi in spans:
-                    fam.penalty(t[lo:hi])
-                tables.append(t)
+                t /= self.scale
+                tables.append(self.penalty(t))
             for r, (log_coef, rows) in enumerate(self.mixtures):
                 pen = tables[0].take(rows[0], axis=0, mode="clip")
                 buf = None
@@ -227,10 +221,8 @@ class _Kernel:
 class DivergenceEstimate:
     value: float
     method: str
-    epsilon_at: float
     tolerance: Optional[float] = None
     ci: Optional[tuple] = None
-    seed: Optional[int] = None
 
     def __post_init__(self):
         if not -1e-9 <= self.value <= 1.0 + 1e-9:
@@ -254,9 +246,9 @@ def _lattice_sup(
     P: VectorMixture, Q: VectorMixture, kernel: _Kernel, epsilon: float, limit: float,
     reach: float,
 ) -> Optional[tuple]:
-    """(top, err), or None unless P and Q are Laplace at one scale and the
-    lattice of centre coordinates (each coordinate's distinct centre values
-    over P and Q) has at most ``limit`` points. ``kernel`` is their joint one.
+    """(top, err), or None unless P and Q are Laplace and the lattice of
+    centre coordinates (each coordinate's distinct centre values over P and
+    Q) has at most ``limit`` points. ``kernel`` is their joint one.
 
     top is the lattice maximum of g = log p - log q - eps, which is sup g over
     R^k (see the module docstring). err bounds top's float error plus twice
@@ -264,7 +256,7 @@ def _lattice_sup(
     lattice, so top + err < 0 means the divergence is 0 and g, as computed
     there, lies below minus its own error bound.
     """
-    if not (P.family == Q.family == LAPLACE and P.scale == Q.scale):
+    if P.family != LAPLACE:
         return None
     k = P.centers.shape[1]
     axes = [sorted(set(P.centers[:, j].tolist() + Q.centers[:, j].tolist())) for j in range(k)]
@@ -285,11 +277,12 @@ def _lattice_sup(
 def hockey_stick_mixture_1d(
     P: VectorMixture, Q: VectorMixture, epsilon: float, tol: float = 1e-9
 ) -> DivergenceEstimate:
-    """Positive-part integral between two mixtures of output dimension 1.
+    """Positive-part integral between two mixtures of output dimension 1 and
+    one family and scale.
 
     The sign of g = log p - eps - log q is read on one grid through every
-    component centre (Laplace densities kink there), spacing 1/8 of the finer
-    scale, spanning 40 of the wider scales beyond the outer centres. A cell
+    component centre (Laplace densities kink there), spacing 1/8 of the
+    scale, spanning 40 scales beyond the outer centres. A cell
     whose ends share a sign holds no root when |g| at its ends, less float
     error, exceeds its width times a bound on |g'|; one that fails is split
     in 8 until each part passes, changes sign or can tell no more (adjacent
@@ -304,10 +297,10 @@ def hockey_stick_mixture_1d(
     inside a bracket holding no centre, so every component is monotone there
     and p + e^eps q is at most its sum at the two bracket ends; half the
     bracket width times that bounds the mass a misplaced root moves. A cell
-    given up adds the mass its sign can misplace, and a tail past the grid
-    its mass unless the bound there is 0 (Laplace at one scale; a Gaussian
-    tail's mass underflows to 0). The CDF sums add 8 ulp of (1 + e^eps) per
-    interval. The result does not depend on ``tol``, which is validated only.
+    given up adds the mass its sign can misplace. The CDF sums add 8 ulp of
+    (1 + e^eps) per interval, which also bounds what the sign past the grid
+    can misplace. The result does not depend on ``tol``, which is validated
+    only.
     """
     if not tol > 0:
         raise ValueError(f"tol: must be positive, got {tol!r}")
@@ -323,16 +316,16 @@ def hockey_stick_mixture_1d(
     kernel = _Kernel((P, Q))  # P and Q together, at every point below
     sup = _lattice_sup(P, Q, kernel, epsilon, math.inf, _TAIL_SCALES)
     if sup is not None and sup[0] + sup[1] < 0.0:  # as the grid finds no root and no lost mass
-        return DivergenceEstimate(value=0.0, method=METHOD_QUADRATURE, epsilon_at=epsilon,
+        return DivergenceEstimate(value=0.0, method=METHOD_QUADRATURE,
                                   tolerance=8.0 * _EPS * (1.0 + alpha))
 
     # P's centres first: of two signed zeros the set keeps the first seen
     centers = sorted(set(P.centers[:, 0].tolist() + Q.centers[:, 0].tolist()))
-    max_scale, min_scale = max(P.scale, Q.scale), min(P.scale, Q.scale)
-    span = _TAIL_SCALES * max_scale
+    score, scale = FAMILIES[P.family].score, P.scale
+    span = _TAIL_SCALES * scale
     breaks = [centers[0] - span, *centers, centers[-1] + span]
     pieces = list(zip(breaks[:-1], breaks[1:]))
-    steps = [int(min(4096, max(64, math.ceil((b - a) / (min_scale / 8.0))))) for a, b in pieces]
+    steps = [int(min(4096, max(64, math.ceil((b - a) / (scale / 8.0))))) for a, b in pieces]
     grid = np.concatenate([np.linspace(a, b, n + 1)[:-1] for (a, b), n in zip(pieces, steps)]
                           + [breaks[-1:]])
 
@@ -343,19 +336,17 @@ def hockey_stick_mixture_1d(
         return np.vstack((v, v[0] - (epsilon + v[1]), 2.0 ** -40 * (logs + np.abs(v).sum(axis=0))))
 
     def slope_bound(a, b):
-        # Off the centres (log p)' is minus a mean of psi_P(x - c) = score((x - c) / s) / s
-        # over P's centres, so |g'| <= max(psi_Q(x - q_min) - psi_P(x - p_max), psi_P(x -
-        # p_min) - psi_Q(x - q_max)): affine on a cell [a, b], so largest at an end (from inside)
-        x, side = np.concatenate((a, b)), np.repeat([1, -1], len(a))
-        (q_lo, q_hi), (p_lo, p_hi) = (
-            FAMILIES[M.family].score((x - np.array([[c.min()], [c.max()]])) * k) * k
-            for M in (Q, P) for c, k in [(M.kernel_centers[0], side / M.scale)])
+        # Off the centres (log p)' is minus a mean of psi(x - c) = score((x - c) / s) / s over
+        # P's centres, so |g'| <= max(psi(x - q_min) - psi(x - p_max), psi(x - p_min) -
+        # psi(x - q_max)): affine on a cell [a, b], so largest at an end (from inside)
+        x, k = np.concatenate((a, b)), np.repeat([1, -1], len(a)) / scale
+        (q_lo, q_hi), (p_lo, p_hi) = (score((x - np.array([[c.min()], [c.max()]])) * k) * k
+                                      for c in (Q.kernel_centers[0], P.kernel_centers[0]))
         return np.maximum(q_lo - p_hi, p_lo - q_hi).reshape(2, -1).max(axis=0) * (1 + 2.0 ** -40)
 
-    with np.errstate(invalid="ignore"):  # pieces between breaks, then the tails: nan if Gaussian
-        slope = slope_bound(np.array([-np.inf, *breaks]), np.array([*breaks, np.inf]))
     values = sample(grid)
-    x, v, bound = grid[None], values[:, None], np.repeat(slope[1:-1], steps)[None]
+    slope = slope_bound(np.array(breaks[:-1]), np.array(breaks[1:]))
+    x, v, bound = grid[None], values[:, None], np.repeat(slope, steps)[None]
     found, lost = [], 0.0  # cells lie between neighbours in a row of x, each with its bound
     while True:
         pos, absg = v[2] > 0.0, np.abs(v[2])
@@ -385,10 +376,6 @@ def hockey_stick_mixture_1d(
     a, b, a_positive = (np.concatenate(t) for t in zip(*found))
     order = np.argsort(a, kind="stable")
     a, b, a_positive = a[order], b[order], a_positive[order]
-    # a tail keeps its end's sign where its bound is 0, else loses its mass
-    tail = sum(w * FAMILIES[M.family].tail(np.array([span / M.scale]))[0]
-               for M, w in ((P, 1.0), (Q, alpha)))
-    lost += float(tail) * sum(t != 0.0 for t in slope[[0, -1]].tolist())
     # bisect every bracket down to adjacent floats
     while True:
         mid = 0.5 * (a + b)
@@ -421,11 +408,13 @@ def hockey_stick_mixture_1d(
             mass = np.where(za >= 0, ta - tb, np.where(zb <= 0, tb - ta, 1.0 - ta - tb))
             terms += (mass * signed_weight).ravel().tolist()
         sums.append(math.fsum(terms))
+    # past the grid a Laplace g is constant, and a Gaussian component's mass 40 scales out,
+    # 0.5 erfc(40 / sqrt(2)) < 1e-300, is 0.0 in float: a sign there misplaces less than
+    # 1e-300 (1 + e^eps), which 8 ulp of (1 + e^eps) bounds
     sum_err = 8.0 * _EPS * (1.0 + alpha) * (a.size + 1)
     return DivergenceEstimate(
         value=float(min(max(math.fsum(sums), 0.0), 1.0)),
         method=METHOD_QUADRATURE,
-        epsilon_at=epsilon,
         tolerance=root_err + sum_err + lost,
     )
 
@@ -447,8 +436,8 @@ def mc_delta_vector(
     P: VectorMixture, Q: VectorMixture, epsilon: float, n_samples: int, seed: int
 ) -> DivergenceEstimate:
     """Estimate the divergence as E_P[(1 - e^eps q/p)_+] between two mixtures
-    of one output dimension k: samples from P's ``sample``, both
-    log-densities from one joint kernel.
+    of one output dimension k, family and scale: samples from P's
+    ``sample``, both log-densities from one joint kernel.
 
     The likelihood ratio is formed in log space, so a point where q underflows
     or vanishes counts in full. The statistic lies in [0, 1], and its 99%
@@ -485,7 +474,5 @@ def mc_delta_vector(
     return DivergenceEstimate(
         value=min(est, 1.0),
         method=METHOD_MC,
-        epsilon_at=epsilon,
         ci=(max(est - half, 0.0), min(est + half, 1.0)),
-        seed=seed,
     )

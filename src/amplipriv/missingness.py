@@ -195,19 +195,19 @@ class McarPattern(FeatureMechanism):
         if abs(total - 1.0) > _PROB_TOL:
             raise ValueError(f"patterns: probabilities sum to {total}, expected 1")
         self.d = masks[0].d
-        self.patterns = tuple((Mask(b), p) for b, p in sorted(merged.items()))
+        # only masks it can draw: a float cumulative sum that ends below 1 must
+        # not fall through to a mask of probability 0
+        self.patterns = tuple((Mask(b), p) for b, p in sorted(merged.items()) if p > 0.0)
         self._cum = np.cumsum([p for _, p in self.patterns])
 
     def support(self, sample):
-        for m, p in self.patterns:
-            if p > 0.0:
-                yield m, p
+        return self.patterns
 
     def all_missing_probability(self):
         return dict(self.patterns).get(Mask((1,) * self.d), 0.0)
 
     def max_observed_count(self):
-        return max(m.observed_count for m, p in self.patterns if p > 0.0)
+        return max(m.observed_count for m, _ in self.patterns)
 
     def draw(self, sample, rng):
         u = rng.random()
@@ -336,9 +336,9 @@ class MarAnchoredPattern(FeatureMechanism):
         if rng.random() < self.q_all:
             return Mask(self._all_ones)
         scores = self.scores_for(sample)
-        cum = np.cumsum(scores)
-        idx = int(np.searchsorted(cum, rng.random(), side="right"))
-        idx = min(idx, len(self.candidates) - 1)
+        idx = int(np.searchsorted(np.cumsum(scores), rng.random(), side="right"))
+        if idx == len(scores):  # the cumulative sum ended below the draw
+            idx = max(i for i, s in enumerate(scores) if s > 0.0)
         return self.candidates[idx]
 
 

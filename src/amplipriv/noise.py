@@ -102,7 +102,6 @@ class NoiseFamily:
     score: Callable[[np.ndarray], np.ndarray]
 
 
-# table order is the column order, and so the summation order, of mixture kernels
 FAMILIES = {
     GAUSSIAN: NoiseFamily(
         draw=_gaussian_draw,

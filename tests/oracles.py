@@ -83,7 +83,7 @@ def hockey_stick_discrete(
         max(p.get(x, 0.0) - alpha * q.get(x, 0.0), 0.0) for x in keys
     )
     return DivergenceEstimate(
-        value=min(value, 1.0), method=METHOD_EXACT, epsilon_at=epsilon, tolerance=0.0
+        value=min(value, 1.0), method=METHOD_EXACT, tolerance=0.0
     )
 
 

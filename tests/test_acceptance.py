@@ -296,13 +296,16 @@ def test_c09_estimator_cross_validation():
 
         rng = np.random.default_rng(910)
         for trial in range(20):
+            # P and Q of one family and scale, as one mechanism's output laws are
+            family = "gaussian" if rng.random() < 0.5 else "laplace"
+            scale = float(rng.uniform(0.3, 1.5))
+
             def rand_mixture():
                 m = int(rng.integers(1, 4))
                 weights = rng.uniform(0.2, 1.0, m)
                 weights /= weights.sum()
-                family = "gaussian" if rng.random() < 0.5 else "laplace"
                 return VectorMixture(weights=weights, centers=rng.uniform(-2, 2, (m, 1)),
-                                     family=family, scale=float(rng.uniform(0.3, 1.5)))
+                                     family=family, scale=scale)
 
             p_mix, q_mix = rand_mixture(), rand_mixture()
             eps = float(rng.uniform(0.0, 1.0))

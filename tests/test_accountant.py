@@ -1,7 +1,5 @@
 """Closed-form amplification accounting: formulas, invariants, serialization."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -143,7 +141,7 @@ class TestCorollaryBound:
 class TestReportSerialization:
     def test_budgets_render_as_decimal_strings(self):
         report = amplify_fwl(1.0, 0.0, 0.75, bounds(2.0, 1.0), family="laplace")
-        blob = json.loads(report.to_json())
+        blob = report.to_json_dict()
         assert blob["base"]["epsilon"] == "1.0"
         assert blob["amplified"]["epsilon"] == repr(EPS_FWL_075_HALF)
         assert float(blob["amplified"]["epsilon"]) == report.amplified.epsilon

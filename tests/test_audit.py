@@ -138,7 +138,7 @@ class TestMixtureDecomposition:
                 shift = 0.05 if sample[0] > 0 else -0.05
                 out = []
                 for m, p in super().support(sample):
-                    out.append((m, p + shift if m.is_all_missing() else p - shift))
+                    out.append((m, p + shift if m.observed_count == 0 else p - shift))
                 return out
 
         mech = DatasetMechanism(
@@ -347,16 +347,20 @@ class TestTightnessCounterexample:
         report = amplify_generic(budget, res.p_star)
         assert report.amplified == budget
 
-    def test_masking_changes_data_but_not_output(self):
-        res = tightness_counterexample(0.5, 1e-3)
+    def test_masking_changes_data_but_not_output(self, monkeypatch):
         # the mechanism masks different features for the two datasets, yet the
-        # query reads only the always-observed coordinate
-        mixes = [
-            composed_output_mixture(res.composed, ds)
-            for ds in (res.pair.left, res.pair.right)
-        ]
-        for mix in mixes:
-            assert len(mix.components) == 1
+        # query reads only the always-observed coordinate: each composed law,
+        # the first pair the instance measures, has one component
+        pairs = []
+        real = audit.hockey_stick_mixture_1d
+
+        def spy(P, Q, *args, **kwargs):
+            pairs.append((P, Q))
+            return real(P, Q, *args, **kwargs)
+
+        monkeypatch.setattr(audit, "hockey_stick_mixture_1d", spy)
+        tightness_counterexample(0.5, 1e-3)
+        assert [len(mix.components) for mix in pairs[0]] == [1, 1]
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

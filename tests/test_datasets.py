@@ -84,15 +84,12 @@ class TestApplyMask:
 class TestObservedCount:
     def test_nothing_masked(self):
         assert Mask((0, 0, 0)).observed_count == 3
-        assert not Mask((0, 0, 0)).is_all_missing()
 
     def test_all_masked(self):
         assert Mask((1, 1)).observed_count == 0
-        assert Mask((1, 1)).is_all_missing()
 
     def test_alternating(self):
         assert Mask((0, 1, 0, 1)).observed_count == 2
-        assert not Mask((0, 1, 0, 1)).is_all_missing()
 
 
 class TestSubstitute:

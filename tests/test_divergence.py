@@ -191,13 +191,16 @@ class TestQuadrature:
     def test_mixture_vs_mc_consistency(self):
         rng = np.random.default_rng(7)
         for trial in range(6):
+            # P and Q of one family and scale, as one mechanism's output laws are
+            family = "gaussian" if rng.random() < 0.5 else "laplace"
+            scale = float(rng.uniform(0.3, 1.5))
+
             def rand_mixture():
                 m = int(rng.integers(1, 4))
                 weights = rng.uniform(0.2, 1.0, m)
                 weights /= weights.sum()
-                family = "gaussian" if rng.random() < 0.5 else "laplace"
                 return VectorMixture(weights=weights, centers=rng.uniform(-2, 2, (m, 1)),
-                                     family=family, scale=float(rng.uniform(0.3, 1.5)))
+                                     family=family, scale=scale)
 
             p, q = rand_mixture(), rand_mixture()
             eps = float(rng.uniform(0, 1))
@@ -247,21 +250,49 @@ class TestSignCertificate:
         assert len(kernel_calls) <= 51
 
     def test_far_tails_do_not_blunt_the_float_error_bound(self):
-        # log p reaches about -8e14 at this grid's ends; the error allowed for
-        # g where p and q cross must come from the values there, not from those
-        P, Q = unit("gaussian", 0.0, 1e-3), unit("gaussian", 0.5, 1e3)
-        est = hockey_stick_mixture_1d(P, Q, 0.1)
-        assert est.value == pytest.approx(1.0, abs=1e-4)
+        # P's far centre, 10^4 scales out, takes log q to about -10^4 at the
+        # grid's right end, where g's float error bound is about 1e-8. Left of
+        # 0, g is the constant c = 1e-9, on a quarter of P's mass: the error
+        # allowed for g there must come from the values there, about 1e-10,
+        # or those cells cannot be certified and their mass bound goes to the
+        # tolerance
+        P = VectorMixture([0.5, 0.5], [[0.0], [1e4]], "laplace", 1.0)
+        Q = unit("laplace", 4.0, 1.0)
+        eps = 4.0 + math.log(0.5) - 1e-9
+        c = 4.0 + math.log(0.5) - eps
+        # p > e^eps q left of the root c / 2 and, all but e^-5000 of it, about P's far centre
+        delta = 0.5 - 0.5 * math.expm1(-c / 2.0)
+        est = hockey_stick_mixture_1d(P, Q, eps)
+        assert abs(est.value - delta) <= est.tolerance
         assert est.tolerance < 1e-12
 
     def test_laplace_tails_at_one_scale_cost_no_tolerance(self):
         # past the outer centres a Laplace g at one scale is constant, so the
-        # tails need no mass; at two scales g is linear there and they do
+        # tails need no mass
         p, q = unit("laplace", 0.0, 1.0), unit("laplace", 1.0, 1.0)
-        r = unit("laplace", 1.0, 2.0)
-        tail = 0.5 * math.exp(-_TAIL)  # r's mass 40 of its scales past its centre
         assert hockey_stick_mixture_1d(p, q, 0.5).tolerance < 1e-14
-        assert hockey_stick_mixture_1d(p, r, 0.5).tolerance > tail
+
+    def test_a_gaussian_tail_past_the_grid_has_no_float_mass(self):
+        # so the quadrature adds nothing for the sign of g past its grid
+        assert FAMILIES["gaussian"].tail(np.array([_TAIL]))[0] == 0.0
+
+
+class TestOneFamilyAndScale:
+    """P and Q are the output laws of one calibrated mechanism, so both
+    estimators refuse a pair of two families or two scales, naming both."""
+
+    @pytest.mark.parametrize("P, Q, named", [
+        (unit("laplace", 0.0, 1.0), unit("gaussian", 1.0, 1.0),
+         "laplace at scale 1.0 and gaussian at scale 1.0"),
+        (unit("laplace", 0.0, 2.0), unit("laplace", 0.0, 1.0),
+         "laplace at scale 2.0 and laplace at scale 1.0"),
+    ])
+    def test_a_pair_of_two_families_or_two_scales_is_refused(self, P, Q, named):
+        message = f"mixtures must share one noise family and scale, got {named}$"
+        with pytest.raises(ValueError, match=message):
+            hockey_stick_mixture_1d(P, Q, 0.5)
+        with pytest.raises(ValueError, match=message):
+            mc_delta_vector(P, Q, 0.5, 1000, 0)
 
 
 def lattice(P, Q, eps, reach):
@@ -354,17 +385,11 @@ class TestLatticeCertificate:
     @pytest.mark.parametrize("P, Q, eps", [
         (unit("gaussian", 0.0, 1.0), unit("gaussian", 1.0, 1.0), 5.0),  # no Gaussian pair
         (unit("laplace", 0.0, 1.0), unit("laplace", 1.0, 1.0), 0.5),  # a root at x = 0.75
-        (unit("laplace", 0.0, 2.0), unit("laplace", 0.0, 1.0), 0.5),  # two scales
     ])
     def test_never_certified(self, P, Q, eps):
         for reach in (_TAIL, _DRAW_REACH):
             sup = lattice(P, Q, eps, reach)
             assert sup is None or sup[0] + sup[1] >= 0.0
-        if P.scale != Q.scale:
-            # log p - log q is -ln 2 at the one centre, yet p > e^eps q in the tails
-            log_p, log_q = _Kernel((P, Q))(np.zeros((1, 1)))
-            assert log_p[0] - log_q[0] == pytest.approx(-math.log(2.0))
-            assert hockey_stick_mixture_1d(P, Q, eps).value > 0.0
 
     def test_a_certified_quadrature_evaluates_only_the_centres(self, kernel_calls):
         P, Q = unit("laplace", 0.0, 1.0), unit("laplace", 1.0, 1.0)
@@ -555,9 +580,10 @@ def cube_log_density(mix, x, block=256):
 
 
 class TestMixtureKernel:
-    # "mixed" is a Laplace P and a Gaussian Q on signed-zero lattice centres
+    # "<family>-pair" is a P and a Q of that family and one scale on signed-zero lattice centres
     @pytest.mark.parametrize("family, k", [
-        *((f, k) for k in (1, 2, 3, 5) for f in ("laplace", "gaussian")), ("mixed", 1),
+        *((f, k) for k in (1, 2, 3, 5) for f in ("laplace", "gaussian")),
+        ("laplace-pair", 1), ("gaussian-pair", 1),
     ])
     @pytest.mark.parametrize("n", [1, 255, 256, 257, 1000])
     def test_matches_cube_kernel_bit_for_bit(self, family, k, n):
@@ -566,12 +592,11 @@ class TestMixtureKernel:
         weights /= weights.sum()
         centers = rng.uniform(-2.0, 2.0, (41, k))
         x = rng.uniform(-6.0, 6.0, (n, k))
-        if family == "mixed":
+        if family.endswith("-pair"):
             lattice = rng.choice([-0.5, -0.0, 0.0, 0.25, 0.5], (2, 41, k))
-            pair = [
-                VectorMixture(weights=weights, centers=c, family=f, scale=s)
-                for c, f, s in zip(lattice, ("laplace", "gaussian"), (0.7, 1.3))
-            ]
+            pair = [VectorMixture(weights=weights, centers=c, family=family.removesuffix("-pair"),
+                                  scale=0.7)
+                    for c in lattice]
             for got, mix in zip(_Kernel(pair)(x), pair):
                 assert np.array_equal(got, mix.log_density(x))
                 assert np.array_equal(got, cube_log_density(mix, x))
@@ -595,38 +620,29 @@ class TestMixtureKernel:
 
 
 def joint_case(case, k, rng):
-    """Two or three mixtures for one joint kernel: overlapping centres on a
-    lattice with both signed zeros, disjoint centres, or ("mixed") a Laplace
-    P against a Gaussian Q on the lattice; each has a zero-weight component,
-    and scales differ between mixtures."""
+    """Two or three mixtures of one family and scale for one joint kernel:
+    overlapping centres on a lattice with both signed zeros, or disjoint
+    centres; each has a zero-weight component."""
     m = 24
     weights = rng.uniform(0.1, 1.0, (3, m))
     weights[:, 5] = 0.0
     weights /= weights.sum(axis=1, keepdims=True)
     lattice = np.array([-0.5, -0.0, 0.0, 0.25, 0.5])
-    if case == "mixed":
-        families, layout, scales = ("laplace", "gaussian"), "overlap", (0.7, 1.3)
-    else:
-        family, layout = case.split("-")
-        families = (family,) * 3
-        scales = (0.7, 0.7, 1.3) if layout == "overlap" else (0.7, 1.1)
+    family, layout = case.split("-")
     if layout == "overlap":
         centers = rng.choice(lattice, (3, m, k))
         centers[1, m // 2 :] = centers[0, m // 2 :]
         centers[2] = centers[0]
     else:
         centers = np.stack([rng.uniform(-2.0, -1.0, (m, k)), rng.uniform(1.0, 2.0, (m, k))])
-    return [
-        VectorMixture(weights=w, centers=c, family=f, scale=s)
-        for w, c, f, s in zip(weights, centers, families, scales)
-    ]
+    return [VectorMixture(weights=w, centers=c, family=family, scale=0.7)
+            for w, c in zip(weights, centers)]
 
 
 class TestJointKernel:
     @pytest.mark.parametrize("case, k", [
-        *((f"{f}-{layout}", k) for f in ("laplace", "gaussian")
-          for layout in ("overlap", "disjoint") for k in (1, 3)),
-        ("mixed", 1), ("mixed", 3),
+        (f"{f}-{layout}", k) for f in ("laplace", "gaussian")
+        for layout in ("overlap", "disjoint") for k in (1, 3)
     ])
     @pytest.mark.parametrize("n", [1, 255, 256, 257, 1000])
     def test_joint_matches_cube_kernel_bit_for_bit(self, case, k, n):

@@ -211,6 +211,34 @@ class TestSampleMask:
         assert (0, 1) not in seen and (0, 0) in seen and (1, 1) in seen
 
 
+class LastUniform:
+    """A generator stub whose every uniform is the largest float below 1."""
+
+    def random(self):
+        return 1.0 - 2.0 ** -53
+
+
+class TestDrawNeverPicksAZeroProbabilityMask:
+    """Probabilities that sum to 1 - 1e-13, within the validation's tolerance,
+    leave a float cumulative sum below the largest uniform; the draw must then
+    fall on the last mask of positive probability, not on (1, 1, 0, 0), which
+    observes 2 features where the support observes 1."""
+
+    LAW = [((0, 1, 1, 1), 0.5), ((1, 0, 1, 1), 0.5 - 1e-13), ((1, 1, 0, 0), 0.0)]
+
+    def test_pattern(self):
+        mech = McarPattern(self.LAW)
+        assert [m.bits for m, _ in mech.support(None)] == [(0, 1, 1, 1), (1, 0, 1, 1)]
+        assert mech.max_observed_count() == 1
+        assert mech.draw(None, LastUniform()).bits == (1, 0, 1, 1)
+
+    def test_mar_anchored(self):
+        bits, scores = zip(*self.LAW)
+        mech = MarAnchoredPattern(anchor=(), q_all=0.0, candidates=bits, thresholds=[],
+                                  score_table={"": list(scores)})
+        assert mech.draw(None, LastUniform()).bits == (1, 0, 1, 1)
+
+
 class TestPStar:
     def test_bernoulli(self):
         mech = DatasetMechanism(McarBernoulli((0.5, 0.5)), n=3)
@@ -251,7 +279,7 @@ class TestPStar:
                 for r1, p1 in mech.feature_mech.support(ds.rows[0]):
                     for r2, p2 in mech.feature_mech.support(ds.rows[1]):
                         rows = (r1, r2)
-                        if not rows[i_star].is_all_missing():
+                        if not rows[i_star].observed_count == 0:
                             mass += p1 * p2
                 assert abs(mass - expected) < 1e-12
 

@@ -1,6 +1,6 @@
 """The package's surface: the README's library example runs as printed, and
-every public name in ``src/amplipriv`` has a reader in the package or in the
-benchmark."""
+every public name in ``src/amplipriv``, and every public method and annotated
+field of its classes, has a reader in the package or in the benchmark."""
 
 import ast
 import contextlib
@@ -13,6 +13,11 @@ SRC = ROOT / "src" / "amplipriv"
 
 # results of the paper kept as library API, though no command reads them
 LIBRARY_RESULTS = {"amplify_generic", "corollary_bound", "linear_combination", "save_dataset_csv"}
+
+# class members that no code in the package or the benchmark reads, with the reason each stays
+UNREAD_MEMBERS = {
+    "cli.Field.doc": "the README's schema table is checked against it",
+}
 
 
 def test_readme_quick_start_runs():
@@ -62,3 +67,37 @@ def test_every_public_name_has_a_reader():
     assert [f"{unread[n]}.{n}" for n in sorted(set(unread) - LIBRARY_RESULTS)] == []
     # a listed result that gains a reader leaves the list
     assert LIBRARY_RESULTS <= set(unread)
+
+
+def _attribute_reads(path: Path) -> set:
+    """Every name a file reads as an attribute."""
+    return {node.attr for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def _members(path: Path) -> set:
+    """(class, name) of the public methods and annotated fields of a module's classes."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    out.add((node.name, item.name))
+                elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    out.add((node.name, item.target.id))
+    return {(cls, name) for cls, name in out if not name.startswith("_")}
+
+
+def test_every_class_member_has_a_reader():
+    """A public method or annotated field of a class in ``src/amplipriv`` is
+    read as an attribute, under its name, by code in ``src/amplipriv`` or in
+    ``bench/``, or it is listed above with its reason. A field only the
+    tests read belongs in the tests. Names are matched, not types, so a
+    member that shares its name with one that is read passes."""
+    modules = sorted(SRC.glob("*.py"))
+    read = set().union(*map(_attribute_reads, modules + sorted((ROOT / "bench").rglob("*.py"))))
+    unread = {f"{p.stem}.{cls}.{name}" for p in modules for cls, name in _members(p)
+              if name not in read}
+    assert sorted(unread - set(UNREAD_MEMBERS)) == []
+    # a listed member that gains a reader leaves the list
+    assert set(UNREAD_MEMBERS) <= unread
