@@ -187,7 +187,12 @@ def verify_amplification(
     and the divergence between the two composed output mixtures is evaluated
     at epsilon'. PASS means the empirical value stays within the bound plus
     the method margin (10x the reported quadrature tolerance; for Monte Carlo
-    a row fails only when the whole 99% interval sits above the bound).
+    a row fails only when the whole 99% interval sits above the bound). With
+    method "mc", a Laplace row whose centre-lattice boxes have at most
+    ``n_samples`` corners in all takes ``mc_delta_vector``'s certified box
+    interval instead of a draw, and fails, like a drawn row, only when the
+    interval sits above the bound; ``n_samples`` then sets its precision and
+    caps the corners it reads.
 
     ``claim`` optionally replaces the accountant with a user-asserted
     {"epsilon": e, "delta": d} hypothesis, so claimed budgets can be audited

@@ -187,11 +187,14 @@ FIELDS = {f.path: f for f in (
     F("query.post[i].lo", _num, "lower clamp", kinds=("clamp",)),
     F("query.post[i].hi", _num, "upper clamp", kinds=("clamp",)),
     F("audit", _object, "how the audit measures the divergence", {}),
-    F("audit.method", _choice("method", ("exact", "mc")), "quadrature or Monte Carlo", "exact"),
+    F("audit.method", _choice("method", ("exact", "mc")), "quadrature or Monte Carlo; a Laplace "
+      "Monte Carlo row whose centre-lattice boxes have at most `audit.samples` corners in all "
+      "takes a certified box interval instead of a draw", "exact"),
     F("audit.tolerance", _num, "positive; checked, but moves neither the measured delta nor "
       "its reported tolerance", 1e-9),
     F("audit.samples", _int, f"Monte Carlo samples, at least {MC_MIN_SAMPLES} whatever the "
-      f"method; samples times the output dimension at most {MC_MAX_COORDINATES}", 100_000),
+      f"method; samples times the output dimension at most {MC_MAX_COORDINATES}; for a Laplace "
+      "box interval, it sets the precision and caps the corners read", 100_000),
     F("audit.claim", _object, "a budget audited in place of the accountant's", None),
     F("audit.claim.epsilon", _num, "claimed epsilon", rule=NONNEGATIVE),
     F("audit.claim.delta", _num, "claimed delta",

@@ -1,5 +1,6 @@
 """Hockey-stick divergence computation: exact up to float error on
-one-dimensional mixtures, Monte Carlo everywhere else.
+one-dimensional mixtures, a certified interval for Laplace pairs of any
+dimension, Monte Carlo everywhere else.
 
 ``VectorMixture`` is the one mixture type: weights over (m, k) centres with
 one noise family and scale from the table in ``noise``, a 1-D law being the
@@ -45,8 +46,14 @@ coordinates, which one kernel call reads. Where that sup, less eps and plus
 its float error, is negative, both estimators return what their grid or
 draw would: the quadrature 0 with the tolerance of a rootless grid, Monte
 Carlo the estimate and interval of an all-zero statistic. Reports keep
-their bytes; a pair with delta > 0 or of the Gaussian family takes the grid
-or the draw.
+their bytes.
+
+The same monotonicity bounds p/q on any box inside one lattice box by its
+values at the box's corners. So a Laplace pair with delta > 0 gets, in place
+of the draw, a certified interval from such boxes (``_box_interval``) when
+the lattice boxes' corners are no more than the points the draw would take.
+Gaussian pairs, and Laplace pairs of a larger lattice, take the grid or the
+draw.
 """
 
 from __future__ import annotations
@@ -71,6 +78,7 @@ MC_MAX_COORDINATES = 1 << 26
 
 METHOD_QUADRATURE = "quadrature"
 METHOD_MC = "monte_carlo"
+METHOD_INTERVAL = "interval"
 
 # points per (points x components) buffer, to bound memory; it also groups the
 # quadrature's fsum blocks, so changing it moves the last bits of exact reports
@@ -227,8 +235,8 @@ class DivergenceEstimate:
     def __post_init__(self):
         if not -1e-9 <= self.value <= 1.0 + 1e-9:
             raise ValueError("a hockey-stick divergence lies in [0, 1]")
-        if self.method == METHOD_MC and self.ci is None:
-            raise ValueError("Monte Carlo estimates must carry a confidence interval")
+        if self.method in (METHOD_MC, METHOD_INTERVAL) and self.ci is None:
+            raise ValueError("Monte Carlo and interval estimates must carry an interval")
         if self.method == METHOD_QUADRATURE and self.tolerance is None:
             raise ValueError("quadrature estimates must carry a tolerance bound")
 
@@ -419,6 +427,135 @@ def hockey_stick_mixture_1d(
     )
 
 
+# --- the box interval: delta between bounds from the lattice boxes -----------
+
+
+def _bernstein_half(var: float, n_samples: int, log_term: float) -> float:
+    """The empirical-Bernstein half-width of a [0, 1] statistic of variance
+    ``var`` at ``n_samples`` draws, ``log_term`` being ln(4 / alpha)."""
+    return math.sqrt(2.0 * var * log_term / n_samples) + 7.0 * log_term / (3.0 * (n_samples - 1))
+
+
+def _box_mass(M: VectorMixture, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """M's mass in each box [lo, hi] (boxes x k): per coordinate one Laplace
+    CDF or survival difference per component, multiplied over coordinates,
+    then weighted and summed over components."""
+    mass, tail = None, FAMILIES[LAPLACE].tail
+    for j, centres in enumerate(M.centers.T):
+        za, zb = ((edge[:, j, None] - centres) / M.scale for edge in (lo, hi))
+        ta, tb = tail(np.abs(za)), tail(np.abs(zb))
+        m = np.where(za >= 0.0, ta - tb, np.where(zb <= 0.0, tb - ta, 1.0 - ta - tb))
+        mass = m if mass is None else mass * m
+    return (mass * M.weights).sum(axis=1)
+
+
+def _box_interval(
+    P: VectorMixture, Q: VectorMixture, epsilon: float, n_samples: int, log_term: float,
+) -> Optional[tuple]:
+    """(lower, upper) around the divergence of a one-scale Laplace pair, from
+    boxes that each lie in one box of the centre lattice; None when the
+    corners of those lattice boxes number more than ``n_samples``.
+
+    A coordinate where every centre of P and Q takes one value scales p and q
+    by one factor, so the pair's divergence is that of its marginals on the
+    other k' coordinates, which alone are boxed. Per coordinate the cells run
+    between adjacent centre values, the first and last reaching on to -inf
+    and +inf, where p/q no longer depends on that coordinate. p/q is monotone
+    in each coordinate on a cell, so on a box it lies between r_min and
+    r_max, the extremes over the box's 2^k' corners, read from one joint
+    kernel call per block of boxes. The box adds at least
+    max(P - e^eps Q, P (1 - e^eps / r_min), 0) and at most the smaller of
+    P (1 - e^eps / r_max)_+ and P - e^eps Q min(r_min / e^eps, 1), with P and
+    Q its masses. Each corner's log p - log q carries the kernel's error bound
+    2^-40 (1 + eps + max |log coef| + |log p| + |log q|), and each box's
+    bounds an ulp bound on its masses' products and sums; the interval is
+    widened by them and clipped to [0, 1].
+
+    Each round halves the boxes of widest gap, along the coordinates where
+    their corner values differ, until the half-width is at most the
+    empirical-Bernstein half-width of a statistic of variance at most
+    ``upper`` at ``n_samples`` draws. It also stops before the corners it has
+    evaluated would pass ``n_samples``, with the interval reached: the boxes
+    never number more, and the kernel reads no more points than the draw.
+    """
+    axes = [sorted(set(P.centers[:, j].tolist() + Q.centers[:, j].tolist()))
+            for j in range(P.centers.shape[1])]
+    active = [j for j, a in enumerate(axes) if len(a) > 1]
+    if not active:  # P and Q are one law
+        return 0.0, 0.0
+    axes, k = [axes[j] for j in active], len(active)
+    if math.prod(len(a) - 1 for a in axes) << k > n_samples:  # the lattice boxes' corners
+        return None
+    P, Q = (VectorMixture(M.weights, M.centers[:, active], M.family, M.scale) for M in (P, Q))
+    alpha, kernel = math.exp(epsilon), _Kernel((P, Q))
+    index = np.indices([len(a) - 1 for a in axes]).reshape(k, -1)
+    lo, hi = (np.stack([np.array(a)[i + side] for a, i in zip(axes, index)], axis=1)
+              for side in (0, 1))
+    first, last = np.array([a[0] for a in axes]), np.array([a[-1] for a in axes])
+    corners = ((np.arange(1 << k)[:, None] >> np.arange(k)) & 1).astype(bool)  # (2^k, k)
+    logs = 1.0 + epsilon + max(float(np.abs(M.log_coef).max()) for M in (P, Q))
+    # a k-term product of masses, each within 4 ulp, and an m-term weighted sum, per box
+    box_err = (1.0 + alpha) * (5 * k + max(P.log_coef.size, Q.log_coef.size) + 8) * _EPS
+    block = max(1, (8 * _BLOCK) >> k)  # boxes whose corners one kernel call reads
+
+    def bounds(lo, hi):  # per box: its lower and upper bound, and the coordinates to split
+        low, up = np.empty(len(lo)), np.empty(len(lo))
+        split = np.empty(lo.shape, dtype=bool)
+        for i in range(0, len(lo), block):
+            l, h = lo[i : i + block], hi[i : i + block]
+            log_p, log_q = kernel(np.where(corners, h[:, None], l[:, None]).reshape(-1, k))
+            g = (log_p - log_q).reshape(len(l), -1)
+            err = (2.0 ** -40 * (logs + np.abs(log_p) + np.abs(log_q))).reshape(len(l), -1)
+            for j in range(k):  # corners without bit j against their partners with it
+                a = np.flatnonzero(~corners[:, j])
+                b = a + (1 << j)
+                differ = np.abs(g[:, b] - g[:, a]) > err[:, a] + err[:, b]
+                split[i : i + block, j] = differ.any(axis=1)
+            mid = 0.5 * (l + h)
+            split[i : i + block] &= (l < mid) & (mid < h)
+            # past the lattice's outer values a box reaches on to infinity
+            edges = (np.where(l == first, -np.inf, l), np.where(h == last, np.inf, h))
+            p_mass, q_mass = (_box_mass(M, *edges) for M in (P, Q))
+            r_min, r_max = (g - err).min(axis=1), (g + err).max(axis=1)
+            low[i : i + block] = np.maximum(np.maximum(
+                p_mass - alpha * q_mass, p_mass * -np.expm1(np.minimum(epsilon - r_min, 0.0))), 0.0)
+            up[i : i + block] = np.maximum(np.minimum(
+                p_mass * -np.expm1(np.minimum(epsilon - r_max, 0.0)),
+                p_mass - alpha * q_mass * np.exp(np.minimum(r_min - epsilon, 0.0))), 0.0)
+        return low, up, split
+
+    low, up, split = bounds(lo, hi)
+    budget = n_samples - (len(lo) << k)  # corners the kernel may still read
+    while True:
+        err = len(lo) * box_err
+        lower = max(math.fsum(low.tolist()) - err, 0.0)
+        upper = min(math.fsum(up.tolist()) + err, 1.0)
+        excess = (upper - lower) - 2.0 * _bernstein_half(upper, n_samples, log_term)
+        gap = np.where(split.any(axis=1), np.maximum(up - low, 0.0), 0.0)
+        if excess <= 0.0 or not gap.any():
+            return lower, upper
+        # the widest boxes whose gaps, halved, would close the excess, as many as the budget allows
+        order = np.argsort(-gap, kind="stable")[: np.count_nonzero(gap)]
+        order = order[: int(np.searchsorted(np.cumsum(gap[order]), 2.0 * excess)) + 1]
+        born = np.cumsum(1 << split[order].sum(axis=1)) << k
+        order = order[: int(np.searchsorted(born, budget, side="right"))]
+        if not order.size:
+            return lower, upper
+        # each child keeps one half of every split coordinate and all of the others
+        l, h, s = lo[order, None], hi[order, None], split[order, None]
+        mid = 0.5 * (l + h)
+        keep = ~(corners & ~s).any(axis=2)  # (boxes, 2^k): halves only of split coordinates
+        child_lo = np.where(corners & s, mid, l)[keep]
+        child_hi = np.where(~corners & s, mid, h)[keep]
+        rest = np.ones(len(lo), dtype=bool)
+        rest[order] = False
+        c_low, c_up, c_split = bounds(child_lo, child_hi)
+        budget -= len(child_lo) << k
+        lo, hi = np.concatenate((lo[rest], child_lo)), np.concatenate((hi[rest], child_hi))
+        low, up = np.concatenate((low[rest], c_low)), np.concatenate((up[rest], c_up))
+        split = np.concatenate((split[rest], c_split))
+
+
 # --- Monte Carlo --------------------------------------------------------------
 
 
@@ -444,6 +581,12 @@ def mc_delta_vector(
     interval is empirical Bernstein (Maurer & Pontil, COLT 2009, Theorem 4)
     at level 0.005 on each side: valid at every sample size, also when the
     divergence is far below 1 / n_samples.
+
+    A Laplace pair may draw nothing. Where the centre lattice certifies
+    delta = 0, the result is that of an all-zero statistic. Where instead
+    ``_box_interval`` gives an interval, that is the result, method
+    "interval": ``ci`` holds the divergence for certain, ``value`` is its
+    midpoint and ``tolerance`` its half-width.
     """
     k, k_q = P.centers.shape[1], Q.centers.shape[1]
     if k != k_q:
@@ -453,7 +596,16 @@ def mc_delta_vector(
     check_samples(n_samples, k)
     kernel = _Kernel((P, Q))
     sup = _lattice_sup(P, Q, kernel, epsilon, n_samples, _DRAW_REACH)
-    if sup is not None and sup[0] + sup[1] < 0.0:  # every draw's statistic would be 0
+    certified = sup is not None and sup[0] + sup[1] < 0.0  # every draw's statistic would be 0
+    log_term = math.log(4.0 / _MC_ALPHA)
+    interval = None
+    if sup is not None and not certified:
+        interval = _box_interval(P, Q, epsilon, n_samples, log_term)
+    if interval is not None:
+        lower, upper = interval
+        return DivergenceEstimate(value=0.5 * (lower + upper), method=METHOD_INTERVAL,
+                                  tolerance=0.5 * (upper - lower), ci=interval)
+    if certified:
         est = var = 0.0
     else:
         x = P.sample(substream(seed, _KEY_MC, 0), n_samples)
@@ -469,8 +621,7 @@ def mc_delta_vector(
         np.subtract(1.0, stat, out=stat)
         np.clip(stat, 0.0, None, out=stat)
         est, var = float(np.mean(stat)), float(np.var(stat, ddof=1))
-    log_term = math.log(4.0 / _MC_ALPHA)
-    half = math.sqrt(2.0 * var * log_term / n_samples) + 7.0 * log_term / (3.0 * (n_samples - 1))
+    half = _bernstein_half(var, n_samples, log_term)
     return DivergenceEstimate(
         value=min(est, 1.0),
         method=METHOD_MC,

@@ -330,7 +330,8 @@ class MarAnchoredPattern(FeatureMechanism):
         return law.get(Mask(self._all_ones), 0.0)
 
     def max_observed_count(self):
-        return max(m.observed_count for m in self.candidates)
+        # over the masks some row's law can draw: a candidate of score 0 in every row is not one
+        return max(m.observed_count for row in self._rows.values() for m, _ in self._law(row))
 
     def draw(self, sample, rng):
         if rng.random() < self.q_all:

@@ -235,18 +235,27 @@ class TestVerifyAmplification:
             assert row.bound == pytest.approx(0.5e-4)
             assert row.empirical <= row.bound + 1e-6
 
-    def test_monte_carlo_route(self):
+    @pytest.mark.parametrize("family, method", [("laplace", "interval"),
+                                                 ("gaussian", "monte_carlo")])
+    def test_monte_carlo_route(self, monkeypatch, family, method):
+        # claimed at eps = 0.05, where delta > 0 and the quadrature gives it:
+        # a Laplace row takes the box interval and draws nothing, a Gaussian
+        # row takes the draw
         B = 0.5
         q = sum_query(2, 4, B)
-        cm = ComposedMechanism(
-            noise=calibrate_laplace(q, epsilon=1.0, B=B),
-            missing=anchored_mechanism(2),
-        )
-        table = verify_amplification(
-            cm, neighbor_pair(), [1.0], method="mc", n_samples=50_000, seed=2
-        )
-        assert table.rows[0].method == "monte_carlo"
-        assert table.passed
+        noise = (calibrate_laplace(q, 1.0, B) if family == "laplace"
+                 else calibrate_gaussian(q, 1.0, 1e-5, B))
+        cm = ComposedMechanism(noise=noise, missing=anchored_mechanism(2))
+        pair = neighbor_pair()
+        exact = hockey_stick_mixture_1d(
+            *(composed_output_mixture(cm, ds) for ds in (pair.left, pair.right)), 0.05)
+        if method == "interval":
+            monkeypatch.setattr(VectorMixture, "sample", None)
+        table = verify_amplification(cm, pair, [1.0], method="mc", n_samples=50_000, seed=2,
+                                     claim={"epsilon": 0.05, "delta": exact.value})
+        row = table.rows[0]
+        assert row.method == method and table.passed
+        assert exact.value > 0.0 and row.ci[0] <= exact.value <= row.ci[1]
 
     def test_a_certified_monte_carlo_row_draws_nothing(self, monkeypatch):
         # at eps' = 0.5 the centre lattice certifies delta = 0: the row is the

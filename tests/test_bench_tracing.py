@@ -3,10 +3,14 @@ name: it patches ``audit._dataset_support``, ``audit.apply_mask``,
 ``FwlQuery.__call__`` and ``VectorMixture.sample``/``log_density`` and replays
 the audit through public functions. This replays one small exact audit under
 those patches, so a rename in the program fails here rather than in a
-benchmark run."""
+benchmark run. It also checks the benchmark's Monte Carlo claim rows against
+the benchmark's own exact delta."""
 
+import json
 import sys
 from pathlib import Path
+
+import pytest
 
 from amplipriv import audit
 from amplipriv.cli import run_scenario
@@ -41,3 +45,22 @@ def test_traced_replay_of_an_exact_audit(tmp_path):
     assert metrics["audit.components"] > 0
     assert metrics["divergence.quadrature_s"] > 0.0
     assert sum(tracing.layer_shares(tr).values()) > 0.99
+
+
+@pytest.mark.parametrize("seed", [2, 7])
+def test_the_benchmark_monte_carlo_claim_row_holds_the_exact_delta(tmp_path, seed):
+    # the audit-mc claim row: neighbours that differ in coordinate 0 only, so
+    # the benchmark's own 1-D integral of that coordinate is the exact delta
+    import reference as ref
+    import workloads
+
+    call = workloads.build("audit-mc", seed, tmp_path / "scenarios").calls[1]
+    assert run_scenario("audit", str(call.path), str(tmp_path)) == 0
+    row, = json.loads((tmp_path / f"{call.path.stem}_audit.json").read_text())["rows"]
+    laws = [ref.clipped_mean_coordinate_law(rows, workloads.PI, 0, workloads.B)
+            for rows in (call.left, call.right)]
+    scale = ref.noise_scale(ref.LAPLACE, workloads.sensitivity(call), 1.0, 0.0)
+    delta, err = ref.hockey_stick(ref.LAPLACE, *laws, scale, float(row["epsilon_eval"]))
+    lower, upper = map(float, row["ci"])  # reports write numbers as strings
+    assert row["method"] == "interval" and delta > 0.0
+    assert lower <= delta + err and delta - err <= upper

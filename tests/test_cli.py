@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from amplipriv import audit
 from amplipriv.cli import AUDIT_CSV_HEADER, FIELDS, build_parser, main, run_scenario
+from test_golden_reports import MC_SCENARIO
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -914,15 +915,29 @@ class TestExactAuditFootprint:
     def test_no_rng_or_openssl_without_a_release(self, tmp_path, laplace_scn, command, loaded):
         assert self._loaded(command, laplace_scn, tmp_path) == loaded
 
-    @pytest.mark.parametrize("method", ["exact", "mc"])
-    def test_a_certified_audit_loads_no_numpy_ma_or_rng(self, tmp_path, laplace_scn, method):
-        # every row of this audit is certified from the centre lattice, so the
-        # Monte Carlo audit draws nothing; numpy.ma would add 0.8 MB, numpy.random 5.5 MB
-        scn = json.loads(laplace_scn.read_text())
-        scn["audit"] = {"method": method, "samples": 50_000}
+    @pytest.mark.parametrize("method, loaded", [
+        ("exact", ""),
+        ("mc", ""),
+        # the golden Monte Carlo claim, delta > 0: a Laplace audit takes the box
+        # interval, and the same audit at Gaussian noise, the control, draws
+        ("mc-claim", ""),
+        ("mc-claim-gaussian", "numpy.random"),
+    ])
+    def test_a_certified_audit_loads_no_numpy_ma_or_rng(self, tmp_path, laplace_scn, method,
+                                                        loaded):
+        # every row of the first two audits is certified from the centre
+        # lattice, so the Monte Carlo audit draws nothing; numpy.ma would add
+        # 0.8 MB, numpy.random 5.5 MB
+        if method.startswith("mc-claim"):
+            scn = dict(MC_SCENARIO, epsilon_grid=[1.0])
+            if method.endswith("gaussian"):
+                scn.update(family="gaussian", budget={"epsilon": 1.0, "delta": 1e-5})
+        else:
+            scn = json.loads(laplace_scn.read_text())
+            scn["audit"] = {"method": method, "samples": 50_000}
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(scn))
-        assert self._loaded("audit", path, tmp_path, ("numpy.ma", "numpy.random")) == ""
+        assert self._loaded("audit", path, tmp_path, ("numpy.ma", "numpy.random")) == loaded
 
     @staticmethod
     def _loaded(command, scenario, out, modules=("numpy.random", "hashlib", "_hashlib")):

@@ -46,8 +46,8 @@ def laplace_delta(shift, scale, eps):
     return 1.0 - math.exp(-(shift / scale - eps) / 2.0)
 
 
-@pytest.fixture
-def kernel_calls(monkeypatch):
+@contextlib.contextmanager
+def counted_kernel():
     """The number of points of each joint kernel call, as they are made."""
     calls = []
     real = _Kernel.__call__
@@ -56,8 +56,15 @@ def kernel_calls(monkeypatch):
         calls.append(len(x))
         return real(self, x)
 
-    monkeypatch.setattr(_Kernel, "__call__", counting)
-    return calls
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Kernel, "__call__", counting)
+        yield calls
+
+
+@pytest.fixture
+def kernel_calls():
+    with counted_kernel() as calls:
+        yield calls
 
 
 def unit(family, centre, scale):
@@ -377,10 +384,12 @@ class TestLatticeCertificate:
         est = mc_delta_vector(P, Q, eps, 1000, seed)
         with certificate_off():
             sampled = mc_delta_vector(P, Q, eps, 1000, seed)
-        assert repr(est) == repr(sampled)
         if top + err < 0.0:  # every sampled statistic is 0
+            assert repr(est) == repr(sampled)
             log_p, log_q = _Kernel((P, Q))(P.sample(substream(seed, _KEY_MC, 0), 1000))
             assert not np.clip(1.0 - np.exp(eps + log_q - log_p), 0.0, None).any()
+        else:  # the box interval, which TestBoxInterval checks against oracles, or the draw
+            assert est.method == "interval" or repr(est) == repr(sampled)
 
     @pytest.mark.parametrize("P, Q, eps", [
         (unit("gaussian", 0.0, 1.0), unit("gaussian", 1.0, 1.0), 5.0),  # no Gaussian pair
@@ -404,6 +413,140 @@ class TestLatticeCertificate:
         est = mc_delta_vector(P, P, 1.0, 1000, 0)
         assert est.value == 0.0 and kernel_calls == [1000]
         assert divergence._lattice_sup(P, P, _Kernel((P, P)), 1.0, 1000, _DRAW_REACH) is None
+
+
+def product(A, B):
+    """The law of (a, b) with a ~ A and b ~ B independent, one component per pair."""
+    centers = np.hstack((np.repeat(A.centers, len(B.weights), axis=0),
+                         np.tile(B.centers, (len(A.weights), 1))))
+    return VectorMixture(np.outer(A.weights, B.weights).ravel(), centers, A.family, A.scale)
+
+
+def overlaps(est, value, tolerance):
+    return est.ci[0] <= value + tolerance and value - tolerance <= est.ci[1]
+
+
+class TestBoxInterval:
+    """A Laplace pair whose lattice fits the sample count, and whose delta the
+    lattice does not certify 0, gets a deterministic interval from the
+    lattice boxes in place of a draw."""
+
+    SAMPLES = st.sampled_from([1000, 100_000, 10**7])
+
+    @settings(max_examples=60, deadline=None)
+    @given(pair=laplace_pair(st.just(1)), slack=st.floats(-1.5, 0.5), n=SAMPLES)
+    def test_a_1d_interval_holds_the_quadrature(self, pair, slack, n):
+        P, Q = pair
+        eps = level(P, Q, slack)
+        exact = hockey_stick_mixture_1d(P, Q, eps)
+        assert overlaps(mc_delta_vector(P, Q, eps, n, 0), exact.value, exact.tolerance)
+
+    @settings(max_examples=40, deadline=None)
+    @given(pair=laplace_pair(st.just(1)), rest=laplace_pair(st.just(2)),
+           slack=st.floats(-1.5, 0.5), n=SAMPLES)
+    def test_neighbours_differing_in_coordinate_0_have_its_delta(self, pair, rest, slack, n):
+        # P = A x B and Q = A' x B, as the audit's neighbours differ in one
+        # feature: p/q is a(x_0)/a'(x_0), so delta is the 1-D delta of A and A'
+        A, A2 = pair
+        B = VectorMixture(rest[0].weights, rest[0].centers, "laplace", A.scale)
+        eps = level(A, A2, slack)
+        est = mc_delta_vector(product(A, B), product(A2, B), eps, n, 0)
+        exact = hockey_stick_mixture_1d(A, A2, eps)
+        assert overlaps(est, exact.value, exact.tolerance)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(pair=laplace_pair(st.integers(2, 3)), slack=st.floats(-1.5, 0.5))
+    def test_an_interval_overlaps_the_drawn_one(self, pair, slack):
+        P, Q = pair
+        eps = level(P, Q, slack)
+        est = mc_delta_vector(P, Q, eps, 20_000, 5)
+        with certificate_off():
+            drawn = mc_delta_vector(P, Q, eps, 20_000, 5)
+        assert drawn.method == "monte_carlo"
+        assert est.ci[0] <= drawn.ci[1] and drawn.ci[0] <= est.ci[1]
+
+    @settings(max_examples=50, deadline=None)
+    @given(pair=laplace_pair(), order=st.randoms(use_true_random=False))
+    def test_one_law_in_another_order_holds_0(self, pair, order):
+        # the masses and log-densities of Q differ from P's in their last
+        # bits only, which the float error bounds must absorb: delta is 0
+        P = pair[0]
+        perm = order.sample(range(len(P.weights)), len(P.weights))
+        w = P.weights[perm + perm[:1]]  # its first component twice, at half the weight
+        w[[0, -1]] /= 2.0
+        Q = VectorMixture(w, P.centers[perm + perm[:1]], "laplace", P.scale)
+        est = mc_delta_vector(P, Q, 0.0, 1000, 0)
+        assert est.method == "interval" and est.ci[0] == 0.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(pair=laplace_pair(), slack=st.floats(-1.5, 0.5), n=st.sampled_from([1000, 3000]))
+    def test_the_boxes_never_pass_the_sample_count(self, pair, slack, n):
+        P, Q = pair
+        eps = level(P, Q, slack)
+        with counted_kernel() as calls:
+            mc_delta_vector(P, Q, eps, n, 0)
+        # the first call reads the lattice, each later one the corners of a block of boxes
+        assert sum(calls[1:]) <= n
+
+    @staticmethod
+    def slow_pair():
+        """9 values 4 scales apart per coordinate, k = 3: 729 lattice points,
+        512 boxes of 8 corners each, over which p/q moves by up to e^24."""
+        axis = np.arange(9.0) * 4.0
+        grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+        w = np.random.default_rng(0).uniform(size=len(grid))
+        return (VectorMixture(np.full(len(grid), 1 / len(grid)), grid, "laplace", 1.0),
+                VectorMixture(w / w.sum(), grid, "laplace", 1.0))
+
+    def test_a_pair_of_slow_convergence_stops_at_the_cap(self, kernel_calls):
+        est = mc_delta_vector(*self.slow_pair(), 0.0, 10_000, 0)
+        assert kernel_calls[0] == 729 and 4096 < sum(kernel_calls[1:]) <= 10_000
+        assert est.method == "interval"
+
+    def test_lattice_boxes_whose_corners_pass_the_sample_count_draw(self):
+        # 729 lattice points fit in 1000, but their 512 boxes have 4096 corners
+        P, Q = self.slow_pair()
+        est = mc_delta_vector(P, Q, 0.0, 1000, 0)
+        with certificate_off():
+            assert repr(est) == repr(mc_delta_vector(P, Q, 0.0, 1000, 0))
+
+    def test_coordinates_of_one_centre_value_are_dropped(self, kernel_calls):
+        # coordinates 1 and 2 hold one value in every centre: the boxes are
+        # those of coordinate 0, 2 corners each, and the interval is its 1-D one
+        P, Q = (VectorMixture([0.5, 0.5], [[0.0, 3.0, -1.0], [c, 3.0, -1.0]], "laplace", 1.0)
+                for c in (1.0, 2.0))
+        est = mc_delta_vector(P, Q, 0.1, 1000, 0)
+        assert kernel_calls[1:] == [2 * 2]
+        one = mc_delta_vector(*(VectorMixture(M.weights, M.centers[:, :1], "laplace", 1.0)
+                                for M in (P, Q)), 0.1, 1000, 0)
+        assert est.method == "interval" and est.ci == one.ci
+
+    def test_one_centre_value_everywhere_is_delta_0(self):
+        P, Q = (VectorMixture(w, [[0.5, 1.0]] * 2, "laplace", 1.0)
+                for w in ([0.5, 0.5], [0.1, 0.9]))
+        est = mc_delta_vector(P, Q, 0.0, 1000, 0)
+        assert (est.method, est.ci) == ("interval", (0.0, 0.0))
+
+    def test_the_audit_pair_is_as_precise_as_its_draw(self):
+        # an audit-sized pair, 64 components, k = 3 and 3 values per coordinate
+        rng = np.random.default_rng(64)
+        p, q = (VectorMixture(np.full(64, 1 / 64), rng.choice([-0.5, 0.0, 0.5], (64, 3)),
+                              "laplace", 1.5) for _ in range(2))
+        est = mc_delta_vector(p, q, 0.05, 50_000, 1)
+        log_term = math.log(4.0 / divergence._MC_ALPHA)
+        assert est.method == "interval" and est.ci[0] > 0.0
+        assert est.tolerance <= divergence._bernstein_half(est.ci[1], 50_000, log_term)
+        assert est.value == 0.5 * (est.ci[0] + est.ci[1])
+
+    def test_a_lattice_past_the_sample_count_draws_the_parents_bits(self, kernel_calls):
+        # 22 x 11 x 11 lattice points, more than 1000: the draw, to the last bit
+        c = np.repeat(np.arange(11.0)[:, None], 3, axis=1)
+        P = VectorMixture(np.full(11, 1 / 11), c, "laplace", 1.0)
+        Q = VectorMixture(np.full(11, 1 / 11), c + [0.5, 0.0, 0.0], "laplace", 1.0)
+        est = mc_delta_vector(P, Q, 0.1, 1000, 0)
+        assert kernel_calls == [1000] and est.method == "monte_carlo"
+        assert repr(est.value) == "0.11567238848324143"
+        assert repr(est.ci) == "(0.0869374283454378, 0.14440734862104507)"
 
 
 def _mixture_delta_oracle(P, Q, eps):

@@ -236,7 +236,30 @@ class TestDrawNeverPicksAZeroProbabilityMask:
         bits, scores = zip(*self.LAW)
         mech = MarAnchoredPattern(anchor=(), q_all=0.0, candidates=bits, thresholds=[],
                                   score_table={"": list(scores)})
+        assert mech.max_observed_count() == 1
         assert mech.draw(None, LastUniform()).bits == (1, 0, 1, 1)
+
+
+class TestAnchoredObservedCountFollowsTheSupport:
+    """rho is the largest observed fraction over the masks a row's law can
+    draw; a candidate of score 0 in every row, or hidden by q_all = 1, is
+    never drawn and must not loosen it."""
+
+    @staticmethod
+    def mechanism(q_all):
+        return DatasetMechanism(MarAnchoredPattern(
+            anchor=(0,), q_all=q_all, candidates=[(0, 0, 0), (0, 1, 1)], thresholds=[[0.0]],
+            score_table={"0": [0.0, 1.0], "1": [0.0, 1.0]}), n=1)
+
+    def test_a_candidate_of_score_0_everywhere_is_not_counted(self):
+        mech = self.mechanism(0.0)
+        assert mech.feature_mech.max_observed_count() == 1
+        assert tight_rho(mech) == 1 / 3
+
+    def test_q_all_1_observes_nothing(self):
+        mech = self.mechanism(1.0)
+        assert mech.feature_mech.max_observed_count() == 0
+        assert tight_rho(mech) == 0.0
 
 
 class TestPStar:
