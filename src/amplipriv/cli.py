@@ -455,10 +455,19 @@ def _stable_json(obj) -> str:
     return json.dumps(convert(obj), sort_keys=True, indent=2) + "\n"
 
 
+def _replace_text(path: Path, text: str) -> None:
+    """Write ``text`` to a new file at ``path``. An existing file is unlinked
+    first, not truncated: on ext4, closing a file that was truncated to zero
+    starts its writeback and blocks on the disk, which would put a disk wait
+    into every repeated report."""
+    path.unlink(missing_ok=True)
+    path.write_text(text)
+
+
 def emit_report(results, fmt: str, path: Path) -> None:
     """Write a report; identical inputs produce byte-identical files."""
     if fmt == "json":
-        path.write_text(_stable_json(results))
+        _replace_text(path, _stable_json(results))
         return
     if fmt == "csv":
         rows = results["rows"] if isinstance(results, dict) and "rows" in results else results
@@ -470,7 +479,7 @@ def emit_report(results, fmt: str, path: Path) -> None:
                     for k in ("epsilon", "bound", "empirical", "method", "tolerance", "verdict")
                 )
             )
-        path.write_text("\n".join(lines) + "\n")
+        _replace_text(path, "\n".join(lines) + "\n")
         return
     raise SchemaError(f"unknown report format '{fmt}'")
 

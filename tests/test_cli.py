@@ -104,6 +104,18 @@ class TestAuditOutputs:
         for name in ("laplace_mean_rho05_audit.csv", "laplace_mean_rho05_audit.json"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
+    def test_rerun_replaces_reports_without_truncating(self, tmp_path, laplace_scn):
+        # a rerun writes new files; one truncated in place would change the old
+        # link too, and on ext4 its close would wait for the disk
+        run("audit", laplace_scn, tmp_path)
+        for name in ("laplace_mean_rho05_audit.csv", "laplace_mean_rho05_audit.json"):
+            (tmp_path / name).write_text("stale\n")
+            os.link(tmp_path / name, tmp_path / f"old_{name}")
+        run("audit", laplace_scn, tmp_path)
+        for name in ("laplace_mean_rho05_audit.csv", "laplace_mean_rho05_audit.json"):
+            assert (tmp_path / f"old_{name}").read_text() == "stale\n"
+            assert (tmp_path / name).read_text() != "stale\n"
+
     def test_failed_claim_exits_two(self, tmp_path, laplace_scn, capsys):
         scn = json.loads(laplace_scn.read_text())
         scn["audit"]["claim"] = {"epsilon": 0.05, "delta": 0.0}
