@@ -34,7 +34,12 @@ positive-part integral of that density. For 1-D Laplace/Gaussian mixtures the
 integral is a sum of component CDF and survival function differences between
 the sign changes of p - e^eps q, so the only
 approximation is where those roots sit; the reported ``tolerance`` bounds the
-mass that root error can move plus the float error of the sums.
+mass that root error can move plus the float error of the sums. The roots
+come from the family. A 1-D Laplace pair at one scale b has at most one
+root between adjacent centres, where p - e^eps q = A e^(x/b) + B e^(-x/b),
+placed in closed form from two running sums over the centres, whose float
+error the tolerance carries. A Gaussian pair's roots are bracketed on a
+certified sign grid and bisected.
 
 When P and Q are Laplace at one scale b, of any dimension k, the divergence
 is certified 0 without a grid or a draw. In each box between adjacent centre
@@ -43,17 +48,16 @@ multilinear in the e^(2 x_j / b) with nonnegative coefficients, so p/q is
 monotone in each coordinate; past a coordinate's outer centre value it does
 not depend on that coordinate. So sup log p/q lies on the lattice of centre
 coordinates, which one kernel call reads. Where that sup, less eps and plus
-its float error, is negative, both estimators return what their grid or
-draw would: the quadrature 0 with the tolerance of a rootless grid, Monte
-Carlo the estimate and interval of an all-zero statistic. Reports keep
-their bytes.
+its float error, is negative, the quadrature returns 0 with the tolerance
+of one rootless interval, and Monte Carlo the estimate and interval of an
+all-zero statistic, the interval its draw would give.
 
 The same monotonicity bounds p/q on any box inside one lattice box by its
 values at the box's corners. So a Laplace pair with delta > 0 gets, in place
 of the draw, a certified interval from such boxes (``_box_interval``) when
-the lattice boxes' corners are no more than the points the draw would take.
-Gaussian pairs, and Laplace pairs of a larger lattice, take the grid or the
-draw.
+the boxes' corners it needs to be as narrow as the draw are no more than
+the points the draw would take. Gaussian pairs, and other Laplace pairs,
+take the draw.
 """
 
 from __future__ import annotations
@@ -68,6 +72,7 @@ import numpy as np
 from .errors import DimensionError, SupportError
 from .missingness import substream, _KEY_MC
 from .noise import FAMILIES, LAPLACE
+from .roots import _EPS, _TAIL_SCALES, gaussian_signs, laplace_signs
 
 _NORM_TOL = 1e-12
 _MC_ALPHA = 0.01  # Monte Carlo intervals are two-sided at 99%
@@ -243,8 +248,6 @@ class DivergenceEstimate:
 
 # --- the centre lattice: where log p/q peaks for Laplace at one scale ---------
 
-_TAIL_SCALES = 40.0
-_EPS = float(np.finfo(float).eps)
 # a unit Laplace draw is -log(2(1 - u)) or log(2u) with u clipped to [1e-300, 1 - 1e-16],
 # so it lies within -log(2e-300) < 691 of 0
 _DRAW_REACH = 691.0
@@ -288,27 +291,20 @@ def hockey_stick_mixture_1d(
     """Positive-part integral between two mixtures of output dimension 1 and
     one family and scale.
 
-    The sign of g = log p - eps - log q is read on one grid through every
-    component centre (Laplace densities kink there), spacing 1/8 of the
-    scale, spanning 40 scales beyond the outer centres. A cell
-    whose ends share a sign holds no root when |g| at its ends, less float
-    error, exceeds its width times a bound on |g'|; one that fails is split
-    in 8 until each part passes, changes sign or can tell no more (adjacent
-    floats, or g within float error of 0 at both ends). A cell whose ends
-    differ in sign is taken to hold one root, and all are bisected together;
-    one with one end where g is exactly 0 is taken to hold just that root. Over
-    each interval where p > e^eps q, including the two unbounded end
-    intervals, the integral is exact: sum_i w_i mass_i - e^eps sum_j v_j
-    mass_j from each mixture's component CDFs and survival functions.
+    The signs of h = p - e^eps q come from the family. For Laplace, a
+    closed-form sweep over the centres (``roots.laplace_signs``) places every root
+    of h without evaluating a density. For Gaussian, the sign of
+    g = log p - eps - log q is read on one grid through every component
+    centre, spacing 1/8 of the scale, spanning 40 scales beyond the outer
+    centres, and its sign changes are bisected (``roots.gaussian_signs``). Over
+    each interval between adjacent roots where h > 0, including the two
+    unbounded end intervals, the integral is exact: sum_i w_i mass_i -
+    e^eps sum_j v_j mass_j from each mixture's component CDFs and survival
+    functions, one ``math.fsum`` per block of intervals.
 
-    ``tolerance`` bounds the error: each root is bisected to adjacent floats
-    inside a bracket holding no centre, so every component is monotone there
-    and p + e^eps q is at most its sum at the two bracket ends; half the
-    bracket width times that bounds the mass a misplaced root moves. A cell
-    given up adds the mass its sign can misplace. The CDF sums add 8 ulp of
-    (1 + e^eps) per interval, which also bounds what the sign past the grid
-    can misplace. The result does not depend on ``tol``, which is validated
-    only.
+    ``tolerance`` is the sign finder's bound on the mass its roots and signs
+    can misplace, plus 8 ulp of (1 + e^eps) per interval for the CDF sums.
+    The result does not depend on ``tol``, which is validated only.
     """
     if not tol > 0:
         raise ValueError(f"tol: must be positive, got {tol!r}")
@@ -323,86 +319,15 @@ def hockey_stick_mixture_1d(
     alpha = math.exp(epsilon)
     kernel = _Kernel((P, Q))  # P and Q together, at every point below
     sup = _lattice_sup(P, Q, kernel, epsilon, math.inf, _TAIL_SCALES)
-    if sup is not None and sup[0] + sup[1] < 0.0:  # as the grid finds no root and no lost mass
+    if sup is not None and sup[0] + sup[1] < 0.0:  # no root and nothing lost: one interval
         return DivergenceEstimate(value=0.0, method=METHOD_QUADRATURE,
                                   tolerance=8.0 * _EPS * (1.0 + alpha))
+    if P.family == LAPLACE:
+        edges, keep, root_err, lost = laplace_signs(P, Q, alpha)
+    else:
+        edges, keep, root_err, lost = gaussian_signs(P, Q, epsilon, alpha, kernel)
 
-    # P's centres first: of two signed zeros the set keeps the first seen
-    centers = sorted(set(P.centers[:, 0].tolist() + Q.centers[:, 0].tolist()))
-    score, scale = FAMILIES[P.family].score, P.scale
-    span = _TAIL_SCALES * scale
-    breaks = [centers[0] - span, *centers, centers[-1] + span]
-    pieces = list(zip(breaks[:-1], breaks[1:]))
-    steps = [int(min(4096, max(64, math.ceil((b - a) / (scale / 8.0))))) for a, b in pieces]
-    grid = np.concatenate([np.linspace(a, b, n + 1)[:-1] for (a, b), n in zip(pieces, steps)]
-                          + [breaks[-1:]])
-
-    logs = 1.0 + epsilon + max(float(np.abs(M.log_coef).max()) for M in (P, Q))
-
-    def sample(x):  # rows log p, log q, g and a bound on g's float error
-        v = kernel(x[:, None])
-        return np.vstack((v, v[0] - (epsilon + v[1]), 2.0 ** -40 * (logs + np.abs(v).sum(axis=0))))
-
-    def slope_bound(a, b):
-        # Off the centres (log p)' is minus a mean of psi(x - c) = score((x - c) / s) / s over
-        # P's centres, so |g'| <= max(psi(x - q_min) - psi(x - p_max), psi(x - p_min) -
-        # psi(x - q_max)): affine on a cell [a, b], so largest at an end (from inside)
-        x, k = np.concatenate((a, b)), np.repeat([1, -1], len(a)) / scale
-        (q_lo, q_hi), (p_lo, p_hi) = (score((x - np.array([[c.min()], [c.max()]])) * k) * k
-                                      for c in (Q.kernel_centers[0], P.kernel_centers[0]))
-        return np.maximum(q_lo - p_hi, p_lo - q_hi).reshape(2, -1).max(axis=0) * (1 + 2.0 ** -40)
-
-    values = sample(grid)
-    slope = slope_bound(np.array(breaks[:-1]), np.array(breaks[1:]))
-    x, v, bound = grid[None], values[:, None], np.repeat(slope, steps)[None]
-    found, lost = [], 0.0  # cells lie between neighbours in a row of x, each with its bound
-    while True:
-        pos, absg = v[2] > 0.0, np.abs(v[2])
-        r, c = np.nonzero(pos[:, :-1] != pos[:, 1:])
-        found.append((x[r, c], x[r, c + 1], pos[r, c]))
-        reach = bound * np.diff(x) + v[3, :, :-1] + v[3, :, 1:]
-        # a point where g is exactly 0 is a root, held by a cell with one such end
-        r, c = np.nonzero((pos[:, :-1] == pos[:, 1:]) & (absg[:, :-1] + absg[:, 1:] <= reach)
-                          & ((absg[:, :-1] == 0.0) == (absg[:, 1:] == 0.0)))
-        a, b, va, vb, reach = x[r, c], x[r, c + 1], v[:, r, c], v[:, r, c + 1], reach[r, c]
-        # give up cells that cannot be split or tell g from 0, or all past 65536,
-        # adding the mass their sign can misplace: no centre is inside a cell
-        stuck = ((np.abs(va[2]) <= va[3]) & (np.abs(vb[2]) <= vb[3])
-                 | (b <= np.nextafter(a, np.inf)) | (r.size > 1 << 16))
-        if stuck.any():  # |g| <= G there: its sign errs on expm1(min(G, 1)) of p or e^eps q
-            G = np.minimum(0.5 * (np.abs(va[2]) + np.abs(vb[2]) + reach), 1.0)
-            dens = np.exp(va[:2]) + np.exp(vb[:2])
-            lost += float(np.sum(((b - a) * np.expm1(G)
-                                  * np.maximum(dens[0], alpha * dens[1]))[stuck]))
-        if stuck.all():
-            break
-        # split each cell left in 8 parts, each with its own bound
-        a, b, va, vb = (t[..., ~stuck, None] for t in (a, b, va, vb))
-        x = np.hstack((a, a + (b - a) * (np.arange(1, 8) / 8.0), b))
-        v = np.concatenate((va, sample(x[:, 1:-1].ravel()).reshape(4, len(x), 7), vb), axis=2)
-        bound = slope_bound(x[:, :-1].ravel(), x[:, 1:].ravel()).reshape(len(x), 8)
-    a, b, a_positive = (np.concatenate(t) for t in zip(*found))
-    order = np.argsort(a, kind="stable")
-    a, b, a_positive = a[order], b[order], a_positive[order]
-    # bisect every bracket down to adjacent floats
-    while True:
-        mid = 0.5 * (a + b)
-        live = (a < mid) & (mid < b)
-        if not live.any():
-            break
-        log_p, log_q = kernel(mid[:, None])
-        same = (log_p > epsilon + log_q) == a_positive
-        a = np.where(live & same, mid, a)
-        b = np.where(live & ~same, mid, b)
-    (p_a, q_a), (p_b, q_b) = (np.exp(kernel(t[:, None])) for t in (a, b))
-    dens = p_a + p_b + alpha * (q_a + q_b)
-    root_err = float(np.sum(0.5 * (b - a) * dens))
-
-    # interval k runs from edge k to edge k + 1; past a root it takes the
-    # sign of that bracket's right end
-    edges = np.concatenate(([-np.inf], 0.5 * (a + b), [np.inf]))
-    keep = np.flatnonzero(np.concatenate((values[2, :1] > 0.0, ~a_positive)))
-
+    # interval k runs from edge k to edge k + 1; ``keep`` lists those where h > 0
     signed = ((P, P.weights), (Q, -alpha * Q.weights))
     sums = []
     for i in range(0, keep.size, _BLOCK):
@@ -416,10 +341,7 @@ def hockey_stick_mixture_1d(
             mass = np.where(za >= 0, ta - tb, np.where(zb <= 0, tb - ta, 1.0 - ta - tb))
             terms += (mass * signed_weight).ravel().tolist()
         sums.append(math.fsum(terms))
-    # past the grid a Laplace g is constant, and a Gaussian component's mass 40 scales out,
-    # 0.5 erfc(40 / sqrt(2)) < 1e-300, is 0.0 in float: a sign there misplaces less than
-    # 1e-300 (1 + e^eps), which 8 ulp of (1 + e^eps) bounds
-    sum_err = 8.0 * _EPS * (1.0 + alpha) * (a.size + 1)
+    sum_err = 8.0 * _EPS * (1.0 + alpha) * (edges.size - 1)
     return DivergenceEstimate(
         value=float(min(max(math.fsum(sums), 0.0), 1.0)),
         method=METHOD_QUADRATURE,
@@ -454,7 +376,9 @@ def _box_interval(
 ) -> Optional[tuple]:
     """(lower, upper) around the divergence of a one-scale Laplace pair, from
     boxes that each lie in one box of the centre lattice; None when the
-    corners of those lattice boxes number more than ``n_samples``.
+    corners of those lattice boxes number more than ``n_samples``, or when
+    splitting would read more corners than that before the interval is as
+    narrow as the draw's.
 
     A coordinate where every centre of P and Q takes one value scales p and q
     by one factor, so the pair's divergence is that of its marginals on the
@@ -474,9 +398,9 @@ def _box_interval(
     Each round halves the boxes of widest gap, along the coordinates where
     their corner values differ, until the half-width is at most the
     empirical-Bernstein half-width of a statistic of variance at most
-    ``upper`` at ``n_samples`` draws. It also stops before the corners it has
-    evaluated would pass ``n_samples``, with the interval reached: the boxes
-    never number more, and the kernel reads no more points than the draw.
+    ``upper`` at ``n_samples`` draws. If the corners it has evaluated would
+    pass ``n_samples`` first, it gives up: the boxes never number more, and
+    the kernel reads no more points than the draw.
     """
     axes = [sorted(set(P.centers[:, j].tolist() + Q.centers[:, j].tolist()))
             for j in range(P.centers.shape[1])]
@@ -539,8 +463,8 @@ def _box_interval(
         order = order[: int(np.searchsorted(np.cumsum(gap[order]), 2.0 * excess)) + 1]
         born = np.cumsum(1 << split[order].sum(axis=1)) << k
         order = order[: int(np.searchsorted(born, budget, side="right"))]
-        if not order.size:
-            return lower, upper
+        if not order.size:  # the draw meets the target at this many points
+            return None
         # each child keeps one half of every split coordinate and all of the others
         l, h, s = lo[order, None], hi[order, None], split[order, None]
         mid = 0.5 * (l + h)

@@ -87,7 +87,6 @@ class NoiseFamily:
     ``-log_norm(s) - penalty((x - c) / s)``. ``penalty`` works in place on a
     float array; ``tail(|z|)`` is the mass beyond |z| on the far side of the
     centre, computed directly so tail masses far below 1e-16 keep their digits.
-    ``score(z)``, the penalty's slope, is affine on each side of 0, from the right at 0.
 
     ``draw(rng, shape)`` returns a fresh array that the caller owns and may
     overwrite. Laplace reads one uniform per coordinate, in C order; the
@@ -99,7 +98,6 @@ class NoiseFamily:
     log_norm: Callable[[float], float]
     penalty: Callable[[np.ndarray], np.ndarray]
     tail: Callable[[np.ndarray], np.ndarray]
-    score: Callable[[np.ndarray], np.ndarray]
 
 
 FAMILIES = {
@@ -108,14 +106,12 @@ FAMILIES = {
         log_norm=lambda s: math.log(s * math.sqrt(2.0 * math.pi)),
         penalty=_half_square,
         tail=lambda z: 0.5 * _erfc(z / math.sqrt(2.0)).astype(float),
-        score=lambda z: z,
     ),
     LAPLACE: NoiseFamily(
         draw=_laplace_draw,
         log_norm=lambda s: math.log(2.0 * s),
         penalty=lambda z: np.abs(z, out=z),
         tail=lambda z: 0.5 * np.exp(-z),
-        score=lambda z: np.where(z >= 0.0, 1.0, -1.0),
     ),
 }
 

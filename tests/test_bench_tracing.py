@@ -3,8 +3,8 @@ name: it patches ``audit._dataset_support``, ``audit.apply_mask``,
 ``FwlQuery.__call__`` and ``VectorMixture.sample``/``log_density`` and replays
 the audit through public functions. This replays one small exact audit under
 those patches, so a rename in the program fails here rather than in a
-benchmark run. It also checks the benchmark's Monte Carlo claim rows against
-the benchmark's own exact delta."""
+benchmark run. It also checks the benchmark's claim rows, exact and Monte
+Carlo, against the benchmark's own exact delta."""
 
 import json
 import sys
@@ -64,3 +64,25 @@ def test_the_benchmark_monte_carlo_claim_row_holds_the_exact_delta(tmp_path, see
     lower, upper = map(float, row["ci"])  # reports write numbers as strings
     assert row["method"] == "interval" and delta > 0.0
     assert lower <= delta + err and delta - err <= upper
+
+
+@pytest.mark.parametrize("workload", ["audit-lattice", "audit-quadrature"])
+@pytest.mark.parametrize("seed", [2, 7])
+def test_the_benchmark_exact_claim_rows_hold_the_exact_delta(tmp_path, workload, seed):
+    # each exact claim row's value lies within its own tolerance of the
+    # benchmark's integral, give or take that integral's error bound
+    import reference as ref
+    import workloads
+
+    calls = [call for call in workloads.build(workload, seed, tmp_path / "scenarios").calls
+             if "claim" in call.scenario["audit"]]
+    assert len(calls) == (1 if workload == "audit-lattice" else 2)
+    for call in calls:
+        assert run_scenario("audit", str(call.path), str(tmp_path)) == 0
+        row, = json.loads((tmp_path / f"{call.path.stem}_audit.json").read_text())["rows"]
+        laws = [workloads.reference_law(call, rows) for rows in (call.left, call.right)]
+        scale = ref.noise_scale(call.family, workloads.sensitivity(call), float(row["epsilon"]),
+                                call.scenario["budget"]["delta"])
+        delta, err = ref.hockey_stick(call.family, *laws, scale, float(row["epsilon_eval"]))
+        assert row["method"] == "quadrature" and delta > 0.0
+        assert abs(float(row["empirical"]) - delta) <= float(row["tolerance"]) + err

@@ -4,7 +4,9 @@ identities the amplification argument rests on."""
 import contextlib
 import math
 import tracemalloc
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -241,12 +243,17 @@ class TestSignCertificate:
 
     @pytest.mark.parametrize("family", ["gaussian", "laplace"])
     def test_a_sign_it_cannot_tell_is_charged_to_the_tolerance(self, family):
-        # g is exactly 0 everywhere, so no cell can be certified: every one is
-        # given up and its mass bound goes to the tolerance
         p = VectorMixture([0.5, 0.5], [[0.0], [1.0]], family, 0.5)
         est = hockey_stick_mixture_1d(p, p, 0.0)
         assert est.value == 0.0
-        assert 1e-3 < est.tolerance < 1.0
+        if family == "gaussian":
+            # g is exactly 0 everywhere, so no grid cell can be certified: every
+            # one is given up and its mass bound goes to the tolerance
+            assert 1e-3 < est.tolerance < 1.0
+        else:
+            # every running sum is 0, within its float error bound: each piece
+            # and tail is charged that bound, a few ulp, and not its mass
+            assert 8.0 * divergence._EPS * 2.0 < est.tolerance < 1e-14
 
     def test_a_grid_point_where_g_is_zero_is_a_root(self, kernel_calls):
         # at eps = 0 the root 0.5 of N(0, 1) against N(1, 1) is a grid point,
@@ -256,13 +263,12 @@ class TestSignCertificate:
         assert abs(est.value - (2.0 * stats.norm.cdf(0.5) - 1.0)) <= est.tolerance
         assert len(kernel_calls) <= 51
 
-    def test_far_tails_do_not_blunt_the_float_error_bound(self):
-        # P's far centre, 10^4 scales out, takes log q to about -10^4 at the
-        # grid's right end, where g's float error bound is about 1e-8. Left of
-        # 0, g is the constant c = 1e-9, on a quarter of P's mass: the error
-        # allowed for g there must come from the values there, about 1e-10,
-        # or those cells cannot be certified and their mass bound goes to the
-        # tolerance
+    def test_far_tails_do_not_blunt_the_float_error_bound(self, kernel_calls):
+        # P's far centre, 10^4 scales out, is a term of every running sum. Left
+        # of 0, h is p (1 - e^-c), c = 1e-9, on a quarter of P's mass: the sign
+        # there comes from R_0 = (1 - e^-c) / 2, so the error bound of R_0 must
+        # come from the terms near it, about 1e-16, and not grow with the far
+        # centre's, or the tail is unsettled and its bound goes to the tolerance
         P = VectorMixture([0.5, 0.5], [[0.0], [1e4]], "laplace", 1.0)
         Q = unit("laplace", 4.0, 1.0)
         eps = 4.0 + math.log(0.5) - 1e-9
@@ -272,16 +278,125 @@ class TestSignCertificate:
         est = hockey_stick_mixture_1d(P, Q, eps)
         assert abs(est.value - delta) <= est.tolerance
         assert est.tolerance < 1e-12
+        assert kernel_calls == [3]  # the lattice certificate's, and no grid
 
-    def test_laplace_tails_at_one_scale_cost_no_tolerance(self):
-        # past the outer centres a Laplace g at one scale is constant, so the
-        # tails need no mass
+    def test_laplace_tails_at_one_scale_cost_no_tolerance(self, kernel_calls):
+        # past the outer centres a Laplace h at one scale is one exponential
+        # times R_0 or L_(m-1), whose signs the sweep settles, so the tails
+        # need no mass
         p, q = unit("laplace", 0.0, 1.0), unit("laplace", 1.0, 1.0)
         assert hockey_stick_mixture_1d(p, q, 0.5).tolerance < 1e-14
+        assert kernel_calls == [2]
 
     def test_a_gaussian_tail_past_the_grid_has_no_float_mass(self):
         # so the quadrature adds nothing for the sign of g past its grid
         assert FAMILIES["gaussian"].tail(np.array([_TAIL]))[0] == 0.0
+
+
+def mp_laplace_delta(P, Q, eps):
+    """delta of one-scale Laplace P and Q at 50 digits, at the exact e^eps.
+    With s_j the signed weight at distinct centre c_j, on the piece
+    x = c_k + t, 0 <= t <= d, 2b h = L e^(-t / b) + R e^(-(d - t) / b) with
+    L and R sums over the centres left and right of it; its positive part
+    integrates in closed form, as do the two tails."""
+    with mpmath.workdps(50):
+        b, alpha = mpmath.mpf(P.scale), mpmath.exp(mpmath.mpf(eps))
+        weight = {}
+        for M, sign in ((P, 1), (Q, -alpha)):
+            for w, c in zip(M.weights.tolist(), M.centers[:, 0].tolist()):
+                weight[c] = weight.get(c, 0) + sign * mpmath.mpf(w)
+        c = [mpmath.mpf(x) for x in sorted(weight)]
+        s = [weight[x] for x in sorted(weight)]
+        L = [mpmath.fsum(s[j] * mpmath.exp(-(c[k] - c[j]) / b) for j in range(k + 1))
+             for k in range(len(c))]
+        R = [mpmath.fsum(s[j] * mpmath.exp(-(c[j] - c[k]) / b) for j in range(k, len(c)))
+             for k in range(len(c))]
+        total = max(R[0], 0) / 2 + max(L[-1], 0) / 2
+        for k in range(len(c) - 1):
+            l, r, d = L[k], R[k + 1], c[k + 1] - c[k]
+            cuts = [mpmath.mpf(0), d]
+            if l * r < 0 and 0 < d / 2 + b / 2 * mpmath.log(-l / r) < d:
+                cuts.insert(1, d / 2 + b / 2 * mpmath.log(-l / r))
+            for lo, hi in zip(cuts[:-1], cuts[1:]):
+                mid = (lo + hi) / 2
+                if l * mpmath.exp(-mid / b) + r * mpmath.exp(-(d - mid) / b) > 0:
+                    total += (l * (mpmath.exp(-lo / b) - mpmath.exp(-hi / b))
+                              + r * (mpmath.exp(-(d - hi) / b) - mpmath.exp(-(d - lo) / b))) / 2
+        return total
+
+
+@st.composite
+def laplace_pair_1d(draw):
+    """Two Laplace mixtures of 1 to 6 components at one scale, centres from a
+    lattice of quarters or anywhere in [-3, 3], some of them shifted by one
+    far offset, 1e3 to 1e6 scales, so that one piece is that long."""
+    scale = draw(st.sampled_from([0.25, 0.5, 1.0, 2.5]))
+    far = scale * draw(st.one_of(st.just(0.0), st.floats(1e3, 1e6)))
+    value = st.one_of(st.integers(-12, 12).map(lambda i: i / 4.0), st.floats(-3.0, 3.0))
+
+    def mixture():
+        m = draw(st.integers(1, 6))
+        w = np.array(draw(st.lists(st.integers(1, 9), min_size=m, max_size=m)), dtype=float)
+        c = [[draw(value) + far * draw(st.integers(0, 1))] for _ in range(m)]
+        return VectorMixture(w / w.sum(), c, "laplace", scale)
+
+    return mixture(), mixture()
+
+
+class TestLaplaceSweep:
+    """For Laplace at one scale the roots of p - e^eps q come in closed form
+    from two running sums over the centres: no grid and no bisection."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(pair=laplace_pair_1d(), eps=st.floats(0.0, 3.0))
+    @example(pair=(VectorMixture([0.5, 0.5], [[0.0], [1e6]], "laplace", 1.0),
+                   VectorMixture([0.5, 0.5], [[1.0], [1e6]], "laplace", 1.0)), eps=0.1)
+    def test_value_within_its_tolerance_of_a_50_digit_integral(self, pair, eps):
+        est = hockey_stick_mixture_1d(*pair, eps)
+        assert abs(est.value - mp_laplace_delta(*pair, eps)) <= est.tolerance
+
+    @pytest.mark.parametrize("far", [1e4, 1e5, 1e6])
+    def test_a_long_piece_keeps_its_mass(self, far):
+        # the piece (1, far) is far - 1 scales long; h < 0 on it, and the
+        # whole of delta sits left of the root 0.45, in the first piece
+        P = VectorMixture([0.5, 0.5], [[0.0], [far]], "laplace", 1.0)
+        Q = VectorMixture([0.5, 0.5], [[1.0], [far]], "laplace", 1.0)
+        est = hockey_stick_mixture_1d(P, Q, 0.1)
+        assert abs(est.value - -0.5 * math.expm1(-0.45)) <= est.tolerance
+        assert est.tolerance < 1e-12
+
+    def test_an_uncertified_pair_reads_only_the_centre_lattice(self, kernel_calls):
+        # delta > 0, so the lattice certificate does not settle the pair; its
+        # one kernel call, on the 3 distinct centres, is the only one
+        P = VectorMixture([0.5, 0.5], [[0.0], [2.0]], "laplace", 1.0)
+        Q = VectorMixture([0.25, 0.75], [[1.0], [2.0]], "laplace", 1.0)
+        est = hockey_stick_mixture_1d(P, Q, 0.1)
+        assert est.value > 0.1 and kernel_calls == [3]
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_extreme_scales_raise_no_float_warning(self, scale):
+        # a root's rounding bound is about 1e-15 of the scale: squared, it must
+        # not overflow, and a scale far below the centres' spacing leaves
+        # every density between them at 0
+        P, Q = (VectorMixture([0.5, 0.5], [[c], [1.0]], "laplace", scale) for c in (0.0, 0.5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = hockey_stick_mixture_1d(P, Q, 0.0)
+        assert abs(est.value - mp_laplace_delta(P, Q, 0.0)) <= est.tolerance < 1e-13
+
+    @settings(max_examples=50, deadline=None)
+    @given(pair=laplace_pair_1d(), order=st.randoms(use_true_random=False))
+    def test_one_law_in_another_order_is_charged_a_few_ulp(self, pair, order):
+        # Q is P with its components permuted and its first split in two, so
+        # the summed weights differ from P's in their last bits: every sign is
+        # within the sums' error bound, and only that bound is charged
+        P = pair[0]
+        perm = order.sample(range(len(P.weights)), len(P.weights))
+        w = P.weights[perm + perm[:1]]
+        w[[0, -1]] /= 2.0
+        Q = VectorMixture(w, P.centers[perm + perm[:1]], "laplace", P.scale)
+        est = hockey_stick_mixture_1d(P, Q, 0.0)
+        assert est.value <= est.tolerance < 1e-13
 
 
 class TestOneFamilyAndScale:
@@ -484,9 +599,11 @@ class TestBoxInterval:
         P, Q = pair
         eps = level(P, Q, slack)
         with counted_kernel() as calls:
-            mc_delta_vector(P, Q, eps, n, 0)
-        # the first call reads the lattice, each later one the corners of a block of boxes
-        assert sum(calls[1:]) <= n
+            est = mc_delta_vector(P, Q, eps, n, 0)
+        # the first call reads the lattice, each later one the corners of a block of
+        # boxes; a row whose boxes reach the cap draws its n points in one last call
+        boxes = calls[1:-1] if est.method == "monte_carlo" else calls[1:]
+        assert sum(boxes) <= n
 
     @staticmethod
     def slow_pair():
@@ -499,9 +616,16 @@ class TestBoxInterval:
                 VectorMixture(w / w.sum(), grid, "laplace", 1.0))
 
     def test_a_pair_of_slow_convergence_stops_at_the_cap(self, kernel_calls):
-        est = mc_delta_vector(*self.slow_pair(), 0.0, 10_000, 0)
-        assert kernel_calls[0] == 729 and 4096 < sum(kernel_calls[1:]) <= 10_000
-        assert est.method == "interval"
+        # the boxes' corners reach the sample count while the interval is still
+        # wider than the draw's ([0.1052, 0.3486] here), so the row draws: the
+        # lattice, the boxes' corners, then the 10,000 sampled points
+        P, Q = self.slow_pair()
+        est = mc_delta_vector(P, Q, 0.0, 10_000, 0)
+        assert kernel_calls[0] == 729 and 4096 < sum(kernel_calls[1:-1]) <= 10_000
+        assert kernel_calls[-1] == 10_000 and est.method == "monte_carlo"
+        assert est.ci[1] - est.ci[0] < 0.02
+        with certificate_off():
+            assert repr(est) == repr(mc_delta_vector(P, Q, 0.0, 10_000, 0))
 
     def test_lattice_boxes_whose_corners_pass_the_sample_count_draw(self):
         # 729 lattice points fit in 1000, but their 512 boxes have 4096 corners
@@ -913,14 +1037,16 @@ class TestPinnedQuadrature:
     mixtures whose shared zero centres are -0.0 in P and 0.0 in Q. Three
     rules keep these bits: ``math.log`` of each weight (the ``ODD`` weights
     are ones that numpy's vectorised log can round differently), the centre
-    set built P first, and one ``math.fsum`` per block over both mixtures."""
+    set built P first, and one ``math.fsum`` per block over both mixtures.
+    The Laplace entries are those of the closed-form roots, which moved the
+    values by at most 3 ulp from the bisected ones."""
 
     POOL = np.random.default_rng(7).uniform(0.01, 0.03, 20000)
     ODD = [1155, 6056, 8732, 9372, 19120]
     PINNED = {
-        ("laplace", 0.0): ("0x1.bbf3b81016554p-4", "0x1.01d97905598a2p-47"),
-        ("laplace", 0.05): ("0x1.88a42ab9945c7p-4", "0x1.0867904c8d87dp-47"),
-        ("laplace", 0.2): ("0x1.e54d440cc1eaep-5", "0x1.20037aa5613a7p-47"),
+        ("laplace", 0.0): ("0x1.bbf3b81016553p-4", "0x1.000000000013fp-47"),
+        ("laplace", 0.05): ("0x1.88a42ab9945c7p-4", "0x1.06900d2115334p-47"),
+        ("laplace", 0.2): ("0x1.e54d440cc1eabp-5", "0x1.1c56ecf2c57e1p-47"),
         ("gaussian", 0.0): ("0x1.b9031222ac690p-4", "0x1.0204d6e8469a5p-47"),
         ("gaussian", 0.05): ("0x1.8a2e4fb51a44ep-4", "0x1.0a82eb98b9355p-47"),
         ("gaussian", 0.2): ("0x1.141f46cd06526p-4", "0x1.1fe8ce3d9f14ep-47"),
