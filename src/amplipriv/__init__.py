@@ -26,7 +26,6 @@ from .audit import (
 from .datasets import (
     CompleteDataset,
     IncompleteDataset,
-    Mask,
     MaskMatrix,
     NeighborPair,
     apply_mask,

@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .accountant import AmplificationReport, amplify_fwl
-from .datasets import CompleteDataset, Mask, MaskMatrix, NeighborPair
+from .datasets import CompleteDataset, MaskMatrix, NeighborPair
 from .datasets import apply_mask  # noqa: F401  (patched by bench/tracing.py, its only reader)
 from .divergence import VectorMixture, check_samples, hockey_stick_mixture_1d, mc_delta_vector
 from .errors import DimensionError, UnsupportedMechanismError
@@ -38,7 +38,7 @@ from .queries import make_standard_query, sensitivity_masked
 
 # the most terms one row of the convolution may form: the running law's
 # distinct centres times the masks of the row's support, checked before the
-# row is read into arrays; so also the most masks one row's support may have
+# row's stack is built; so also the most masks one row's support may have
 _SUPPORT_LIMIT = 200_000
 
 
@@ -47,26 +47,16 @@ def _row_supports(mech: DatasetMechanism, datasets: Sequence[CompleteDataset]) -
     array, True where a cell is missing, and the R probabilities.
 
     An MCAR law ignores the row, so one row's support is read and stands for
-    every row of every dataset. A support the mechanism states too large is
-    not read, and any other is read at most one past the limit.
+    every row of every dataset. A support of more than ``_SUPPORT_LIMIT``
+    masks is refused before it is built.
     """
     if any(ds.n != mech.n or ds.d != mech.d for ds in datasets):
         raise DimensionError("dataset shape does not match the mechanism")
     fm = mech.feature_mech
-    read = 0 if (fm.support_size() or 0) > _SUPPORT_LIMIT else _SUPPORT_LIMIT + 1
-
-    def table(row):
-        support = list(itertools.islice(fm.support(row), read))
-        if not read or len(support) > _SUPPORT_LIMIT:
-            raise UnsupportedMechanismError(f"mask support has more than {_SUPPORT_LIMIT} elements;"
-                                            " the exact audit reads each row's support whole")
-        return (np.array([m.bits for m, _ in support], bool).reshape(-1, mech.d),
-                np.array([p for _, p in support]))
-
     if fm.mechanism_class is MechanismClass.MCAR:
-        shared = table(datasets[0].rows[0])
+        shared = fm.support(datasets[0].rows[0], _SUPPORT_LIMIT)
         return [[shared] * ds.n for ds in datasets]
-    return [[table(row) for row in ds.rows] for ds in datasets]
+    return [[fm.support(row, _SUPPORT_LIMIT) for row in ds.rows] for ds in datasets]
 
 
 def _dataset_support(mech: DatasetMechanism, dataset: CompleteDataset):
@@ -74,10 +64,10 @@ def _dataset_support(mech: DatasetMechanism, dataset: CompleteDataset):
     supports, in ``itertools.product`` order, each probability the product of
     the row probabilities in row order. The audit convolves row laws instead;
     bench/tracing.py, which patches this, is the only reader."""
-    rows = [[(Mask(tuple(b)), p) for b, p in zip(bits.astype(int).tolist(), probs.tolist())]
-            for bits, probs in _row_supports(mech, [dataset])[0]]
-    for combo in itertools.product(*rows):
-        yield MaskMatrix(tuple(m for m, _ in combo)), math.prod(p for _, p in combo)
+    rows = [(bits, probs.tolist()) for bits, probs in _row_supports(mech, [dataset])[0]]
+    for combo in itertools.product(*(range(len(probs)) for _, probs in rows)):
+        yield (MaskMatrix(np.array([bits[r] for (bits, _), r in zip(rows, combo)])),
+               math.prod(probs[r] for (_, probs), r in zip(rows, combo)))
 
 
 def _merge(centres: np.ndarray, weights: np.ndarray) -> tuple:
@@ -175,7 +165,6 @@ def verify_amplification(
     pair: NeighborPair,
     epsilons: Sequence[float],
     method: str = "exact",
-    tol: float = 1e-9,
     n_samples: int = 100_000,
     seed: int = 0,
     claim: Optional[dict] = None,
@@ -223,7 +212,7 @@ def verify_amplification(
             eps_eval, bound = report.amplified.epsilon, report.amplified.delta
         pm, qm = (VectorMixture(*law, mech.family, mech.scale) for law in laws)
         if method == "exact":
-            est = hockey_stick_mixture_1d(pm, qm, eps_eval, tol=tol)
+            est = hockey_stick_mixture_1d(pm, qm, eps_eval)
             verdict = "PASS" if est.value <= bound + 10.0 * est.tolerance else "FAIL"
         else:
             est = mc_delta_vector(pm, qm, eps_eval, n_samples=n_samples, seed=seed)
@@ -248,9 +237,7 @@ class TightnessResult:
     equality_gap: float
 
 
-def tightness_counterexample(
-    epsilon: float, delta: float, B: float = 0.5, tol: float = 1e-12
-) -> TightnessResult:
+def tightness_counterexample(epsilon: float, delta: float, B: float = 0.5) -> TightnessResult:
     """Build the no-amplification instance and measure the divergence gap.
 
     The mechanism always observes the coordinate the query reads, the query
@@ -285,7 +272,7 @@ def tightness_counterexample(
         for ds in (left, right)
     )
 
-    d_composed = hockey_stick_mixture_1d(pm, qm, epsilon, tol=tol)
-    d_base = hockey_stick_mixture_1d(base_p, base_q, epsilon, tol=tol)
+    d_composed = hockey_stick_mixture_1d(pm, qm, epsilon)
+    d_base = hockey_stick_mixture_1d(base_p, base_q, epsilon)
     return TightnessResult(p_star=p_star(missing),
                            equality_gap=abs(d_composed.value - d_base.value))

@@ -26,7 +26,7 @@ import numpy as np
 
 from .accountant import amplify_fwl
 from .audit import tightness_counterexample, verify_amplification
-from .datasets import CompleteDataset, Mask, NeighborPair, load_dataset_csv
+from .datasets import CompleteDataset, NeighborPair, load_dataset_csv, mask_bits
 from .divergence import MC_MAX_COORDINATES, MC_MIN_SAMPLES
 from .errors import SchemaError, UnsupportedMechanismError
 from .missingness import MECHANISMS, DatasetMechanism, p_star, tight_rho, verify_rho
@@ -81,8 +81,8 @@ def _choice(noun: str, options: tuple) -> Callable:
     return coerce
 
 
-def _bits(v) -> Mask:
-    return Mask(tuple(_list("a list of 0/1 bits")(v)))
+def _bits(v) -> tuple:
+    return mask_bits(_list("a list of 0/1 bits")(v))
 
 
 def _matrix(v) -> np.ndarray:
@@ -190,8 +190,8 @@ FIELDS = {f.path: f for f in (
     F("audit.method", _choice("method", ("exact", "mc")), "quadrature or Monte Carlo; a Laplace "
       "Monte Carlo row whose centre-lattice boxes have at most `audit.samples` corners in all "
       "takes a certified box interval instead of a draw", "exact"),
-    F("audit.tolerance", _num, "positive; checked, but moves neither the measured delta nor "
-      "its reported tolerance", 1e-9),
+    F("audit.tolerance", _num, "checked, but moves neither the measured delta nor its "
+      "reported tolerance", 1e-9, rule=POSITIVE),
     F("audit.samples", _int, f"Monte Carlo samples, at least {MC_MIN_SAMPLES} whatever the "
       f"method; samples times the output dimension at most {MC_MAX_COORDINATES}; for a Laplace "
       "box interval, it sets the precision and caps the corners read", 100_000),
@@ -406,8 +406,9 @@ class Scenario:
         claim = self.get("audit.claim")
         if claim is not None:
             claim = {key: self.get(f"audit.claim.{key}") for key in ("epsilon", "delta")}
-        return {"method": self.get("audit.method"), "tol": self.get("audit.tolerance"),
-                "n_samples": self.get("audit.samples"), "claim": claim}
+        self.get("audit.tolerance")  # read for its rule alone
+        return {"method": self.get("audit.method"), "n_samples": self.get("audit.samples"),
+                "claim": claim}
 
     def declared_rho(self, missing: DatasetMechanism) -> float:
         rho = self.get("rho")
@@ -560,7 +561,7 @@ def _cmd_audit(scn: Scenario, out_dir: Path, stem: str) -> int:
             **options,
         )
     except ValueError as exc:
-        paths = {"method": "audit.method", "tol": "audit.tolerance", "n_samples": "audit.samples"}
+        paths = {"method": "audit.method", "n_samples": "audit.samples"}
         raise _blame(exc, paths, None) from None
     rows = _audit_rows_to_dicts(table)
     emit_report({"rows": rows}, "csv", out_dir / f"{stem}_audit.csv")

@@ -1,5 +1,7 @@
 """Complete and incomplete datasets, masks, and the substitute-one neighbor relation.
 
+A mask is bool, True where a feature is missing; ``MaskMatrix`` holds a dataset's as one array.
+
 Missing cells are tagged values (``None``), never a sentinel float: NaN poisoning
 would silently break the convention that a missing cell contributes 0 to sums.
 All indices are 0-based.
@@ -74,56 +76,47 @@ class CompleteDataset:
         return CompleteDataset(tuple(rows), bound_B=self.bound_B)
 
 
-@dataclass(frozen=True)
-class Mask:
-    """Per-sample missingness indicator: bit 1 marks a missing feature."""
-
-    bits: tuple
-
-    def __post_init__(self):
-        raw = tuple(self.bits)
-        # checked before int(), which would truncate 1.5 or -0.5 to a valid bit
-        if any(b not in (0, 1) for b in raw):
-            raise ValueError(f"mask bits must be 0 or 1, got {raw!r}")
-        bits = tuple(int(b) for b in raw)
-        if len(bits) < 1:
-            raise DimensionError("mask needs at least one bit")
-        object.__setattr__(self, "bits", bits)
-
-    @property
-    def d(self) -> int:
-        return len(self.bits)
-
-    @property
-    def observed_count(self) -> int:
-        return self.bits.count(0)
+def mask_bits(bits) -> tuple:
+    """One mask's bits as a tuple of 0/1 ints, 1 marking a missing feature."""
+    raw = tuple(bits)
+    # checked before int(), which would truncate 1.5 or -0.5 to a valid bit
+    if any(b not in (0, 1) for b in raw):
+        raise ValueError(f"mask bits must be 0 or 1, got {raw!r}")
+    if len(raw) < 1:
+        raise DimensionError("mask needs at least one bit")
+    return tuple(int(b) for b in raw)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # an ndarray field: compared and hashed by identity
 class MaskMatrix:
-    """One Mask per sample, all sharing a common feature count."""
+    """The dataset-level mask: ``bits``, an (n, d) bool array, True where a
+    cell is missing. Built from such an array or from n rows of 0/1 bits."""
 
-    rows: tuple
+    bits: np.ndarray
 
     def __post_init__(self):
-        rows = tuple(r if isinstance(r, Mask) else Mask(tuple(r)) for r in self.rows)
-        if len(rows) < 1:
-            raise DimensionError("mask matrix needs at least one row")
-        d = rows[0].d
-        if any(r.d != d for r in rows):
-            raise DimensionError("all mask rows must share the same length")
-        object.__setattr__(self, "rows", rows)
+        bits = self.bits
+        if not (isinstance(bits, np.ndarray) and bits.dtype == bool and bits.ndim == 2):
+            rows = [mask_bits(r) for r in bits]
+            if any(len(r) != len(rows[0]) for r in rows):
+                raise DimensionError("all mask rows must share the same length")
+            bits = np.array(rows, dtype=bool).reshape(len(rows), -1 if rows else 0)
+        if not bits.size:  # no row, or rows of no bit
+            raise DimensionError("mask needs at least one bit" if len(bits)
+                                 else "mask matrix needs at least one row")
+        object.__setattr__(self, "bits", bits.copy())
+        self.bits.setflags(write=False)
 
     @property
     def n(self) -> int:
-        return len(self.rows)
+        return self.bits.shape[0]
 
     @property
     def d(self) -> int:
-        return self.rows[0].d
+        return self.bits.shape[1]
 
     def bits_tuple(self) -> tuple:
-        return tuple(r.bits for r in self.rows)
+        return tuple(map(tuple, self.bits.astype(int).tolist()))
 
 
 class IncompleteDataset:
@@ -204,11 +197,8 @@ def apply_mask(
         raise DimensionError(
             f"dataset is {len(grid)}x{len(grid[0])} but mask is {mask.n}x{mask.d}"
         )
-    cells = tuple(
-        tuple(None if bit == 1 else cell for cell, bit in zip(row, mrow.bits))
-        for row, mrow in zip(grid, mask.rows)
-    )
-    return IncompleteDataset(cells)
+    return IncompleteDataset(tuple(None if bit else cell for cell, bit in zip(row, mrow))
+                             for row, mrow in zip(grid, mask.bits.tolist()))
 
 
 # --- CSV interchange -------------------------------------------------------

@@ -41,16 +41,16 @@ placed in closed form from two running sums over the centres, whose float
 error the tolerance carries. A Gaussian pair's roots are bracketed on a
 certified sign grid and bisected.
 
-When P and Q are Laplace at one scale b, of any dimension k, the divergence
-is certified 0 without a grid or a draw. In each box between adjacent centre
-values of every coordinate, p and q times one positive factor are
+When P and Q are Laplace at one scale b, of any dimension k, Monte Carlo
+can certify the divergence 0 without a draw. In each box between adjacent
+centre values of every coordinate, p and q times one positive factor are
 multilinear in the e^(2 x_j / b) with nonnegative coefficients, so p/q is
 monotone in each coordinate; past a coordinate's outer centre value it does
 not depend on that coordinate. So sup log p/q lies on the lattice of centre
 coordinates, which one kernel call reads. Where that sup, less eps and plus
-its float error, is negative, the quadrature returns 0 with the tolerance
-of one rootless interval, and Monte Carlo the estimate and interval of an
-all-zero statistic, the interval its draw would give.
+its float error, is negative, Monte Carlo returns the estimate and interval
+of an all-zero statistic, the interval its draw would give. The quadrature's
+Laplace sweep needs no certificate: it settles every sign from the centres.
 
 The same monotonicity bounds p/q on any box inside one lattice box by its
 values at the box's corners. So a Laplace pair with delta > 0 gets, in place
@@ -72,7 +72,7 @@ import numpy as np
 from .errors import DimensionError, SupportError
 from .missingness import substream, _KEY_MC
 from .noise import FAMILIES, LAPLACE
-from .roots import _EPS, _TAIL_SCALES, gaussian_signs, laplace_signs
+from .roots import _EPS, gaussian_signs, laplace_signs
 
 _NORM_TOL = 1e-12
 _MC_ALPHA = 0.01  # Monte Carlo intervals are two-sided at 99%
@@ -254,32 +254,31 @@ _DRAW_REACH = 691.0
 
 
 def _lattice_sup(
-    P: VectorMixture, Q: VectorMixture, kernel: _Kernel, epsilon: float, limit: float,
-    reach: float,
+    P: VectorMixture, Q: VectorMixture, kernel: _Kernel, epsilon: float, n_samples: int,
 ) -> Optional[tuple]:
     """(top, err), or None unless P and Q are Laplace and the lattice of
     centre coordinates (each coordinate's distinct centre values over P and
-    Q) has at most ``limit`` points. ``kernel`` is their joint one.
+    Q) has at most ``n_samples`` points. ``kernel`` is their joint one.
 
     top is the lattice maximum of g = log p - log q - eps, which is sup g over
     R^k (see the module docstring). err bounds top's float error plus twice
-    the kernel's error bound at any point within ``reach`` scales of the
-    lattice, so top + err < 0 means the divergence is 0 and g, as computed
-    there, lies below minus its own error bound.
+    the kernel's error bound anywhere a draw can reach, ``_DRAW_REACH`` scales
+    from the lattice, so top + err < 0 means the divergence is 0 and g, as
+    computed at every draw, lies below minus its own error bound.
     """
     if P.family != LAPLACE:
         return None
     k = P.centers.shape[1]
     axes = [sorted(set(P.centers[:, j].tolist() + Q.centers[:, j].tolist())) for j in range(k)]
-    if math.prod(map(len, axes)) > limit:
+    if math.prod(map(len, axes)) > n_samples:
         return None
     log_p, log_q = kernel(np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, k))
     log_coef = max(float(np.abs(M.log_coef).max()) for M in (P, Q))
     logs = 1.0 + epsilon + log_coef
-    # within reach, log p <= log_coef + log m, and log p >= -log_coef less a penalty of at
-    # most sum_j (span_j / b + reach); so is log q
+    # within that reach, log p <= log_coef + log m, and log p >= -log_coef less a penalty
+    # of at most sum_j (span_j / b + _DRAW_REACH); so is log q
     far = (1.0 + log_coef + math.log(max(P.log_coef.size, Q.log_coef.size))
-           + sum((a[-1] - a[0]) / P.scale + reach for a in axes))
+           + sum((a[-1] - a[0]) / P.scale + _DRAW_REACH for a in axes))
     top = float((log_p - (epsilon + log_q)).max())
     at_lattice = logs + float((np.abs(log_p) + np.abs(log_q)).max())
     return top, 2.0 ** -40 * (at_lattice + 2.0 * (logs + 2.0 * far))
@@ -317,11 +316,7 @@ def hockey_stick_mixture_1d(
                 "needs 1, use Monte Carlo for vector outputs"
             )
     alpha = math.exp(epsilon)
-    kernel = _Kernel((P, Q))  # P and Q together, at every point below
-    sup = _lattice_sup(P, Q, kernel, epsilon, math.inf, _TAIL_SCALES)
-    if sup is not None and sup[0] + sup[1] < 0.0:  # no root and nothing lost: one interval
-        return DivergenceEstimate(value=0.0, method=METHOD_QUADRATURE,
-                                  tolerance=8.0 * _EPS * (1.0 + alpha))
+    kernel = _Kernel((P, Q))  # refuses two families or scales; read by the Gaussian grid
     if P.family == LAPLACE:
         edges, keep, root_err, lost = laplace_signs(P, Q, alpha)
     else:
@@ -519,7 +514,7 @@ def mc_delta_vector(
         raise ValueError("epsilon must be finite and nonnegative")
     check_samples(n_samples, k)
     kernel = _Kernel((P, Q))
-    sup = _lattice_sup(P, Q, kernel, epsilon, n_samples, _DRAW_REACH)
+    sup = _lattice_sup(P, Q, kernel, epsilon, n_samples)
     certified = sup is not None and sup[0] + sup[1] < 0.0  # every draw's statistic would be 0
     log_term = math.log(4.0 / _MC_ALPHA)
     interval = None

@@ -22,8 +22,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .datasets import CompleteDataset, Mask, MaskMatrix
-from .errors import DimensionError
+from .datasets import CompleteDataset, MaskMatrix, mask_bits
+from .errors import DimensionError, UnsupportedMechanismError
 
 _PROB_TOL = 1e-12
 
@@ -50,17 +50,16 @@ class MechanismClass(enum.Enum):
 class FeatureMechanism:
     """Per-sample mask law P[F(z) = m]. Subclasses are immutable, and each
     fixes ``mechanism_class`` when it is built: MCAR when the law ignores the
-    sample, MAR when it reads only features that its masks observe."""
+    sample, MAR when it reads only features that its masks observe. A mask
+    is a (d,) bool row, True where a feature is missing."""
 
     d: int
     mechanism_class: MechanismClass
 
-    def support(self, sample: Sequence[float]):
-        """Iterable of (Mask, probability) with positive probability."""
+    def support(self, sample: Sequence[float], limit: float = math.inf) -> tuple:
+        """(bits, probs): the R masks of positive probability as an (R, d) bool
+        array, and their probabilities. Past ``limit`` masks it is refused."""
         raise NotImplementedError
-
-    def support_size(self):  # how many masks ``support`` yields; None: only reading it tells
-        return None
 
     def all_missing_probability(self) -> float:
         """P[F(.) = all-ones mask]; data-independent for every family here."""
@@ -70,12 +69,20 @@ class FeatureMechanism:
         """Largest number of observed features over the support."""
         raise NotImplementedError
 
-    def draw(self, sample: Sequence[float], rng: np.random.Generator) -> Mask:
+    def draw(self, sample: Sequence[float], rng: np.random.Generator) -> np.ndarray:
         raise NotImplementedError
 
 
-def _mask(bits) -> Mask:
-    return bits if isinstance(bits, Mask) else Mask(tuple(bits))
+def _refuse_past(limit: float, size: int) -> None:
+    if size > limit:
+        raise UnsupportedMechanismError(f"mask support has more than {limit} elements;"
+                                        " the exact audit reads each row's support whole")
+
+
+def _frozen(*arrays: np.ndarray) -> tuple:
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
 
 class McarBernoulli(FeatureMechanism):
@@ -92,21 +99,27 @@ class McarBernoulli(FeatureMechanism):
         self.pi = pi
         self.d = len(pi)
 
-    def support(self, sample):
-        # only features with 0 < pi < 1 vary; the others' factors are exactly 1.0
-        free = [(j, p) for j, p in enumerate(self.pi) if 0.0 < p < 1.0]
-        bits = [int(p == 1.0) for p in self.pi]
-        for code in range(2 ** len(free)):
-            for t, (j, _) in enumerate(free):
-                bits[j] = (code >> t) & 1
-            prob = math.prod((p if bits[j] else 1.0 - p for j, p in free), start=1.0)
-            if prob > 0.0:
-                yield Mask(tuple(bits)), prob
+    def support(self, sample, limit=math.inf):
+        return self._capped_support(limit, self.d)
 
-    def support_size(self):
-        # products round monotonically: none is 0 if that of the smaller factors is not
-        free = [min(p, 1.0 - p) for p in self.pi if 0.0 < p < 1.0]
-        return 2 ** len(free) if math.prod(free, start=1.0) > 0.0 else None
+    def _capped_support(self, limit: float, cap: int) -> tuple:
+        """The masks that observe at most ``cap`` features. Each feature with
+        0 < pi < 1 doubles the rows, in order: them with it observed, then
+        missing, each probability times its factor, as ``math.prod`` takes them
+        (the other factors are 1.0). A row of probability 0, or observing more
+        than ``cap``, is dropped where it appears: no later feature brings it back."""
+        bits, probs = np.array([[p > 0.0 for p in self.pi]]), np.ones(1)  # free ones missing
+        for j, p in enumerate(self.pi):
+            if not 0.0 < p < 1.0:
+                continue
+            observed, missing = probs * (1.0 - p), probs * p
+            keep_o = (observed > 0.0) & (np.count_nonzero(~bits, axis=1) < cap)
+            keep_m, head = missing > 0.0, np.count_nonzero(keep_o)
+            _refuse_past(limit, head + np.count_nonzero(keep_m))
+            bits = np.concatenate((bits[keep_o], bits[keep_m]))
+            bits[:head, j] = False
+            probs = np.concatenate((observed[keep_o], missing[keep_m]))
+        return bits, probs
 
     def all_missing_probability(self):
         return math.prod(self.pi)
@@ -115,8 +128,7 @@ class McarBernoulli(FeatureMechanism):
         return sum(1 for p in self.pi if p < 1.0)
 
     def draw(self, sample, rng):
-        u = rng.random(self.d)
-        return Mask(tuple(int(u[j] < self.pi[j]) for j in range(self.d)))
+        return rng.random(self.d) < self.pi
 
 
 class CappedBernoulli(FeatureMechanism):
@@ -153,10 +165,9 @@ class CappedBernoulli(FeatureMechanism):
             probs[0] *= p_miss
         return float(np.sum(probs[: self.obs_cap + 1]))
 
-    def support(self, sample):
-        for m, p in self._base.support(sample):
-            if m.observed_count <= self.obs_cap:
-                yield m, p / self._z
+    def support(self, sample, limit=math.inf):
+        bits, probs = self._base._capped_support(limit, self.obs_cap)
+        return bits, probs / self._z
 
     def all_missing_probability(self):
         return math.prod(self.pi) / self._z
@@ -167,7 +178,7 @@ class CappedBernoulli(FeatureMechanism):
     def draw(self, sample, rng):
         while True:
             m = self._base.draw(sample, rng)
-            if m.observed_count <= self.obs_cap:
+            if np.count_nonzero(~m) <= self.obs_cap:
                 return m
 
 
@@ -183,37 +194,37 @@ class McarPattern(FeatureMechanism):
             raise ValueError(
                 f"patterns: need a non-empty list of (mask, probability) pairs, got {patterns!r}"
             ) from None
-        masks, probs = tuple(map(_mask, bits)), tuple(map(float, probs))
-        if any(m.d != masks[0].d for m in masks):
+        masks, probs = tuple(map(mask_bits, bits)), tuple(map(float, probs))
+        if any(len(m) != len(masks[0]) for m in masks):
             raise DimensionError("patterns: masks must share one length")
         if not all(0 <= p <= 1 for p in probs):
             raise ValueError(f"patterns: probabilities must lie in [0, 1], got {list(probs)!r}")
         merged: dict = {}
         for m, prob in zip(masks, probs):
-            merged[m.bits] = merged.get(m.bits, 0.0) + prob
+            merged[m] = merged.get(m, 0.0) + prob
         total = math.fsum(merged.values())
         if abs(total - 1.0) > _PROB_TOL:
             raise ValueError(f"patterns: probabilities sum to {total}, expected 1")
-        self.d = masks[0].d
+        self.d = len(masks[0])
         # only masks it can draw: a float cumulative sum that ends below 1 must
         # not fall through to a mask of probability 0
-        self.patterns = tuple((Mask(b), p) for b, p in sorted(merged.items()) if p > 0.0)
-        self._cum = np.cumsum([p for _, p in self.patterns])
+        bits, probs = zip(*[(m, p) for m, p in sorted(merged.items()) if p > 0.0])
+        self._bits, self._probs = _frozen(np.array(bits, dtype=bool), np.array(probs))
+        self._cum = np.cumsum(probs)
 
-    def support(self, sample):
-        return self.patterns
+    def support(self, sample, limit=math.inf):
+        _refuse_past(limit, len(self._probs))
+        return self._bits, self._probs
 
     def all_missing_probability(self):
-        return dict(self.patterns).get(Mask((1,) * self.d), 0.0)
+        return float(self._probs[self._bits.all(axis=1)].sum())
 
     def max_observed_count(self):
-        return max(m.observed_count for m, _ in self.patterns)
+        return int((~self._bits).sum(axis=1).max())
 
     def draw(self, sample, rng):
-        u = rng.random()
-        idx = int(np.searchsorted(self._cum, u, side="right"))
-        idx = min(idx, len(self.patterns) - 1)
-        return self.patterns[idx][0]
+        idx = int(np.searchsorted(self._cum, rng.random(), side="right"))
+        return self._bits[min(idx, len(self._probs) - 1)]
 
 
 class MarAnchoredPattern(FeatureMechanism):
@@ -239,13 +250,13 @@ class MarAnchoredPattern(FeatureMechanism):
         thresholds: Sequence[Sequence[float]],
         score_table: dict,
     ):
-        cands = tuple(map(_mask, candidates))
+        cands = tuple(map(mask_bits, candidates))
         if not cands:
             raise ValueError("candidates: need at least one candidate mask")
-        d = cands[0].d
-        if any(m.d != d for m in cands):
+        d = len(cands[0])
+        if any(len(m) != d for m in cands):
             raise DimensionError("candidates: masks must share one length")
-        if len(set(m.bits for m in cands)) != len(cands):
+        if len(set(cands)) != len(cands):
             raise ValueError("candidates: masks must be distinct")
         anchor = tuple(map(operator.index, anchor))
         if any(j < 0 or j >= d for j in anchor):
@@ -255,7 +266,7 @@ class MarAnchoredPattern(FeatureMechanism):
             raise ValueError(
                 f"anchor: indices must be strictly increasing, got {list(anchor)!r}"
             )
-        if any(m.bits[j] == 1 for m in cands for j in anchor):
+        if any(m[j] == 1 for m in cands for j in anchor):
             raise ValueError("candidates: every candidate must observe the full anchor set")
         if not 0 <= q_all <= 1:
             raise ValueError(f"q_all: must lie in [0, 1], got {q_all!r}")
@@ -293,54 +304,53 @@ class MarAnchoredPattern(FeatureMechanism):
         self.d = d
         self.anchor = anchor
         self.q_all = q_all
-        self.candidates = cands
+        self._cands, self._hidden = _frozen(np.array(cands, dtype=bool), np.ones(d, dtype=bool))
         self._cuts = cuts
-        self._all_ones = tuple([1] * d)
-        laws = {tuple(self._law(row)) for row in self._rows.values()}
+        self._laws = {key: self._law(row) for key, row in self._rows.items()}
+        laws = {(b.tobytes(), p.tobytes()) for b, p in self._laws.values()}
         self.mechanism_class = MechanismClass.MCAR if len(laws) == 1 else MechanismClass.MAR
 
-    def scores_for(self, sample: Sequence[float]) -> tuple:
-        """The score row keyed by the bins of the sample's anchor values."""
-        bins = (bisect_right(c, sample[j]) for c, j in zip(self._cuts, self.anchor))
-        return self._rows[tuple(bins)]
+    def _key(self, sample: Sequence[float]) -> tuple:
+        """The bins of the sample's anchor values, which key its row of the table."""
+        return tuple(bisect_right(c, sample[j]) for c, j in zip(self._cuts, self.anchor))
 
-    def support(self, sample):
-        return self._law(self.scores_for(sample))
+    def support(self, sample, limit=math.inf):
+        bits, probs = self._laws[self._key(sample)]
+        _refuse_past(limit, len(probs))
+        return bits, probs
 
-    def _law(self, scores: tuple) -> list:
-        """(Mask, probability) pairs of positive probability under one score row."""
-        emitted_all_ones = self.q_all
-        out = []
-        for m, s in zip(self.candidates, scores):
-            p = (1.0 - self.q_all) * s
-            if m.bits == self._all_ones:
-                emitted_all_ones += p
-                continue
-            if p > 0.0:
-                out.append((m, p))
-        if emitted_all_ones > 0.0:
-            out.append((Mask(self._all_ones), emitted_all_ones))
-        return out
+    def _law(self, scores: tuple) -> tuple:
+        """(bits, probs) of positive probability under one score row: the
+        candidates in order, then the all-missing mask, which takes q_all and
+        the share of an all-missing candidate."""
+        p = (1.0 - self.q_all) * np.array(scores)
+        hidden = self._cands.all(axis=1)
+        keep = (p > 0.0) & ~hidden
+        atom = self.q_all + float(p[hidden].sum())
+        bits, probs = self._cands[keep], p[keep]
+        if atom > 0.0:
+            bits, probs = np.vstack((bits, self._hidden)), np.append(probs, atom)
+        return _frozen(bits, probs)
 
     def all_missing_probability(self):
         # candidates observe the anchor, so an all-missing candidate needs an
         # empty anchor, and then the table has a single row: the all-missing
         # mass is the same in every row's law
-        law = dict(self._law(next(iter(self._rows.values()))))
-        return law.get(Mask(self._all_ones), 0.0)
+        bits, probs = next(iter(self._laws.values()))
+        return float(probs[bits.all(axis=1)].sum())
 
     def max_observed_count(self):
         # over the masks some row's law can draw: a candidate of score 0 in every row is not one
-        return max(m.observed_count for row in self._rows.values() for m, _ in self._law(row))
+        return max(int((~bits).sum(axis=1).max()) for bits, _ in self._laws.values())
 
     def draw(self, sample, rng):
         if rng.random() < self.q_all:
-            return Mask(self._all_ones)
-        scores = self.scores_for(sample)
+            return self._hidden
+        scores = self._rows[self._key(sample)]
         idx = int(np.searchsorted(np.cumsum(scores), rng.random(), side="right"))
         if idx == len(scores):  # the cumulative sum ended below the draw
             idx = max(i for i, s in enumerate(scores) if s > 0.0)
-        return self.candidates[idx]
+        return self._cands[idx]
 
 
 # each family by its name in scenario files
@@ -374,11 +384,8 @@ def sample_mask(
     """Draw one mask matrix; per-row streams keyed on (seed, row index)."""
     if dataset.n != mech.n or dataset.d != mech.d:
         raise DimensionError("dataset shape does not match the mechanism")
-    rows = tuple(
-        mech.feature_mech.draw(dataset.rows[i], row_stream(seed, i))
-        for i in range(dataset.n)
-    )
-    return MaskMatrix(rows)
+    rows = [mech.feature_mech.draw(dataset.rows[i], row_stream(seed, i)) for i in range(dataset.n)]
+    return MaskMatrix(np.array(rows))
 
 
 def p_star(mech: DatasetMechanism) -> float:

@@ -247,6 +247,6 @@ def release_record(
     if audit:
         if mask is None:
             raise ValueError("audit mode requires the drawn mask")
-        record["mask"] = [list(r.bits) for r in mask.rows]
+        record["mask"] = mask.bits.astype(int).tolist()
     return record
 

@@ -2,7 +2,9 @@
 
 ``DiscreteDistribution`` and ``hockey_stick_discrete`` give the exact
 hockey-stick divergence of finite laws, the ground truth for the mixture
-identities the amplification proof uses. ``product_support`` enumerates every
+identities the amplification proof uses. ``oracle_support`` enumerates a
+catalog family's row law on plain 0/1 tuples, as the families were first
+written, the reference for their array supports. ``product_support`` enumerates every
 mask matrix of a dataset mechanism, and ``enumerated_centre_law`` evaluates
 the query on each and merges equal centres with a dict (``dict_centre_law``):
 the reference for the audit's row-by-row convolution. ``ORACLE_DRAWS``
@@ -16,14 +18,15 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from amplipriv.datasets import CompleteDataset, Mask, MaskMatrix, apply_mask
+from amplipriv.datasets import CompleteDataset, MaskMatrix, apply_mask
 from amplipriv.divergence import DivergenceEstimate, VectorMixture
-from amplipriv.missingness import DatasetMechanism, substream
+from amplipriv.missingness import CappedBernoulli, DatasetMechanism, substream
 from amplipriv.queries import FwlQuery
 
 _NORM_TOL = 1e-12
@@ -97,15 +100,61 @@ def dict_centre_law(centres: np.ndarray, probs: np.ndarray) -> list:
     return [(c, w) for c, w in sorted(acc.items()) if w > 0.0]
 
 
+def _bernoulli_law(pi: Sequence[float]) -> list:
+    """Every code over the features with 0 < pi < 1 in turn, bit t of the
+    code that of free feature t, each probability ``math.prod`` of the free
+    factors in feature order; masks of probability 0 left out."""
+    free = [(j, p) for j, p in enumerate(pi) if 0.0 < p < 1.0]
+    bits, out = [int(p == 1.0) for p in pi], []
+    for code in range(2 ** len(free)):
+        for t, (j, _) in enumerate(free):
+            bits[j] = (code >> t) & 1
+        prob = math.prod((p if bits[j] else 1.0 - p for j, p in free), start=1.0)
+        if prob > 0.0:
+            out.append((tuple(bits), prob))
+    return out
+
+
+def oracle_support(kind: str, params: dict, sample: Sequence[float]) -> list:
+    """(bits tuple, probability) per mask of positive probability in the row
+    law of the catalog family ``kind`` built from ``params``, walked one
+    mask at a time on 0/1 tuples."""
+    if kind == "mcar_bernoulli":
+        return _bernoulli_law(params["pi"])
+    if kind == "capped_bernoulli":
+        capped = CappedBernoulli(**params)  # its cap and normaliser
+        return [(b, p / capped._z) for b, p in _bernoulli_law(params["pi"])
+                if b.count(0) <= capped.obs_cap]
+    if kind == "mcar_pattern":
+        merged: dict = {}
+        for bits, prob in params["patterns"]:
+            key = tuple(int(b) for b in bits)
+            merged[key] = merged.get(key, 0.0) + float(prob)
+        return [(b, p) for b, p in sorted(merged.items()) if p > 0.0]
+    # mar_anchored: the anchor values' bins pick the score row
+    q_all, cands = params["q_all"], [tuple(int(b) for b in c) for c in params["candidates"]]
+    key = ",".join(str(bisect_right(sorted(map(float, cuts)), sample[j]))
+                   for cuts, j in zip(params["thresholds"], params["anchor"]))
+    hidden, out = tuple([1] * len(cands[0])), []
+    atom = q_all
+    for bits, score in zip(cands, params["score_table"][key]):
+        prob = (1.0 - q_all) * float(score)
+        if bits == hidden:
+            atom += prob
+        elif prob > 0.0:
+            out.append((bits, prob))
+    return out + [(hidden, atom)] if atom > 0.0 else out
+
+
 def product_support(mech: DatasetMechanism, dataset: CompleteDataset) -> tuple:
     """Every mask matrix of the product law as an (M, n, d) bool array, True
     where a cell is missing, in ``itertools.product`` order over the rows'
     supports, and the (M,) probabilities: the product of the row
     probabilities in row order."""
-    per_row = [list(mech.feature_mech.support(row)) for row in dataset.rows]
+    per_row = [list(zip(*mech.feature_mech.support(row))) for row in dataset.rows]
     combos = list(itertools.product(*per_row))
-    masks = np.array([[m.bits for m, _ in combo] for combo in combos], dtype=bool)
-    probs = np.array([math.prod(p for _, p in combo) for combo in combos])
+    masks = np.array([[m for m, _ in combo] for combo in combos], dtype=bool)
+    probs = np.array([math.prod(float(p) for _, p in combo) for combo in combos])
     return masks.reshape(len(combos), dataset.n, dataset.d), probs
 
 
@@ -164,7 +213,7 @@ def _corner_pair(q: FwlQuery, B: float):
     base = [[-B] * q.d for _ in range(q.n)]
     alt = [row[:] for row in base]
     alt[0] = [B] * q.d
-    mask = MaskMatrix(tuple(Mask(tuple([0] * q.d)) for _ in range(q.n)))
+    mask = MaskMatrix(np.zeros((q.n, q.d), dtype=bool))
     return CompleteDataset(tuple(map(tuple, base))), CompleteDataset(
         tuple(map(tuple, alt))
     ), mask, 0
@@ -192,11 +241,11 @@ def verify_fwl(q: FwlQuery, trials: int, B: float, seed: int = 0) -> FwlCheckRep
             i_star = int(rng.integers(q.n))
             right = left.substitute(i_star, rng.uniform(-B, B, q.d))
             bits = rng.integers(0, 2, (q.n, q.d))
-            mask = MaskMatrix(tuple(Mask(tuple(int(b) for b in r)) for r in bits))
+            mask = MaskMatrix(bits.astype(bool))
         masked_l = apply_mask(left, mask)
         masked_r = apply_mask(right, mask)
         lhs = float(_norm(q(masked_l) - q(masked_r), q.norm_p))
-        obs = np.array([1.0 - b for b in mask.rows[i_star].bits])
+        obs = np.array([1.0 - b for b in mask.bits[i_star].tolist()])
         gaps = (
             np.abs(np.array(left.rows[i_star]) - np.array(right.rows[i_star])) * obs
         )

@@ -4,6 +4,7 @@ import contextlib
 import functools
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -862,9 +863,9 @@ class TestExactAuditFootprint:
 
     def test_oversized_row_support_refused_without_reading_it_all(self, tmp_path, capsys,
                                                                   monkeypatch):
-        # one row of 24 Bernoulli features has 2^24 masks, gigabytes as Mask
-        # objects; the refusal reads one past the limit, lowered here so the
-        # traced run stays short (at the shipped 200000 it traces about 80 MB)
+        # one row of 24 Bernoulli features has 2^24 masks; the doubling stops
+        # before it builds more than the limit, lowered here so the traced
+        # run stays short
         monkeypatch.setattr(audit, "_SUPPORT_LIMIT", 4096)
         path = self._one_feature_sum(tmp_path, [0.5] * 24, n=1)
         tracemalloc.start()
@@ -1019,3 +1020,81 @@ class TestParser:
              "--out", str(tmp_path)]
         )
         assert code == 0
+
+
+def pattern(i, mask):
+    """A two-pattern mechanism whose pattern i has ``mask``."""
+    patterns = [{"mask": [0, 0, 1, 1], "prob": 0.5}, {"mask": [1, 1, 1, 1], "prob": 0.5}]
+    patterns[i]["mask"] = mask
+    return {"kind": "mcar_pattern", "patterns": patterns}
+
+
+class TestMalformedMasks:
+    """A malformed mask is named by its field path, with the text it has
+    always had, whatever form the masks take once they are read."""
+
+    @pytest.mark.parametrize("diagnostic, edit", [
+        pytest.param('scenario.mechanism.candidates[0]: mask bits must be 0 or 1, got (0, 1, 1, 2)',
+                     lambda s: s["mechanism"].update(candidates=[[0, 1, 1, 2], [0, 0, 1, 1]]),
+                     id="cand-bit-two"),
+        pytest.param('scenario.mechanism.candidates[1]: mask bits must be 0 or 1, got (0, 0, 1.5, 1)',
+                     lambda s: s["mechanism"].update(candidates=[[0, 1, 1, 1], [0, 0, 1.5, 1]]),
+                     id="cand-bit-half"),
+        pytest.param("scenario.mechanism.candidates[0]: mask bits must be 0 or 1, got (0, 1, 1, '1')",
+                     lambda s: s["mechanism"].update(candidates=[[0, 1, 1, "1"], [0, 0, 1, 1]]),
+                     id="cand-bit-string"),
+        pytest.param('scenario.mechanism.candidates[0]: mask bits must be 0 or 1, got (0, 1, 1, nan)',
+                     lambda s: s["mechanism"].update(candidates=[[0, 1, 1, math.nan], [0, 0, 1, 1]]),
+                     id="cand-bit-nan"),
+        pytest.param('scenario.mechanism.candidates[0]: mask needs at least one bit',
+                     lambda s: s["mechanism"].update(candidates=[[], [0, 0, 1, 1]]),
+                     id="cand-empty"),
+        pytest.param("scenario.mechanism.candidates[0]: expected a list of 0/1 bits, got '0011'",
+                     lambda s: s["mechanism"].update(candidates=["0011", [0, 0, 1, 1]]),
+                     id="cand-not-list"),
+        pytest.param('scenario.mechanism.candidates: masks must share one length',
+                     lambda s: s["mechanism"].update(candidates=[[0, 1, 1, 1], [0, 0, 1]]),
+                     id="cand-lengths"),
+        pytest.param('scenario.mechanism.candidates: every candidate must observe the full anchor set',
+                     lambda s: s["mechanism"].update(candidates=[[1, 1, 1, 1], [0, 0, 1, 1]]),
+                     id="cand-anchor"),
+        pytest.param('scenario.mechanism.candidates: masks must be distinct',
+                     lambda s: s["mechanism"].update(candidates=[[0, 1, 1, 1], [0, 1, 1, 1]]),
+                     id="cand-duplicate"),
+        pytest.param('scenario.mechanism.patterns[0].mask: mask bits must be 0 or 1, got (0, 2, 1, 1)',
+                     lambda s: s.update(mechanism=pattern(0, [0, 2, 1, 1])),
+                     id="pat-bit-two"),
+        pytest.param('scenario.mechanism.patterns[1].mask: mask bits must be 0 or 1, got (1, 1, -0.5, 1)',
+                     lambda s: s.update(mechanism=pattern(1, [1, 1, -0.5, 1])),
+                     id="pat-bit-negative"),
+        pytest.param('scenario.mechanism.patterns[0].mask: mask needs at least one bit',
+                     lambda s: s.update(mechanism=pattern(0, [])),
+                     id="pat-empty"),
+        pytest.param('scenario.mechanism.patterns: masks must share one length',
+                     lambda s: s.update(mechanism=pattern(1, [1, 1, 1])),
+                     id="pat-lengths"),
+        pytest.param("scenario.mechanism.patterns[0].mask: expected a list of 0/1 bits, got {'a': 1}",
+                     lambda s: s.update(mechanism=pattern(0, {"a": 1})),
+                     id="pat-not-list"),
+    ])
+    def test_a_malformed_mask_names_its_field(self, tmp_path, laplace_scn, capsys,
+                                              diagnostic, edit):
+        scn = json.loads(laplace_scn.read_text())
+        edit(scn)
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(scn))
+        assert run("audit", path, tmp_path) == 1
+        assert capsys.readouterr().err == f"error: {diagnostic}\n"
+
+
+@pytest.mark.parametrize("method", ["exact", "mc"])
+@pytest.mark.parametrize("tolerance", [-1.0, 0.0])
+def test_audit_tolerance_is_checked_by_either_method(tmp_path, laplace_scn, capsys, method,
+                                                     tolerance):
+    scn = json.loads(laplace_scn.read_text())
+    scn["audit"] = {"method": method, "tolerance": tolerance}
+    path = tmp_path / "tolerance.json"
+    path.write_text(json.dumps(scn))
+    assert run("audit", path, tmp_path) == 1
+    assert capsys.readouterr().err == (
+        f"error: scenario.audit.tolerance: must be positive, got {tolerance!r}\n")

@@ -7,7 +7,6 @@ from amplipriv import (
     CompleteDataset,
     DimensionError,
     IncompleteDataset,
-    Mask,
     MaskMatrix,
     apply_mask,
     load_dataset_csv,
@@ -16,7 +15,7 @@ from amplipriv import (
 
 
 def mk_mask(*rows):
-    return MaskMatrix(tuple(Mask(tuple(r)) for r in rows))
+    return MaskMatrix(rows)
 
 
 class TestApplyMask:
@@ -81,15 +80,33 @@ class TestApplyMask:
             assert [i for i in range(n) if ml.cells[i] != mr.cells[i]] in ([], [i_star])
 
 
-class TestObservedCount:
-    def test_nothing_masked(self):
-        assert Mask((0, 0, 0)).observed_count == 3
+class TestMaskMatrix:
+    """One (n, d) bool array, True where a cell is missing, from 0/1 rows or
+    from such an array."""
 
-    def test_all_masked(self):
-        assert Mask((1, 1)).observed_count == 0
+    def test_rows_become_one_bool_array(self):
+        mask = mk_mask((0, 1), (1, 0), (0, 0))
+        assert mask.bits.dtype == bool and mask.bits.shape == (3, 2) == (mask.n, mask.d)
+        assert mask.bits_tuple() == ((0, 1), (1, 0), (0, 0))
 
-    def test_alternating(self):
-        assert Mask((0, 1, 0, 1)).observed_count == 2
+    def test_a_bool_array_is_taken_as_it_is_and_frozen(self):
+        bits = np.array([[True, False]])
+        mask = MaskMatrix(bits)
+        bits[0, 0] = False  # the mask holds its own copy
+        assert mask.bits_tuple() == ((1, 0),)
+        with pytest.raises(ValueError):
+            mask.bits[0, 0] = False
+
+    @pytest.mark.parametrize("rows, message", [
+        ((), "mask matrix needs at least one row"),
+        (((),), "mask needs at least one bit"),
+        (np.zeros((0, 2), dtype=bool), "mask matrix needs at least one row"),
+        (np.zeros((2, 0), dtype=bool), "mask needs at least one bit"),
+        (((0, 1), (1,)), "all mask rows must share the same length"),
+    ])
+    def test_misshapen_masks_refused(self, rows, message):
+        with pytest.raises(DimensionError, match=message):
+            MaskMatrix(rows)
 
 
 class TestSubstitute:
@@ -145,7 +162,7 @@ class TestDatasetValidation:
     def test_mask_bits_are_zero_or_one(self, bit):
         # int() would turn 1.5 and -0.5 into valid bits
         with pytest.raises(ValueError, match="mask bits must be 0 or 1"):
-            Mask((0, bit))
+            MaskMatrix(((0, bit),))
 
     def test_incomplete_dataset_is_immutable(self):
         out = apply_mask(CompleteDataset(((1.0, 2.0),)), mk_mask((0, 1)))

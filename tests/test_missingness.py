@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -17,7 +17,6 @@ from amplipriv import (
     DatasetMechanism,
     DimensionError,
     MarAnchoredPattern,
-    Mask,
     McarBernoulli,
     McarPattern,
     MechanismClass,
@@ -32,7 +31,8 @@ from amplipriv import (
 )
 from amplipriv.audit import _row_supports
 from amplipriv.cli import feature_mechanism_from_spec
-from oracles import product_support
+from amplipriv.missingness import MECHANISMS
+from oracles import oracle_support, product_support
 
 
 # the first candidate when the anchor value is >= 0, the second below it
@@ -44,13 +44,18 @@ def mar_example():
 
 
 def all_masks(d):
-    for bits in itertools.product((0, 1), repeat=d):
-        yield Mask(bits)
+    return itertools.product((0, 1), repeat=d)
+
+
+def law(mech, sample):
+    """The support as (bits tuple, probability) pairs, in its order."""
+    bits, probs = mech.support(sample)
+    return list(zip(map(tuple, bits.astype(int).tolist()), probs.tolist()))
 
 
 def prob(mech, sample, mask):
     """P[F(sample) = mask], read off the support: 0 off it."""
-    return dict(mech.support(sample)).get(mask, 0.0)
+    return dict(law(mech, sample)).get(tuple(mask), 0.0)
 
 
 def matrix_prob(mech, dataset, rows):
@@ -64,22 +69,22 @@ def matrix_prob(mech, dataset, rows):
 class TestMaskProbability:
     def test_bernoulli_product(self):
         mech = McarBernoulli((0.5, 0.5))
-        assert prob(mech, (7.0, -3.0), Mask((0, 1))) == 0.25
+        assert prob(mech, (7.0, -3.0), (0, 1)) == 0.25
         total = sum(prob(mech, (0.0, 0.0), m) for m in all_masks(2))
         assert abs(total - 1.0) < 1e-12
 
     def test_pattern_lookup(self):
         mech = McarPattern([((0, 0), 0.7), ((1, 1), 0.3)])
-        assert prob(mech, (1.0, 2.0), Mask((1, 1))) == 0.3
-        assert prob(mech, (1.0, 2.0), Mask((0, 1))) == 0.0
+        assert prob(mech, (1.0, 2.0), (1, 1)) == 0.3
+        assert prob(mech, (1.0, 2.0), (0, 1)) == 0.0
 
     def test_mar_anchored_scores(self):
         mech = mar_example()
         # anchor value is negative, so the second candidate fires
-        assert prob(mech, (-1.0, 5.0), Mask((0, 1))) == pytest.approx(
+        assert prob(mech, (-1.0, 5.0), (0, 1)) == pytest.approx(
             0.8, abs=0
         )
-        support = {m.bits: p for m, p in mech.support((-1.0, 5.0))}
+        support = dict(law(mech, (-1.0, 5.0)))
         assert support == {(1, 1): 0.2, (0, 1): 0.8}
         assert abs(sum(support.values()) - 1.0) < 1e-12
 
@@ -114,7 +119,7 @@ class TestDatasetMaskProbability:
     def test_single_row_equals_feature_probability(self):
         mech = DatasetMechanism(mar_example(), n=1)
         z = CompleteDataset(((0.5, 3.0),))
-        want = prob(mech.feature_mech, (0.5, 3.0), Mask((0, 0)))
+        want = prob(mech.feature_mech, (0.5, 3.0), (0, 0))
         assert matrix_prob(mech, z, ((0, 0),)) == want
 
     def test_repeated_pattern_rows(self):
@@ -134,24 +139,32 @@ class TestDatasetMaskProbability:
             _row_supports(mech, [CompleteDataset(((0.0,), (0.0,)))])
 
 
-class TestSupportSize:
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.sampled_from([0.0, 1.0, 0.5, 0.3, 1e-200, 1e-120, 1.0 - 1e-16, 1e-310]),
-                    min_size=1, max_size=9))
-    def test_bernoulli_states_its_support_or_leaves_it_to_enumeration(self, pi):
-        fm = McarBernoulli(pi)
-        size, read = fm.support_size(), len(list(fm.support(())))
-        free = sum(1 for p in pi if 0.0 < p < 1.0)
-        # a mask whose probability underflows to 0 is not in the support
-        assert size == read if size is not None else read < 2 ** free
+class TestSupportLimit:
+    """A support of more than ``limit`` masks is refused before it is built."""
 
-    def test_stated_size_counts_only_the_free_features(self):
-        assert McarBernoulli([0.5, 0.0, 1.0, 0.25]).support_size() == 4
-        assert McarBernoulli([1e-200, 1e-200, 0.5]).support_size() is None
+    def test_a_bernoulli_support_stops_doubling_past_the_limit(self):
+        # 2^12 masks fit a limit of 4096; the 13th free feature would double them
+        assert len(McarBernoulli([0.5] * 12 + [1.0, 0.0]).support((), 4096)[1]) == 4096
+        with pytest.raises(UnsupportedMechanismError, match="more than 4096 elements"):
+            McarBernoulli([0.5] * 13).support((), 4096)
 
-    def test_other_families_leave_it_to_enumeration(self):
-        assert McarPattern([((0, 0), 0.7), ((1, 1), 0.3)]).support_size() is None
-        assert mar_example().support_size() is None
+    def test_masks_of_probability_0_are_dropped_as_they_appear(self):
+        # 20 free features, but every mask missing two or more has probability
+        # 1e-400 or less, 0 in float: 21 masks, not 2^20 walked one by one
+        bits, probs = McarBernoulli([1e-200] * 20).support((), 21)
+        assert len(probs) == 21 and bits.sum() == 20 and probs[0] == 1.0
+
+    def test_a_capped_support_drops_rows_past_the_cap_as_they_appear(self):
+        fm = CappedBernoulli([0.5] * 24, rho_cap=1 / 24)
+        bits, probs = fm.support((), 25)
+        assert (~bits).sum(axis=1).max() == 1 and len(probs) == 25
+
+    @pytest.mark.parametrize("family", ["pattern", "mar-two-anchors"])
+    def test_a_table_past_the_limit_is_refused(self, family):
+        fm = FAMILIES[family]()
+        size = len(fm.support((0.0,) * fm.d)[1])
+        with pytest.raises(UnsupportedMechanismError, match=f"more than {size - 1} elements"):
+            fm.support((0.0,) * fm.d, size - 1)
 
 
 class TestSampleMask:
@@ -228,16 +241,16 @@ class TestDrawNeverPicksAZeroProbabilityMask:
 
     def test_pattern(self):
         mech = McarPattern(self.LAW)
-        assert [m.bits for m, _ in mech.support(None)] == [(0, 1, 1, 1), (1, 0, 1, 1)]
+        assert [m for m, _ in law(mech, None)] == [(0, 1, 1, 1), (1, 0, 1, 1)]
         assert mech.max_observed_count() == 1
-        assert mech.draw(None, LastUniform()).bits == (1, 0, 1, 1)
+        assert mech.draw(None, LastUniform()).tolist() == [True, False, True, True]
 
     def test_mar_anchored(self):
         bits, scores = zip(*self.LAW)
         mech = MarAnchoredPattern(anchor=(), q_all=0.0, candidates=bits, thresholds=[],
                                   score_table={"": list(scores)})
         assert mech.max_observed_count() == 1
-        assert mech.draw(None, LastUniform()).bits == (1, 0, 1, 1)
+        assert mech.draw(None, LastUniform()).tolist() == [True, False, True, True]
 
 
 class TestAnchoredObservedCountFollowsTheSupport:
@@ -299,10 +312,10 @@ class TestPStar:
             right = left.substitute(i_star, rng.uniform(-1, 1, 2))
             for ds in (left, right):
                 mass = 0.0
-                for r1, p1 in mech.feature_mech.support(ds.rows[0]):
-                    for r2, p2 in mech.feature_mech.support(ds.rows[1]):
+                for r1, p1 in law(mech.feature_mech, ds.rows[0]):
+                    for r2, p2 in law(mech.feature_mech, ds.rows[1]):
                         rows = (r1, r2)
-                        if not rows[i_star].observed_count == 0:
+                        if not all(rows[i_star]):
                             mass += p1 * p2
                 assert abs(mass - expected) < 1e-12
 
@@ -424,12 +437,12 @@ class TestClassify:
         m the same probability, bit for bit, and the law is normalised."""
         mech = FAMILIES[family]()
         z = data.draw(st.tuples(*[COORDINATE] * mech.d))
-        mask = Mask(data.draw(st.tuples(*[st.integers(0, 1)] * mech.d)))
-        z_alt = tuple(data.draw(COORDINATE) if b else v for v, b in zip(z, mask.bits))
+        mask = data.draw(st.tuples(*[st.integers(0, 1)] * mech.d))
+        z_alt = tuple(data.draw(COORDINATE) if b else v for v, b in zip(z, mask))
         assert prob(mech, z, mask) == prob(mech, z_alt, mask)
-        assert abs(math.fsum(p for _, p in mech.support(z)) - 1.0) <= 1e-12
+        assert abs(math.fsum(mech.support(z)[1].tolist()) - 1.0) <= 1e-12
         # so the hiding probability is one constant
-        assert prob(mech, z, Mask((1,) * mech.d)) == mech.all_missing_probability()
+        assert prob(mech, z, (1,) * mech.d) == mech.all_missing_probability()
 
 
 class TestHiddenMaskCoincidence:
@@ -474,8 +487,8 @@ class TestSpecParsing:
             "score_table": {"1": [1.0, 0.0], "0": [0.0, 1.0]},
         }
         mech = feature_mechanism_from_spec(spec)
-        assert prob(mech, (-1.0, 5.0), Mask((0, 1))) == pytest.approx(0.8)
-        assert prob(mech, (3.0, 5.0), Mask((0, 0))) == pytest.approx(0.8)
+        assert prob(mech, (-1.0, 5.0), (0, 1)) == pytest.approx(0.8)
+        assert prob(mech, (3.0, 5.0), (0, 0)) == pytest.approx(0.8)
 
     def test_mnar_kind_rejected_with_mar_message(self):
         with pytest.raises(UnsupportedMechanismError, match="MAR"):
@@ -530,3 +543,68 @@ class TestValidation:
     def test_nan_and_misshapen_fields_rejected(self, build, field):
         with pytest.raises(ValueError, match=f"^{field}: "):
             build()
+
+
+PI = st.one_of(st.sampled_from([0.0, 1.0, 0.5, 0.3, 1e-200, 1e-120, 1.0 - 1e-16, 1e-310]),
+               st.floats(0.0, 1.0))
+
+
+def normalised(weights):
+    return [w / sum(weights) for w in weights]
+
+
+@st.composite
+def catalog_spec(draw):
+    """(kind, params) of a small mechanism of any catalog family."""
+    kind, d = draw(st.sampled_from(sorted(MECHANISMS))), draw(st.integers(1, 6))
+    weights = st.lists(st.integers(0, 5), min_size=1, max_size=5).filter(sum)
+    if kind in ("mcar_bernoulli", "capped_bernoulli"):
+        params = {"pi": draw(st.lists(PI, min_size=d, max_size=d))}
+        if kind == "capped_bernoulli":
+            params["rho_cap"] = draw(st.integers(1, d)) / d
+            try:
+                CappedBernoulli(**params)
+            except ValueError:  # a cap of zero mass under pi
+                assume(False)
+        return kind, params
+    if kind == "mcar_pattern":
+        w = draw(weights)
+        masks = st.tuples(*[st.integers(0, 1)] * d)
+        return kind, {"patterns": list(zip(draw(st.lists(masks, min_size=len(w),
+                                                          max_size=len(w))), normalised(w)))}
+    anchor = sorted(draw(st.sets(st.integers(0, d - 1), max_size=min(2, d))))
+    masks = st.tuples(*[st.just(0) if j in anchor else st.integers(0, 1) for j in range(d)])
+    cands = draw(st.lists(masks, min_size=1, max_size=4, unique=True))
+    row = st.lists(st.integers(0, 5), min_size=len(cands), max_size=len(cands)).filter(sum)
+    thresholds = [draw(st.lists(st.sampled_from([-0.5, 0.0, 0.25, 1.0]), max_size=2))
+                  for _ in anchor]
+    keys = itertools.product(*[range(len(t) + 1) for t in thresholds])
+    table = {",".join(map(str, key)): normalised(draw(row)) for key in keys}
+    q_all = draw(st.one_of(st.sampled_from([0.0, 0.1, 1.0]), st.floats(0.0, 1.0)))
+    return kind, {"anchor": anchor, "q_all": q_all, "candidates": cands,
+                  "thresholds": thresholds, "score_table": table}
+
+
+class TestSupportMatchesTheOracle:
+    """Every family's support, an (R, d) bool array and R probabilities, is
+    the law walked one mask at a time on 0/1 tuples, row for row and bit for
+    bit; its summaries are Python numbers, so reports print them as such."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(spec=catalog_spec(), data=st.data())
+    def test_support_is_the_oracle_law(self, spec, data):
+        kind, params = spec
+        fm = MECHANISMS[kind](**params)
+        sample = data.draw(st.tuples(*[COORDINATE] * fm.d))
+        bits, probs = fm.support(sample)
+        want = oracle_support(kind, params, sample)
+        assert bits.dtype == bool and bits.shape == (len(want), fm.d)
+        assert list(map(tuple, bits.astype(int).tolist())) == [b for b, _ in want]
+        assert [p.hex() for p in probs.tolist()] == [p.hex() for _, p in want]
+        if kind != "capped_bernoulli" or fm._z > 0.01:  # a capped draw takes about 1 / z tries
+            drawn = fm.draw(sample, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
+            assert drawn.dtype == bool and drawn.shape == (fm.d,)
+            assert tuple(drawn.astype(int).tolist()) in dict(want)
+        mech = DatasetMechanism(fm, n=1)
+        assert type(p_star(mech)) is float and type(tight_rho(mech)) is float
+        assert type(fm.max_observed_count()) is int

@@ -277,16 +277,16 @@ class TestOutputDensity:
         q = make_standard_query("bounded_mean", n=1, d=1)
         mech = calibrate_laplace(q, epsilon=2.0, B=1.0)
         missing = DatasetMechanism(McarPattern([((0,), 0.5), ((1,), 0.5)]), n=1)
-        from amplipriv import apply_mask, composed_output_mixture, MaskMatrix, Mask
+        from amplipriv import apply_mask, composed_output_mixture, MaskMatrix
 
         cm = ComposedMechanism(noise=mech, missing=missing)
         z = CompleteDataset(((1.0,),))
         mix = composed_output_mixture(cm, z)
         for t in np.linspace(-2, 3, 21):
             manual = 0.5 * math.exp(log_output_density(
-                mech, apply_mask(z, MaskMatrix((Mask((0,)),))), [t]
+                mech, apply_mask(z, MaskMatrix(((0,),))), [t]
             )) + 0.5 * math.exp(log_output_density(
-                mech, apply_mask(z, MaskMatrix((Mask((1,)),))), [t]
+                mech, apply_mask(z, MaskMatrix(((1,),))), [t]
             ))
             assert math.exp(mix.log_density(np.array([[t]]))[0]) == pytest.approx(manual, abs=1e-10)
 
@@ -295,7 +295,7 @@ class TestFixedMaskCertificate:
     def test_laplace_density_ratio_under_masked_sensitivity(self):
         # under any supported mask the masked pair's density ratio stays within
         # the reduced budget exp((C_tilde / C) * eps)
-        from amplipriv import Mask, MaskMatrix, apply_mask, sensitivity_masked
+        from amplipriv import MaskMatrix, apply_mask, sensitivity_masked
 
         B, eps, rho = 0.5, 1.0, 0.5
         base = make_standard_query("clipped_mean", n=2, d=4, clip=B)
@@ -309,7 +309,7 @@ class TestFixedMaskCertificate:
             observed = rng.choice(4, size=2, replace=False)
             for j in observed:
                 bits[j] = 0
-            mask = MaskMatrix((Mask(tuple(bits)), Mask((1, 1, 1, 1))))
+            mask = MaskMatrix((bits, (1, 1, 1, 1)))
             left = CompleteDataset(tuple(map(tuple, rng.uniform(-B, B, (2, 4)))))
             right = left.substitute(0, rng.uniform(-B, B, 4))
             ml, mr = apply_mask(left, mask), apply_mask(right, mask)
@@ -356,7 +356,8 @@ class TestReleaseRecord:
         cm = ComposedMechanism(noise=mech, missing=missing)
         run = run_composed(cm, CompleteDataset(((0.3,), (0.5,))), seed=3)
         record = release_record(mech, run.output, seed=3, mask=run.mask_used, audit=True)
-        assert record["mask"] == [list(r.bits) for r in run.mask_used.rows]
+        assert record["mask"] == list(map(list, run.mask_used.bits_tuple()))
+        assert {type(b) for row in record["mask"] for b in row} == {int}
         with pytest.raises(ValueError):
             release_record(mech, run.output, seed=3, audit=True)
 
