@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import BudgetRangeError, DegenerateQueryError
-from .noise import GAUSSIAN, LAPLACE, PrivacyBudget
+from .noise import EPSILON_MAX, GAUSSIAN, LAPLACE, PrivacyBudget
 from .queries import SensitivityBounds
 
 ROUTE_GENERIC = "generic"
@@ -67,9 +67,11 @@ class AmplificationReport:
 
 
 def amplified_epsilon(epsilon: float, p_star: float) -> float:
-    """ln(1 + p_star * (e^epsilon - 1)), exact at the endpoints."""
-    if epsilon < 0:
-        raise BudgetRangeError("epsilon must be nonnegative")
+    """ln(1 + p_star * (e^epsilon - 1)), exact at the endpoints, for epsilon
+    in [0, EPSILON_MAX], where e^epsilon is finite."""
+    if not 0 <= epsilon <= EPSILON_MAX:
+        raise BudgetRangeError(f"epsilon: must be nonnegative and at most {EPSILON_MAX!r}, "
+                               f"past which e^epsilon overflows, got {epsilon!r}")
     if not 0 <= p_star <= 1:
         raise ValueError("p_star must lie in [0, 1]")
     if p_star == 1.0 or epsilon == 0.0:
@@ -107,8 +109,9 @@ def amplify_fwl(
     if family == LAPLACE:
         if delta != 0.0:
             raise BudgetRangeError("the Laplace route carries delta = 0")
-        if epsilon <= 0:
-            raise BudgetRangeError("epsilon must be positive")
+        if not 0 < epsilon <= EPSILON_MAX:
+            raise BudgetRangeError(f"epsilon: must be positive and at most {EPSILON_MAX!r}, "
+                                   f"past which e^epsilon overflows, got {epsilon!r}")
     elif family == GAUSSIAN:
         if not 0 < epsilon <= 1:
             raise BudgetRangeError(

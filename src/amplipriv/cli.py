@@ -30,7 +30,8 @@ from .datasets import CompleteDataset, NeighborPair, load_dataset_csv, mask_bits
 from .divergence import MC_MAX_COORDINATES, MC_MIN_SAMPLES
 from .errors import SchemaError, UnsupportedMechanismError
 from .missingness import MECHANISMS, DatasetMechanism, p_star, tight_rho, verify_rho
-from .noise import FAMILIES, LAPLACE, ComposedMechanism, calibrate, release_record, run_composed
+from .noise import EPSILON_MAX, FAMILIES, LAPLACE, ComposedMechanism, calibrate
+from .noise import release_record, run_composed
 from .queries import POST_MAPS, QUERY_KINDS, FwlQuery, make_standard_query, named_postprocess
 from .queries import sensitivity_masked
 
@@ -118,6 +119,9 @@ class Field(NamedTuple):
 
 
 NONNEGATIVE = (lambda x: x >= 0, "must be nonnegative")
+# the accountant and the audit form e^epsilon
+EXPONENTIABLE = (lambda x: x <= EPSILON_MAX,
+                 f"must be at most {EPSILON_MAX!r}, past which e^epsilon overflows")
 POSITIVE = (lambda x: x > 0, "must be positive")
 BERNOULLI, PATTERN = ("mcar_bernoulli", "capped_bernoulli"), ("mcar_pattern",)
 MAR, HISTOGRAM = ("mar_anchored",), ("histogram",)
@@ -127,12 +131,14 @@ FIELDS = {f.path: f for f in (
     F("bound_B", _num, "bound on the magnitude of every entry", rule=POSITIVE),
     F("family", _choice("family", tuple(FAMILIES)), "noise family"),
     F("budget", _object, "base budget the noise is calibrated to"),
-    F("budget.epsilon", _num, "base epsilon, positive; at most 1 for gaussian"),
+    F("budget.epsilon", _num, "base epsilon, positive; at most 1 for gaussian",
+      rule=EXPONENTIABLE),
     F("budget.delta", _num, "base delta: 0 for laplace, in (0, 1] for gaussian", 0.0),
     F("rho", _num, "declared observed-fraction bound in [0, 1], verified", None),
     F("epsilon_grid", _list("a list of numbers"), "base epsilons audited; absent, the budget's",
       None, (bool, "must list at least one epsilon")),
-    F("epsilon_grid[i]", _num, "one base epsilon, positive; at most 1 for gaussian"),
+    F("epsilon_grid[i]", _num, "one base epsilon, positive; at most 1 for gaussian",
+      rule=EXPONENTIABLE),
     F("dataset", _object, "the complete dataset: inline rows, or else a CSV file"),
     F("dataset.inline", _list("a list of rows of numbers"), "its rows", None),
     F("dataset.inline[i]", _list("a list of numbers"), "one row"),
@@ -196,7 +202,9 @@ FIELDS = {f.path: f for f in (
       f"method; samples times the output dimension at most {MC_MAX_COORDINATES}; for a Laplace "
       "box interval, it sets the precision and caps the corners read", 100_000),
     F("audit.claim", _object, "a budget audited in place of the accountant's", None),
-    F("audit.claim.epsilon", _num, "claimed epsilon", rule=NONNEGATIVE),
+    F("audit.claim.epsilon", _num, "claimed epsilon", rule=(
+        lambda x: 0 <= x <= EPSILON_MAX,
+        f"must be nonnegative and at most {EPSILON_MAX!r}, past which e^epsilon overflows")),
     F("audit.claim.delta", _num, "claimed delta",
       rule=(lambda x: 0 <= x <= 1, "must lie in [0, 1]")),
     F("release_mask", _boolean, "simulate also writes the drawn mask: never private", False),

@@ -56,8 +56,10 @@ The same monotonicity bounds p/q on any box inside one lattice box by its
 values at the box's corners. So a Laplace pair with delta > 0 gets, in place
 of the draw, a certified interval from such boxes (``_box_interval``) when
 the boxes' corners it needs to be as narrow as the draw are no more than
-the points the draw would take. Gaussian pairs, and other Laplace pairs,
-take the draw.
+the points the draw would take. The lattice boxes' corners are lattice
+points, so the certificate's one kernel call on the lattice gives them too;
+only the boxes that halving makes are read by further calls. Gaussian
+pairs, and other Laplace pairs, take the draw.
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ import numpy as np
 
 from .errors import DimensionError, SupportError
 from .missingness import substream, _KEY_MC
-from .noise import FAMILIES, LAPLACE
+from .noise import EPSILON_MAX, FAMILIES, LAPLACE
 from .roots import _EPS, gaussian_signs, laplace_signs
 
 _NORM_TOL = 1e-12
@@ -253,19 +255,14 @@ class DivergenceEstimate:
 _DRAW_REACH = 691.0
 
 
-def _lattice_sup(
-    P: VectorMixture, Q: VectorMixture, kernel: _Kernel, epsilon: float, n_samples: int,
+def _centre_lattice(
+    P: VectorMixture, Q: VectorMixture, kernel: _Kernel, n_samples: float,
 ) -> Optional[tuple]:
-    """(top, err), or None unless P and Q are Laplace and the lattice of
-    centre coordinates (each coordinate's distinct centre values over P and
-    Q) has at most ``n_samples`` points. ``kernel`` is their joint one.
-
-    top is the lattice maximum of g = log p - log q - eps, which is sup g over
-    R^k (see the module docstring). err bounds top's float error plus twice
-    the kernel's error bound anywhere a draw can reach, ``_DRAW_REACH`` scales
-    from the lattice, so top + err < 0 means the divergence is 0 and g, as
-    computed at every draw, lies below minus its own error bound.
-    """
+    """(axes, log_p, log_q), or None unless P and Q are Laplace and the
+    lattice of centre coordinates has at most ``n_samples`` points: each
+    coordinate's distinct centre values over P and Q, and their joint
+    ``kernel`` on that lattice, flat in "ij" order (the last coordinate
+    fastest). The certificate and the box interval both read these values."""
     if P.family != LAPLACE:
         return None
     k = P.centers.shape[1]
@@ -273,6 +270,21 @@ def _lattice_sup(
     if math.prod(map(len, axes)) > n_samples:
         return None
     log_p, log_q = kernel(np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, k))
+    return axes, log_p, log_q
+
+
+def _lattice_sup(
+    P: VectorMixture, Q: VectorMixture, epsilon: float, axes: list, log_p: np.ndarray,
+    log_q: np.ndarray,
+) -> tuple:
+    """(top, err) from the centre lattice of P and Q (``_centre_lattice``).
+
+    top is the lattice maximum of g = log p - log q - eps, which is sup g over
+    R^k (see the module docstring). err bounds top's float error plus twice
+    the kernel's error bound anywhere a draw can reach, ``_DRAW_REACH`` scales
+    from the lattice, so top + err < 0 means the divergence is 0 and g, as
+    computed at every draw, lies below minus its own error bound.
+    """
     log_coef = max(float(np.abs(M.log_coef).max()) for M in (P, Q))
     logs = 1.0 + epsilon + log_coef
     # within that reach, log p <= log_coef + log m, and log p >= -log_coef less a penalty
@@ -307,8 +319,9 @@ def hockey_stick_mixture_1d(
     """
     if not tol > 0:
         raise ValueError(f"tol: must be positive, got {tol!r}")
-    if not 0 <= epsilon < math.inf:
-        raise ValueError("epsilon must be finite and nonnegative")
+    if not 0 <= epsilon <= EPSILON_MAX:
+        raise ValueError(f"epsilon must be finite and nonnegative, at most {EPSILON_MAX!r}, "
+                         f"past which e^epsilon overflows, got {epsilon!r}")
     for name, M in (("P", P), ("Q", Q)):
         if M.centers.shape[1] != 1:
             raise DimensionError(
@@ -316,11 +329,10 @@ def hockey_stick_mixture_1d(
                 "needs 1, use Monte Carlo for vector outputs"
             )
     alpha = math.exp(epsilon)
-    kernel = _Kernel((P, Q))  # refuses two families or scales; read by the Gaussian grid
-    if P.family == LAPLACE:
+    if P.family == Q.family == LAPLACE and P.scale == Q.scale:
         edges, keep, root_err, lost = laplace_signs(P, Q, alpha)
-    else:
-        edges, keep, root_err, lost = gaussian_signs(P, Q, epsilon, alpha, kernel)
+    else:  # the kernel refuses two families or scales
+        edges, keep, root_err, lost = gaussian_signs(P, Q, epsilon, alpha, _Kernel((P, Q)))
 
     # interval k runs from edge k to edge k + 1; ``keep`` lists those where h > 0
     signed = ((P, P.weights), (Q, -alpha * Q.weights))
@@ -368,21 +380,26 @@ def _box_mass(M: VectorMixture, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 def _box_interval(
     P: VectorMixture, Q: VectorMixture, epsilon: float, n_samples: int, log_term: float,
+    kernel: _Kernel, axes: list, log_p: np.ndarray, log_q: np.ndarray,
 ) -> Optional[tuple]:
     """(lower, upper) around the divergence of a one-scale Laplace pair, from
     boxes that each lie in one box of the centre lattice; None when the
     corners of those lattice boxes number more than ``n_samples``, or when
     splitting would read more corners than that before the interval is as
-    narrow as the draw's.
+    narrow as the draw's. ``kernel``, ``axes``, ``log_p`` and ``log_q`` are
+    the pair's joint kernel and its centre lattice (``_centre_lattice``).
 
     A coordinate where every centre of P and Q takes one value scales p and q
     by one factor, so the pair's divergence is that of its marginals on the
-    other k' coordinates, which alone are boxed. Per coordinate the cells run
-    between adjacent centre values, the first and last reaching on to -inf
-    and +inf, where p/q no longer depends on that coordinate. p/q is monotone
-    in each coordinate on a cell, so on a box it lies between r_min and
-    r_max, the extremes over the box's 2^k' corners, read from one joint
-    kernel call per block of boxes. The box adds at least
+    other k' coordinates, which alone are boxed; when there are such
+    coordinates, the kernel of those marginals reads their lattice once. Per
+    coordinate the cells run between adjacent centre values, the first and
+    last reaching on to -inf and +inf, where p/q no longer depends on that
+    coordinate. p/q is monotone in each coordinate on a cell, so on a box it
+    lies between r_min and r_max, the extremes over the box's 2^k' corners:
+    gathered from the lattice values by flat index for the lattice boxes, and
+    read from one kernel call per block of boxes for the boxes that splitting
+    makes. The box adds at least
     max(P - e^eps Q, P (1 - e^eps / r_min), 0) and at most the smaller of
     P (1 - e^eps / r_max)_+ and P - e^eps Q min(r_min / e^eps, 1), with P and
     Q its masses. Each corner's log p - log q carries the kernel's error bound
@@ -393,38 +410,45 @@ def _box_interval(
     Each round halves the boxes of widest gap, along the coordinates where
     their corner values differ, until the half-width is at most the
     empirical-Bernstein half-width of a statistic of variance at most
-    ``upper`` at ``n_samples`` draws. If the corners it has evaluated would
-    pass ``n_samples`` first, it gives up: the boxes never number more, and
-    the kernel reads no more points than the draw.
+    ``upper`` at ``n_samples`` draws. If the corners of its boxes, the lattice
+    boxes' counted in full, would pass ``n_samples`` first, it gives up: the
+    boxes never number more, and the kernel reads no more points than the
+    draw.
     """
-    axes = [sorted(set(P.centers[:, j].tolist() + Q.centers[:, j].tolist()))
-            for j in range(P.centers.shape[1])]
     active = [j for j, a in enumerate(axes) if len(a) > 1]
     if not active:  # P and Q are one law
         return 0.0, 0.0
-    axes, k = [axes[j] for j in active], len(active)
-    if math.prod(len(a) - 1 for a in axes) << k > n_samples:  # the lattice boxes' corners
+    k = len(active)
+    if math.prod(len(axes[j]) - 1 for j in active) << k > n_samples:  # the lattice boxes' corners
         return None
-    P, Q = (VectorMixture(M.weights, M.centers[:, active], M.family, M.scale) for M in (P, Q))
-    alpha, kernel = math.exp(epsilon), _Kernel((P, Q))
+    if k < len(axes):  # the marginals on the active coordinates, and their lattice
+        P, Q = (VectorMixture(M.weights, M.centers[:, active], M.family, M.scale) for M in (P, Q))
+        kernel = _Kernel((P, Q))
+        axes, log_p, log_q = _centre_lattice(P, Q, kernel, math.inf)
+    alpha = math.exp(epsilon)
     index = np.indices([len(a) - 1 for a in axes]).reshape(k, -1)
     lo, hi = (np.stack([np.array(a)[i + side] for a, i in zip(axes, index)], axis=1)
               for side in (0, 1))
     first, last = np.array([a[0] for a in axes]), np.array([a[-1] for a in axes])
     corners = ((np.arange(1 << k)[:, None] >> np.arange(k)) & 1).astype(bool)  # (2^k, k)
+    # each lattice box's corners as flat indices into the lattice values, (boxes, 2^k)
+    at = np.ravel_multi_index(index[:, :, None] + corners.T[:, None], [len(a) for a in axes])
     logs = 1.0 + epsilon + max(float(np.abs(M.log_coef).max()) for M in (P, Q))
     # a k-term product of masses, each within 4 ulp, and an m-term weighted sum, per box
     box_err = (1.0 + alpha) * (5 * k + max(P.log_coef.size, Q.log_coef.size) + 8) * _EPS
     block = max(1, (8 * _BLOCK) >> k)  # boxes whose corners one kernel call reads
 
-    def bounds(lo, hi):  # per box: its lower and upper bound, and the coordinates to split
+    def bounds(lo, hi, at=None):  # per box: its lower and upper bound, and the coordinates to split
         low, up = np.empty(len(lo)), np.empty(len(lo))
         split = np.empty(lo.shape, dtype=bool)
         for i in range(0, len(lo), block):
             l, h = lo[i : i + block], hi[i : i + block]
-            log_p, log_q = kernel(np.where(corners, h[:, None], l[:, None]).reshape(-1, k))
-            g = (log_p - log_q).reshape(len(l), -1)
-            err = (2.0 ** -40 * (logs + np.abs(log_p) + np.abs(log_q))).reshape(len(l), -1)
+            if at is None:
+                lp, lq = kernel(np.where(corners, h[:, None], l[:, None]).reshape(-1, k))
+            else:  # lattice boxes: their corners are lattice points
+                lp, lq = log_p[at[i : i + block]].ravel(), log_q[at[i : i + block]].ravel()
+            g = (lp - lq).reshape(len(l), -1)
+            err = (2.0 ** -40 * (logs + np.abs(lp) + np.abs(lq))).reshape(len(l), -1)
             for j in range(k):  # corners without bit j against their partners with it
                 a = np.flatnonzero(~corners[:, j])
                 b = a + (1 << j)
@@ -443,8 +467,8 @@ def _box_interval(
                 p_mass - alpha * q_mass * np.exp(np.minimum(r_min - epsilon, 0.0))), 0.0)
         return low, up, split
 
-    low, up, split = bounds(lo, hi)
-    budget = n_samples - (len(lo) << k)  # corners the kernel may still read
+    low, up, split = bounds(lo, hi, at)
+    budget = n_samples - (len(lo) << k)  # corners the kernel may still read; the first round counts
     while True:
         err = len(lo) * box_err
         lower = max(math.fsum(low.tolist()) - err, 0.0)
@@ -510,16 +534,18 @@ def mc_delta_vector(
     k, k_q = P.centers.shape[1], Q.centers.shape[1]
     if k != k_q:
         raise DimensionError(f"P has output dimension {k} but Q has output dimension {k_q}")
-    if not 0 <= epsilon < math.inf:
-        raise ValueError("epsilon must be finite and nonnegative")
+    if not 0 <= epsilon <= EPSILON_MAX:
+        raise ValueError(f"epsilon must be finite and nonnegative, at most {EPSILON_MAX!r}, "
+                         f"past which e^epsilon overflows, got {epsilon!r}")
     check_samples(n_samples, k)
     kernel = _Kernel((P, Q))
-    sup = _lattice_sup(P, Q, kernel, epsilon, n_samples)
+    lattice = _centre_lattice(P, Q, kernel, n_samples)  # the one read of the lattice
+    sup = None if lattice is None else _lattice_sup(P, Q, epsilon, *lattice)
     certified = sup is not None and sup[0] + sup[1] < 0.0  # every draw's statistic would be 0
     log_term = math.log(4.0 / _MC_ALPHA)
     interval = None
     if sup is not None and not certified:
-        interval = _box_interval(P, Q, epsilon, n_samples, log_term)
+        interval = _box_interval(P, Q, epsilon, n_samples, log_term, kernel, *lattice)
     if interval is not None:
         lower, upper = interval
         return DivergenceEstimate(value=0.5 * (lower + upper), method=METHOD_INTERVAL,

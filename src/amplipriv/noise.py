@@ -13,6 +13,7 @@ the package reads.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -26,6 +27,8 @@ from .queries import FwlQuery, sensitivity_complete
 # smallest multiplicative margin that keeps the strict inequality on the
 # Gaussian constant after a decimal serialization round trip
 GAUSSIAN_MARGIN = 1.0 + 1e-6
+# the largest epsilon whose e^epsilon is a finite float, ln(DBL_MAX)
+EPSILON_MAX = math.log(sys.float_info.max)
 
 LAPLACE = "laplace"
 GAUSSIAN = "gaussian"

@@ -1,5 +1,7 @@
 """Closed-form amplification accounting: formulas, invariants, serialization."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from amplipriv import (
     amplify_generic,
     corollary_bound,
 )
+from amplipriv.noise import EPSILON_MAX
 
 # frozen 40-digit evaluations of the defining formulas
 EPS_P_HALF = 0.6201145069582775  # ln(1 + 0.5 * (e - 1))
@@ -83,6 +86,16 @@ class TestAmplifyFwl:
     def test_gaussian_epsilon_range(self):
         with pytest.raises(BudgetRangeError):
             amplify_fwl(1.5, 1e-5, 0.5, bounds(2.0, 1.0), family="gaussian")
+
+    def test_an_epsilon_whose_exponential_overflows_is_refused(self):
+        # a ValueError that names epsilon, not an OverflowError from expm1
+        for call in (lambda: amplify_fwl(800.0, 0.0, 0.5, bounds(2.0, 1.0), family="laplace"),
+                     lambda: amplified_epsilon(800.0, 0.5),
+                     lambda: amplify_generic(PrivacyBudget(800.0, 0.0), 0.5)):
+            with pytest.raises(BudgetRangeError, match="^epsilon: must be .* at most 709.78"):
+                call()
+        report = amplify_fwl(EPSILON_MAX, 0.0, 0.5, bounds(2.0, 1.0), family="laplace")
+        assert math.isfinite(report.amplified.epsilon) and report.amplified.epsilon < EPSILON_MAX
 
     def test_degenerate_sensitivity(self):
         with pytest.raises(DegenerateQueryError):

@@ -14,7 +14,7 @@ import pytest
 
 from amplipriv import audit
 from amplipriv.cli import run_scenario
-from amplipriv.divergence import VectorMixture
+from amplipriv.divergence import VectorMixture, _Kernel
 from amplipriv.queries import FwlQuery
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -48,14 +48,18 @@ def test_traced_replay_of_an_exact_audit(tmp_path):
 
 
 @pytest.mark.parametrize("seed", [2, 7])
-def test_the_benchmark_monte_carlo_claim_row_holds_the_exact_delta(tmp_path, seed):
+def test_the_benchmark_monte_carlo_claim_row_holds_the_exact_delta(tmp_path, seed, monkeypatch):
     # the audit-mc claim row: neighbours that differ in coordinate 0 only, so
     # the benchmark's own 1-D integral of that coordinate is the exact delta
     import reference as ref
     import workloads
 
     call = workloads.build("audit-mc", seed, tmp_path / "scenarios").calls[1]
+    calls, real = [], _Kernel.__call__
+    monkeypatch.setattr(_Kernel, "__call__", lambda self, x: calls.append(len(x)) or real(self, x))
     assert run_scenario("audit", str(call.path), str(tmp_path)) == 0
+    # one kernel call, on the 4 x 4 x 6 centre lattice: its box interval needs no refinement
+    assert calls == [96]
     row, = json.loads((tmp_path / f"{call.path.stem}_audit.json").read_text())["rows"]
     laws = [ref.clipped_mean_coordinate_law(rows, workloads.PI, 0, workloads.B)
             for rows in (call.left, call.right)]

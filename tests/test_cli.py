@@ -205,6 +205,43 @@ class TestSchemaDiagnostics:
         assert run(command, path, tmp_path) == 1
         assert "scenario.budget.epsilon" in capsys.readouterr().err
 
+    EPSILON_FIELDS = [
+        ("audit", "audit.claim.epsilon", "must be nonnegative and at most",
+         lambda scn, e: scn["audit"].update(claim={"epsilon": e, "delta": 0.5})),
+        ("audit", "epsilon_grid[0]", "must be at most",
+         lambda scn, e: scn.update(epsilon_grid=[e])),
+        ("audit", "budget.epsilon", "must be at most",
+         lambda scn, e: scn["budget"].update(epsilon=e)),
+        ("amplify", "budget.epsilon", "must be at most",
+         lambda scn, e: scn["budget"].update(epsilon=e)),
+    ]
+
+    EPSILON_IDS = ["audit-claim", "audit-grid", "audit-budget", "amplify-budget"]
+
+    @pytest.mark.parametrize("command, field, rule, edit", EPSILON_FIELDS, ids=EPSILON_IDS)
+    def test_an_epsilon_whose_exponential_overflows_is_named(self, tmp_path, laplace_scn,
+                                                              capsys, command, field, rule, edit):
+        # past ln(DBL_MAX) = 709.78..., e^epsilon overflows: exit 1, not a traceback
+        scn = json.loads(laplace_scn.read_text())
+        edit(scn, 800)
+        path = tmp_path / "large.json"
+        path.write_text(json.dumps(scn))
+        assert run(command, path, tmp_path) == 1
+        assert capsys.readouterr().err == (
+            f"error: scenario.{field}: {rule} 709.782712893384, past which "
+            "e^epsilon overflows, got 800.0\n")
+
+    @pytest.mark.parametrize("command, field, rule, edit", EPSILON_FIELDS, ids=EPSILON_IDS)
+    def test_the_largest_epsilon_writes_its_report(self, tmp_path, laplace_scn, command,
+                                                   field, rule, edit):
+        scn = json.loads(laplace_scn.read_text())
+        edit(scn, 709.782712893384)
+        path = tmp_path / "largest.json"
+        path.write_text(json.dumps(scn))
+        assert run(command, path, tmp_path / "out") == 0
+        reports = sorted((tmp_path / "out").iterdir())
+        assert reports and not any("nan" in p.read_text().lower() for p in reports)
+
     @pytest.mark.parametrize("field", [
         "bound_B", "rho", "epsilon_grid[1]", "audit.tolerance", "audit.samples",
         "audit.claim.epsilon", "audit.claim.delta",

@@ -22,7 +22,7 @@ from amplipriv import (
 )
 from amplipriv.divergence import MC_MAX_COORDINATES, _Kernel, check_samples
 from amplipriv.missingness import _KEY_MC, substream
-from amplipriv.roots import _TAIL_SCALES as _TAIL
+from amplipriv.roots import _TAIL_SCALES as _TAIL, laplace_signs
 from amplipriv.noise import FAMILIES
 from oracles import DiscreteDistribution, gather_sample, hockey_stick_discrete, mix_discrete
 
@@ -192,6 +192,15 @@ class TestQuadrature:
         with pytest.raises(ValueError):
             hockey_stick_mixture_1d(p, p, 0.5, tol=math.nan)
 
+    @pytest.mark.parametrize("family", ["laplace", "gaussian"])
+    def test_epsilon_up_to_the_largest_finite_exponential(self, family):
+        # past ln(DBL_MAX) e^eps overflows: a ValueError, not an OverflowError
+        P, Q = unit(family, 0.0, 1.0), unit(family, 1.0, 1.0)
+        with pytest.raises(ValueError, match="epsilon must be finite and nonnegative"):
+            hockey_stick_mixture_1d(P, Q, 710.0)
+        est = hockey_stick_mixture_1d(P, Q, divergence.EPSILON_MAX)
+        assert est.value == 0.0 and math.isfinite(est.tolerance)
+
     def test_mixture_vs_mc_consistency(self):
         rng = np.random.default_rng(7)
         for trial in range(6):
@@ -350,6 +359,15 @@ class TestLaplaceSweep:
         est = hockey_stick_mixture_1d(*pair, eps)
         assert abs(est.value - mp_laplace_delta(*pair, eps)) <= est.tolerance
 
+    def test_a_settled_negative_sweep_stops_after_its_sums(self):
+        # h < 0 everywhere, every sign settled: the one rootless interval, not
+        # kept, with nothing charged, in the types the full path returns
+        P, Q = unit("laplace", 0.0, 1.0), unit("laplace", 1.0, 1.0)
+        edges, keep, root_err, lost = laplace_signs(P, Q, math.exp(1.5))
+        assert edges.tolist() == [-math.inf, math.inf] and edges.dtype == float
+        assert keep.size == 0 and keep.dtype == np.intp
+        assert (root_err, lost) == (0.0, 0.0)
+
     @pytest.mark.parametrize("far", [1e4, 1e5, 1e6])
     def test_a_long_piece_keeps_its_mass(self, far):
         # the piece (1, far) is far - 1 scales long; h < 0 on it, and the
@@ -412,8 +430,10 @@ class TestOneFamilyAndScale:
 
 
 def lattice(P, Q, eps):
-    """The centre lattice's (top, err) for P and Q, with no limit on its size."""
-    return divergence._lattice_sup(P, Q, _Kernel((P, Q)), eps, math.inf)
+    """The centre lattice's (top, err) for P and Q, with no limit on its size;
+    None unless they are Laplace."""
+    read = divergence._centre_lattice(P, Q, _Kernel((P, Q)), math.inf)
+    return None if read is None else divergence._lattice_sup(P, Q, eps, *read)
 
 
 @st.composite
@@ -519,7 +539,7 @@ class TestLatticeCertificate:
                           "laplace", 1.0)
         est = mc_delta_vector(P, P, 1.0, 1000, 0)
         assert est.value == 0.0 and kernel_calls == [1000]
-        assert divergence._lattice_sup(P, P, _Kernel((P, P)), 1.0, 1000) is None
+        assert divergence._centre_lattice(P, P, _Kernel((P, P)), 1000) is None
 
 
 def product(A, B):
@@ -592,8 +612,9 @@ class TestBoxInterval:
         eps = level(P, Q, slack)
         with counted_kernel() as calls:
             est = mc_delta_vector(P, Q, eps, n, 0)
-        # the first call reads the lattice, each later one the corners of a block of
-        # boxes; a row whose boxes reach the cap draws its n points in one last call
+        # the first call reads the lattice, each later one the active coordinates'
+        # lattice or the corners of a block of split boxes; a row whose boxes reach
+        # the cap draws its n points in one last call
         boxes = calls[1:-1] if est.method == "monte_carlo" else calls[1:]
         assert sum(boxes) <= n
 
@@ -610,10 +631,11 @@ class TestBoxInterval:
     def test_a_pair_of_slow_convergence_stops_at_the_cap(self, kernel_calls):
         # the boxes' corners reach the sample count while the interval is still
         # wider than the draw's ([0.1052, 0.3486] here), so the row draws: the
-        # lattice, the boxes' corners, then the 10,000 sampled points
+        # lattice, the split boxes' corners, then the 10,000 sampled points; the
+        # 4096 corners of the lattice boxes are read from the lattice
         P, Q = self.slow_pair()
         est = mc_delta_vector(P, Q, 0.0, 10_000, 0)
-        assert kernel_calls[0] == 729 and 4096 < sum(kernel_calls[1:-1]) <= 10_000
+        assert kernel_calls[0] == 729 and 0 < sum(kernel_calls[1:-1]) <= 10_000 - 4096
         assert kernel_calls[-1] == 10_000 and est.method == "monte_carlo"
         assert est.ci[1] - est.ci[0] < 0.02
         with certificate_off():
@@ -628,11 +650,12 @@ class TestBoxInterval:
 
     def test_coordinates_of_one_centre_value_are_dropped(self, kernel_calls):
         # coordinates 1 and 2 hold one value in every centre: the boxes are
-        # those of coordinate 0, 2 corners each, and the interval is its 1-D one
+        # those of coordinate 0, whose corners its lattice of 3 values holds,
+        # and the interval is its 1-D one
         P, Q = (VectorMixture([0.5, 0.5], [[0.0, 3.0, -1.0], [c, 3.0, -1.0]], "laplace", 1.0)
                 for c in (1.0, 2.0))
         est = mc_delta_vector(P, Q, 0.1, 1000, 0)
-        assert kernel_calls[1:] == [2 * 2]
+        assert kernel_calls[1:] == [3]
         one = mc_delta_vector(*(VectorMixture(M.weights, M.centers[:, :1], "laplace", 1.0)
                                 for M in (P, Q)), 0.1, 1000, 0)
         assert est.method == "interval" and est.ci == one.ci
@@ -643,16 +666,61 @@ class TestBoxInterval:
         est = mc_delta_vector(P, Q, 0.0, 1000, 0)
         assert (est.method, est.ci) == ("interval", (0.0, 0.0))
 
-    def test_the_audit_pair_is_as_precise_as_its_draw(self):
-        # an audit-sized pair, 64 components, k = 3 and 3 values per coordinate
+    def test_the_audit_pair_is_as_precise_as_its_draw(self, kernel_calls):
+        # an audit-sized pair, 64 components, k = 3 and 3 values per coordinate;
+        # one kernel call reads the 27 lattice points, which hold the 64 corners
+        # of the 8 lattice boxes, and two rounds of split boxes follow
         rng = np.random.default_rng(64)
         p, q = (VectorMixture(np.full(64, 1 / 64), rng.choice([-0.5, 0.0, 0.5], (64, 3)),
                               "laplace", 1.5) for _ in range(2))
         est = mc_delta_vector(p, q, 0.05, 50_000, 1)
+        assert kernel_calls == [27, 48 * 8, 8 * 8]
         log_term = math.log(4.0 / divergence._MC_ALPHA)
         assert est.method == "interval" and est.ci[0] > 0.0
         assert est.tolerance <= divergence._bernstein_half(est.ci[1], 50_000, log_term)
         assert est.value == 0.5 * (est.ci[0] + est.ci[1])
+
+    @staticmethod
+    def drawn_pair(k, seed, m, values, scale):
+        """m components each, weights in [0.1, 1] and centres drawn from ``values``."""
+        rng = np.random.default_rng(seed)
+        return tuple(VectorMixture(w / w.sum(), rng.choice(values, (m, k)), "laplace", scale)
+                     for w in rng.uniform(0.1, 1.0, (2, m)))
+
+    @staticmethod
+    def dropped_pair():
+        """k = 3, 12 components each, coordinate 1 at 0.25 in every centre."""
+        rng = np.random.default_rng(8)
+        c = rng.choice([-0.5, 0.0, 0.5], (2, 12, 3))
+        c[:, :, 1] = 0.25
+        return tuple(VectorMixture(w / w.sum(), cc, "laplace", 1.0)
+                     for w, cc in zip(rng.uniform(0.1, 1.0, (2, 12)), c))
+
+    @pytest.mark.parametrize("pair, eps, n, lower, upper", [
+        ((2, 1, 8, [-0.5, 0.0, 0.5], 1.0), 0.1, 20_000,
+         "0x1.957719a009370p-6", "0x1.182b5bd1c2812p-5"),
+        ((2, 2, 12, [-1.0, -0.25, 0.25, 1.0], 0.5), 0.3, 50_000,
+         "0x1.27541f4e52393p-3", "0x1.326c7c3989e4fp-3"),
+        # refined over three rounds
+        ((3, 3, 16, [-0.5, 0.0, 0.5], 1.5), 0.05, 50_000,
+         "0x1.1c26df16624d5p-5", "0x1.4a381c4a5b8bbp-5"),
+        ((3, 4, 24, [-0.5, 0.0, 0.25, 0.5], 1.0), 0.2, 100_000,
+         "0x1.29774a169000ap-5", "0x1.48ad200166907p-5"),
+        ((3, 7, 10, [0.0, 1.0, 2.5], 0.5), 0.5, 10_000,
+         "0x1.6a6fdc7d3e1c0p-2", "0x1.8a9831afc5dc8p-2"),
+        ((4, 5, 16, [-0.5, 0.5], 1.0), 0.1, 50_000,
+         "0x1.07f60b90ad757p-5", "0x1.23f80f1700175p-5"),
+        ((4, 6, 20, [-0.5, 0.0, 0.5], 2.0), 0.0, 100_000,
+         "0x1.673e51979f5bfp-5", "0x1.856bba23ea7c3p-5"),
+        ("dropped", 0.1, 20_000, "0x1.59abc0c13a1e4p-5", "0x1.867dcbf3ff2a9p-5"),
+    ])
+    def test_pinned_intervals(self, pair, eps, n, lower, upper):
+        # each pair's interval to the last bit, as the corners were first read
+        # by the kernel box by box
+        P, Q = self.dropped_pair() if pair == "dropped" else self.drawn_pair(*pair)
+        est = mc_delta_vector(P, Q, eps, n, 0)
+        assert est.method == "interval"
+        assert est.ci == (float.fromhex(lower), float.fromhex(upper))
 
     def test_a_lattice_past_the_sample_count_draws_the_parents_bits(self, kernel_calls):
         # 22 x 11 x 11 lattice points, more than 1000: the draw, to the last bit
@@ -758,7 +826,7 @@ class TestMonteCarlo:
                                match="P has output dimension %d but Q has output dimension %d" % dims):
                 mc_delta_vector(p, q, 0.5, n_samples=2000, seed=0)
 
-    @pytest.mark.parametrize("epsilon", [-1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("epsilon", [-1.0, math.nan, math.inf, 710.0])
     def test_invalid_epsilon_rejected(self, epsilon):
         p = unit("gaussian", 0.0, 1.0)
         with pytest.raises(ValueError, match="epsilon must be finite and nonnegative"):
