@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import BudgetRangeError, DegenerateQueryError
-from .noise import EPSILON_MAX, GAUSSIAN, LAPLACE, PrivacyBudget
+from .noise import GAUSSIAN, LAPLACE, PrivacyBudget, check_exponentiable
 from .queries import SensitivityBounds
 
 ROUTE_GENERIC = "generic"
@@ -69,9 +69,7 @@ class AmplificationReport:
 def amplified_epsilon(epsilon: float, p_star: float) -> float:
     """ln(1 + p_star * (e^epsilon - 1)), exact at the endpoints, for epsilon
     in [0, EPSILON_MAX], where e^epsilon is finite."""
-    if not 0 <= epsilon <= EPSILON_MAX:
-        raise BudgetRangeError(f"epsilon: must be nonnegative and at most {EPSILON_MAX!r}, "
-                               f"past which e^epsilon overflows, got {epsilon!r}")
+    check_exponentiable(epsilon)
     if not 0 <= p_star <= 1:
         raise ValueError("p_star must lie in [0, 1]")
     if p_star == 1.0 or epsilon == 0.0:
@@ -103,15 +101,15 @@ def amplify_fwl(
     """Amplification for calibrated Laplace/Gaussian on an FWL query.
 
     The masked-to-complete sensitivity ratio first shrinks the base epsilon to
-    epsilon_0 = (C_tilde / C) * epsilon, then the generic map applies. Laplace
-    keeps delta = 0; Gaussian scales delta by p_star.
+    epsilon_0 = (C_tilde / C) * epsilon, then the generic map applies, so
+    epsilon_0, not epsilon, must be at most EPSILON_MAX. Laplace keeps
+    delta = 0; Gaussian scales delta by p_star.
     """
     if family == LAPLACE:
         if delta != 0.0:
             raise BudgetRangeError("the Laplace route carries delta = 0")
-        if not 0 < epsilon <= EPSILON_MAX:
-            raise BudgetRangeError(f"epsilon: must be positive and at most {EPSILON_MAX!r}, "
-                                   f"past which e^epsilon overflows, got {epsilon!r}")
+        if epsilon <= 0:
+            raise BudgetRangeError("epsilon must be positive")
     elif family == GAUSSIAN:
         if not 0 < epsilon <= 1:
             raise BudgetRangeError(
@@ -128,6 +126,7 @@ def amplify_fwl(
 
     ratio = bounds.ratio
     eps0 = ratio * epsilon
+    check_exponentiable(eps0, f"(C_tilde / C) * epsilon = {ratio!r} * {epsilon!r} ")
     eps_new = amplified_epsilon(eps0, p_star)
     delta_new = 0.0 if family == LAPLACE else p_star * delta
     return AmplificationReport(

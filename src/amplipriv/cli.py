@@ -30,7 +30,7 @@ from .datasets import CompleteDataset, NeighborPair, load_dataset_csv, mask_bits
 from .divergence import MC_MAX_COORDINATES, MC_MIN_SAMPLES
 from .errors import SchemaError, UnsupportedMechanismError
 from .missingness import MECHANISMS, DatasetMechanism, p_star, tight_rho, verify_rho
-from .noise import EPSILON_MAX, FAMILIES, LAPLACE, ComposedMechanism, calibrate
+from .noise import EXPONENTIABLE, FAMILIES, LAPLACE, ComposedMechanism, calibrate
 from .noise import release_record, run_composed
 from .queries import POST_MAPS, QUERY_KINDS, FwlQuery, make_standard_query, named_postprocess
 from .queries import sensitivity_masked
@@ -119,9 +119,6 @@ class Field(NamedTuple):
 
 
 NONNEGATIVE = (lambda x: x >= 0, "must be nonnegative")
-# the accountant and the audit form e^epsilon
-EXPONENTIABLE = (lambda x: x <= EPSILON_MAX,
-                 f"must be at most {EPSILON_MAX!r}, past which e^epsilon overflows")
 POSITIVE = (lambda x: x > 0, "must be positive")
 BERNOULLI, PATTERN = ("mcar_bernoulli", "capped_bernoulli"), ("mcar_pattern",)
 MAR, HISTOGRAM = ("mar_anchored",), ("histogram",)
@@ -131,14 +128,12 @@ FIELDS = {f.path: f for f in (
     F("bound_B", _num, "bound on the magnitude of every entry", rule=POSITIVE),
     F("family", _choice("family", tuple(FAMILIES)), "noise family"),
     F("budget", _object, "base budget the noise is calibrated to"),
-    F("budget.epsilon", _num, "base epsilon, positive; at most 1 for gaussian",
-      rule=EXPONENTIABLE),
+    F("budget.epsilon", _num, "base epsilon, positive; at most 1 for gaussian"),
     F("budget.delta", _num, "base delta: 0 for laplace, in (0, 1] for gaussian", 0.0),
     F("rho", _num, "declared observed-fraction bound in [0, 1], verified", None),
     F("epsilon_grid", _list("a list of numbers"), "base epsilons audited; absent, the budget's",
       None, (bool, "must list at least one epsilon")),
-    F("epsilon_grid[i]", _num, "one base epsilon, positive; at most 1 for gaussian",
-      rule=EXPONENTIABLE),
+    F("epsilon_grid[i]", _num, "one base epsilon, positive; at most 1 for gaussian"),
     F("dataset", _object, "the complete dataset: inline rows, or else a CSV file"),
     F("dataset.inline", _list("a list of rows of numbers"), "its rows", None),
     F("dataset.inline[i]", _list("a list of numbers"), "one row"),
@@ -202,9 +197,7 @@ FIELDS = {f.path: f for f in (
       f"method; samples times the output dimension at most {MC_MAX_COORDINATES}; for a Laplace "
       "box interval, it sets the precision and caps the corners read", 100_000),
     F("audit.claim", _object, "a budget audited in place of the accountant's", None),
-    F("audit.claim.epsilon", _num, "claimed epsilon", rule=(
-        lambda x: 0 <= x <= EPSILON_MAX,
-        f"must be nonnegative and at most {EPSILON_MAX!r}, past which e^epsilon overflows")),
+    F("audit.claim.epsilon", _num, "claimed epsilon", rule=EXPONENTIABLE),  # read as e^epsilon
     F("audit.claim.delta", _num, "claimed delta",
       rule=(lambda x: 0 <= x <= 1, "must lie in [0, 1]")),
     F("release_mask", _boolean, "simulate also writes the drawn mask: never private", False),
@@ -441,6 +434,14 @@ def _calibrated(scn: Scenario, query: FwlQuery, epsilon=None, at: str = "budget.
         raise _blame(exc, {"epsilon": at, "delta": "budget.delta"}, "query") from None
 
 
+def _amplified(scn: Scenario, epsilon: float, ps: float, bounds, at: str):
+    """The accountant's report at the base ``epsilon`` read from field ``at``."""
+    try:
+        return amplify_fwl(epsilon, scn.budget[1], ps, bounds, family=scn.family)
+    except ValueError as exc:  # an epsilon_0 = (C_tilde / C) * epsilon past EPSILON_MAX
+        raise _blame(exc, {"epsilon": at}, None) from None
+
+
 # --- rendering -----------------------------------------------------------------
 
 
@@ -537,8 +538,7 @@ def _cmd_amplify(scn: Scenario, out_dir: Path, stem: str) -> int:
     ps = p_star(missing)
     rho = scn.declared_rho(missing)
     bounds = sensitivity_masked(query, scn.bound_B, rho)
-    eps, delta = scn.budget
-    report = amplify_fwl(eps, delta, ps, bounds, family=scn.family)
+    report = _amplified(scn, scn.budget[0], ps, bounds, "budget.epsilon")
     payload = report.to_json_dict()
     payload["mechanism_class"] = missing.feature_mech.mechanism_class.value
     emit_report(payload, "json", out_dir / f"{stem}_amplify.json")
@@ -557,8 +557,13 @@ def _cmd_audit(scn: Scenario, out_dir: Path, stem: str) -> int:
     scn.declared_rho(missing)  # validates any declared bound
     pair = scn.neighbor_pair()
     grid = scn.epsilon_grid()
-    for i, eps in enumerate(grid):  # names the grid epsilon the calibration refuses
-        _calibrated(scn, query, eps, f"epsilon_grid[{i}]")
+    fields = (["budget.epsilon"] if scn.get("epsilon_grid") is None
+              else [f"epsilon_grid[{i}]" for i in range(len(grid))])
+    # names the epsilon the calibration or the audit's accountant refuses
+    ps, bounds = p_star(missing), sensitivity_masked(query, scn.bound_B, tight_rho(missing))
+    for eps, at in zip(grid, fields):
+        _calibrated(scn, query, eps, at)
+        _amplified(scn, eps, ps, bounds, at)
     options = scn.audit_options()
     try:
         table = verify_amplification(

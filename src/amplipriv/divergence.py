@@ -73,7 +73,7 @@ import numpy as np
 
 from .errors import DimensionError, SupportError
 from .missingness import substream, _KEY_MC
-from .noise import EPSILON_MAX, FAMILIES, LAPLACE
+from .noise import FAMILIES, LAPLACE, check_exponentiable
 from .roots import _EPS, gaussian_signs, laplace_signs
 
 _NORM_TOL = 1e-12
@@ -319,9 +319,7 @@ def hockey_stick_mixture_1d(
     """
     if not tol > 0:
         raise ValueError(f"tol: must be positive, got {tol!r}")
-    if not 0 <= epsilon <= EPSILON_MAX:
-        raise ValueError(f"epsilon must be finite and nonnegative, at most {EPSILON_MAX!r}, "
-                         f"past which e^epsilon overflows, got {epsilon!r}")
+    check_exponentiable(epsilon)
     for name, M in (("P", P), ("Q", Q)):
         if M.centers.shape[1] != 1:
             raise DimensionError(
@@ -431,22 +429,25 @@ def _box_interval(
               for side in (0, 1))
     first, last = np.array([a[0] for a in axes]), np.array([a[-1] for a in axes])
     corners = ((np.arange(1 << k)[:, None] >> np.arange(k)) & 1).astype(bool)  # (2^k, k)
-    # each lattice box's corners as flat indices into the lattice values, (boxes, 2^k)
-    at = np.ravel_multi_index(index[:, :, None] + corners.T[:, None], [len(a) for a in axes])
     logs = 1.0 + epsilon + max(float(np.abs(M.log_coef).max()) for M in (P, Q))
     # a k-term product of masses, each within 4 ulp, and an m-term weighted sum, per box
     box_err = (1.0 + alpha) * (5 * k + max(P.log_coef.size, Q.log_coef.size) + 8) * _EPS
     block = max(1, (8 * _BLOCK) >> k)  # boxes whose corners one kernel call reads
 
-    def bounds(lo, hi, at=None):  # per box: its lower and upper bound, and the coordinates to split
+    shape = [len(a) for a in axes]
+
+    # per box: its lower and upper bound, and the coordinates to split; the lattice
+    # boxes' corners are lattice points, so their values are gathered by flat index
+    def bounds(lo, hi, lattice=False):
         low, up = np.empty(len(lo)), np.empty(len(lo))
         split = np.empty(lo.shape, dtype=bool)
         for i in range(0, len(lo), block):
             l, h = lo[i : i + block], hi[i : i + block]
-            if at is None:
+            if lattice:
+                at = np.ravel_multi_index(index[:, i : i + block, None] + corners.T[:, None], shape)
+                lp, lq = log_p[at.ravel()], log_q[at.ravel()]
+            else:
                 lp, lq = kernel(np.where(corners, h[:, None], l[:, None]).reshape(-1, k))
-            else:  # lattice boxes: their corners are lattice points
-                lp, lq = log_p[at[i : i + block]].ravel(), log_q[at[i : i + block]].ravel()
             g = (lp - lq).reshape(len(l), -1)
             err = (2.0 ** -40 * (logs + np.abs(lp) + np.abs(lq))).reshape(len(l), -1)
             for j in range(k):  # corners without bit j against their partners with it
@@ -467,7 +468,7 @@ def _box_interval(
                 p_mass - alpha * q_mass * np.exp(np.minimum(r_min - epsilon, 0.0))), 0.0)
         return low, up, split
 
-    low, up, split = bounds(lo, hi, at)
+    low, up, split = bounds(lo, hi, lattice=True)
     budget = n_samples - (len(lo) << k)  # corners the kernel may still read; the first round counts
     while True:
         err = len(lo) * box_err
@@ -534,9 +535,7 @@ def mc_delta_vector(
     k, k_q = P.centers.shape[1], Q.centers.shape[1]
     if k != k_q:
         raise DimensionError(f"P has output dimension {k} but Q has output dimension {k_q}")
-    if not 0 <= epsilon <= EPSILON_MAX:
-        raise ValueError(f"epsilon must be finite and nonnegative, at most {EPSILON_MAX!r}, "
-                         f"past which e^epsilon overflows, got {epsilon!r}")
+    check_exponentiable(epsilon)
     check_samples(n_samples, k)
     kernel = _Kernel((P, Q))
     lattice = _centre_lattice(P, Q, kernel, n_samples)  # the one read of the lattice

@@ -27,8 +27,21 @@ from .queries import FwlQuery, sensitivity_complete
 # smallest multiplicative margin that keeps the strict inequality on the
 # Gaussian constant after a decimal serialization round trip
 GAUSSIAN_MARGIN = 1.0 + 1e-6
-# the largest epsilon whose e^epsilon is a finite float, ln(DBL_MAX)
+# the largest epsilon whose e^epsilon is a finite float, ln(DBL_MAX), and the
+# (check, rule) of an epsilon that is exponentiated, read by the field table too
 EPSILON_MAX = math.log(sys.float_info.max)
+EXPONENTIABLE = (lambda x: 0 <= x <= EPSILON_MAX,
+                 f"must be nonnegative and at most {EPSILON_MAX!r}, past which e^epsilon overflows")
+
+
+def check_exponentiable(epsilon: float, formed: str = "") -> None:
+    """Refuse, naming epsilon, a value whose e^value is no finite float;
+    ``formed`` says how the value was formed from epsilon, when it is not
+    epsilon itself."""
+    ok, rule = EXPONENTIABLE
+    if not ok(epsilon):
+        raise BudgetRangeError(f"epsilon: {formed}{rule}, got {epsilon!r}")
+
 
 LAPLACE = "laplace"
 GAUSSIAN = "gaussian"

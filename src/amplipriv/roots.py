@@ -122,13 +122,6 @@ def laplace_signs(P: VectorMixture, Q: VectorMixture, alpha: float) -> tuple:
       its integral of E / 2b, which bounds its K ^ K' too. The charges go
       to ``root_err``.
 
-    - Settled and negative everywhere. When every L_k < -e^L_k and every
-      R_k < -e^R_k, every piece and both tails are settled, and the exact L
-      and R are negative with them, so h < 0 on every piece and tail: K and
-      K' are empty and nothing is charged. The sweep then returns right after
-      the running sums, with edges (-inf, inf), no interval kept and
-      root_err = lost = 0, which is what the full path computes there.
-
     ``root_err`` and ``lost`` are raised by 2^-40 for their own sums. Where
     P = Q every s_j is 0 and every piece is unsettled, so delta is 0 with a
     tolerance of a few ulp.
@@ -149,8 +142,6 @@ def laplace_signs(P: VectorMixture, Q: VectorMixture, alpha: float) -> tuple:
     phi = (3.0 * z + 21.0) * (0.5 * _EPS) * f + _TINY
     L, T, e_L = _running_sums(s, t, sigma, f, phi)
     R, T_R, e_R = (a[::-1] for a in _running_sums(*(a[::-1] for a in (s, t, sigma, f, phi))))
-    if (L < -e_L).all() and (R < -e_R).all():  # h < 0 everywhere, settled: no root, no loss
-        return np.array([-np.inf, np.inf]), np.array([], dtype=np.intp), 0.0, 0.0
 
     # piece k runs from c_k to c_(k+1): h has L_k on its left and R_(k+1) on its right
     left, right = L[:-1], R[1:]

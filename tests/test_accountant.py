@@ -89,12 +89,21 @@ class TestAmplifyFwl:
 
     def test_an_epsilon_whose_exponential_overflows_is_refused(self):
         # a ValueError that names epsilon, not an OverflowError from expm1
-        for call in (lambda: amplify_fwl(800.0, 0.0, 0.5, bounds(2.0, 1.0), family="laplace"),
-                     lambda: amplified_epsilon(800.0, 0.5),
+        for call in (lambda: amplified_epsilon(800.0, 0.5),
                      lambda: amplify_generic(PrivacyBudget(800.0, 0.0), 0.5)):
-            with pytest.raises(BudgetRangeError, match="^epsilon: must be .* at most 709.78"):
+            with pytest.raises(BudgetRangeError, match="^epsilon: must be nonnegative and at "
+                               "most 709.782712893384, past which e.epsilon overflows, got 800.0$"):
                 call()
-        report = amplify_fwl(EPSILON_MAX, 0.0, 0.5, bounds(2.0, 1.0), family="laplace")
+        with pytest.raises(BudgetRangeError, match=r"^epsilon: \(C_tilde / C\) \* epsilon = "
+                           r"0.5 \* 1500.0 must be nonnegative and at most 709.78.*, got 750.0$"):
+            amplify_fwl(1500.0, 0.0, 0.5, bounds(2.0, 1.0), family="laplace")
+
+    def test_only_epsilon_0_needs_a_finite_exponential(self):
+        # the accountant exponentiates epsilon_0 = (C_tilde / C) * epsilon, not epsilon
+        report = amplify_fwl(800.0, 0.0, 0.5, bounds(2.0, 1.0), family="laplace")
+        assert report.base.epsilon == 800.0
+        assert report.amplified.epsilon == amplified_epsilon(400.0, 0.5)
+        report = amplify_fwl(2 * EPSILON_MAX, 0.0, 0.5, bounds(2.0, 1.0), family="laplace")
         assert math.isfinite(report.amplified.epsilon) and report.amplified.epsilon < EPSILON_MAX
 
     def test_degenerate_sensitivity(self):

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from amplipriv import audit
 from amplipriv.cli import AUDIT_CSV_HEADER, FIELDS, build_parser, main, run_scenario
+from amplipriv.noise import EPSILON_MAX
 from test_golden_reports import MC_SCENARIO
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -205,42 +206,60 @@ class TestSchemaDiagnostics:
         assert run(command, path, tmp_path) == 1
         assert "scenario.budget.epsilon" in capsys.readouterr().err
 
+    # past ln(DBL_MAX) = 709.782712893384, e^epsilon overflows. The audit reads
+    # e^epsilon of a claimed epsilon; the accountant reads that of epsilon_0 =
+    # (C_tilde / C) * epsilon, which is half the base epsilon here.
+    RANGE = "must be nonnegative and at most 709.782712893384, past which e^epsilon overflows"
+    HALVED = "(C_tilde / C) * epsilon = 0.5 * 1500.0 " + RANGE
     EPSILON_FIELDS = [
-        ("audit", "audit.claim.epsilon", "must be nonnegative and at most",
+        ("audit", "audit.claim.epsilon", 800.0, f"{RANGE}, got 800.0", EPSILON_MAX,
          lambda scn, e: scn["audit"].update(claim={"epsilon": e, "delta": 0.5})),
-        ("audit", "epsilon_grid[0]", "must be at most",
-         lambda scn, e: scn.update(epsilon_grid=[e])),
-        ("audit", "budget.epsilon", "must be at most",
-         lambda scn, e: scn["budget"].update(epsilon=e)),
-        ("amplify", "budget.epsilon", "must be at most",
+        ("audit", "epsilon_grid[1]", 1500.0, f"{HALVED}, got 750.0", 2 * EPSILON_MAX,
+         lambda scn, e: scn.update(epsilon_grid=[0.5, e])),
+        ("audit", "budget.epsilon", 1500.0, f"{HALVED}, got 750.0", 2 * EPSILON_MAX,
+         lambda scn, e: (scn.pop("epsilon_grid"), scn["budget"].update(epsilon=e))),
+        ("amplify", "budget.epsilon", 1500.0, f"{HALVED}, got 750.0", 2 * EPSILON_MAX,
          lambda scn, e: scn["budget"].update(epsilon=e)),
     ]
 
     EPSILON_IDS = ["audit-claim", "audit-grid", "audit-budget", "amplify-budget"]
 
-    @pytest.mark.parametrize("command, field, rule, edit", EPSILON_FIELDS, ids=EPSILON_IDS)
-    def test_an_epsilon_whose_exponential_overflows_is_named(self, tmp_path, laplace_scn,
-                                                              capsys, command, field, rule, edit):
-        # past ln(DBL_MAX) = 709.78..., e^epsilon overflows: exit 1, not a traceback
+    @pytest.mark.parametrize("command, field, refused, rule, largest, edit", EPSILON_FIELDS,
+                             ids=EPSILON_IDS)
+    def test_an_epsilon_whose_exponential_overflows_is_named(
+            self, tmp_path, laplace_scn, capsys, command, field, refused, rule, largest, edit):
+        # exit 1 naming the field, not an OverflowError traceback
         scn = json.loads(laplace_scn.read_text())
-        edit(scn, 800)
+        edit(scn, refused)
         path = tmp_path / "large.json"
         path.write_text(json.dumps(scn))
         assert run(command, path, tmp_path) == 1
-        assert capsys.readouterr().err == (
-            f"error: scenario.{field}: {rule} 709.782712893384, past which "
-            "e^epsilon overflows, got 800.0\n")
+        assert capsys.readouterr().err == f"error: scenario.{field}: {rule}\n"
 
-    @pytest.mark.parametrize("command, field, rule, edit", EPSILON_FIELDS, ids=EPSILON_IDS)
+    @pytest.mark.parametrize("command, field, refused, rule, largest, edit", EPSILON_FIELDS,
+                             ids=EPSILON_IDS)
     def test_the_largest_epsilon_writes_its_report(self, tmp_path, laplace_scn, command,
-                                                   field, rule, edit):
+                                                   field, refused, rule, largest, edit):
         scn = json.loads(laplace_scn.read_text())
-        edit(scn, 709.782712893384)
+        edit(scn, largest)
         path = tmp_path / "largest.json"
         path.write_text(json.dumps(scn))
         assert run(command, path, tmp_path / "out") == 0
         reports = sorted((tmp_path / "out").iterdir())
         assert reports and not any("nan" in p.read_text().lower() for p in reports)
+
+    @pytest.mark.parametrize("command", ["calibrate", "simulate"])
+    @pytest.mark.parametrize("epsilon", [800.0, 1e6])
+    def test_an_epsilon_never_exponentiated_has_no_upper_bound(self, tmp_path, laplace_scn,
+                                                               command, epsilon):
+        # the Laplace scale is C / epsilon, so these commands form no e^epsilon
+        scn = json.loads(laplace_scn.read_text())
+        scn["budget"]["epsilon"] = epsilon
+        path = tmp_path / "large.json"
+        path.write_text(json.dumps(scn))
+        assert run(command, path, tmp_path / "out") == 0
+        report, = (tmp_path / "out").iterdir()
+        assert "nan" not in report.read_text().lower()
 
     @pytest.mark.parametrize("field", [
         "bound_B", "rho", "epsilon_grid[1]", "audit.tolerance", "audit.samples",
