@@ -14,16 +14,26 @@ from hypothesis import strategies as st
 from scipy import integrate, optimize, stats
 
 from amplipriv import (
+    CompleteDataset,
+    ComposedMechanism,
+    DatasetMechanism,
     DimensionError,
+    McarBernoulli,
+    NeighborPair,
     VectorMixture,
+    composed_output_mixture,
     divergence,
     hockey_stick_mixture_1d,
+    make_standard_query,
     mc_delta_vector,
+    named_postprocess,
+    verify_amplification,
 )
 from amplipriv.divergence import MC_MAX_COORDINATES, _Kernel, check_samples
 from amplipriv.missingness import _KEY_MC, substream
 from amplipriv.roots import _TAIL_SCALES as _TAIL
-from amplipriv.noise import EPSILON_MAX, FAMILIES
+from amplipriv.noise import EPSILON_MAX, FAMILIES, calibrate
+from amplipriv.roots import laplace_signs
 from oracles import DiscreteDistribution, gather_sample, hockey_stick_discrete, mix_discrete
 
 GAUSS_TV_UNIT_SHIFT = 0.3829249225480262  # Phi(1/2) - Phi(-1/2), closed form
@@ -400,6 +410,47 @@ class TestLaplaceSweep:
         Q = VectorMixture(w, P.centers[perm + perm[:1]], "laplace", P.scale)
         est = hockey_stick_mixture_1d(P, Q, 0.0)
         assert est.value <= est.tolerance < 1e-13
+
+
+# the benchmark's seed-2 audit-lattice point: a 2x6 clipped mean, then sum,
+# under MCAR Bernoulli(1/2) masks, row 0 replaced by all 0.5
+LATTICE_ROWS = ((-0.5,) * 6, (0.25, -0.5, 0.25, 0.5, 0.5, -0.25))
+LATTICE_CLAIM = {"epsilon": 0.25, "delta": 0.31271072120902776}
+
+
+def lattice_audit_pair(eps_base, claim=None):
+    """The audit-lattice point's two output mixtures at base epsilon
+    ``eps_base``, and the epsilon its audit row evaluates them at."""
+    query = named_postprocess(make_standard_query("clipped_mean", n=2, d=6, clip=0.5), "sum")
+    cm = ComposedMechanism(noise=calibrate(query, "laplace", eps_base, 0.0, 0.5),
+                           missing=DatasetMechanism(McarBernoulli([0.5] * 6), n=2))
+    left = CompleteDataset(LATTICE_ROWS, bound_B=0.5)
+    pair = NeighborPair(left, left.substitute(0, (0.5,) * 6))
+    row, = verify_amplification(cm, pair, [eps_base], claim=claim).rows
+    P, Q = (composed_output_mixture(cm, ds) for ds in (pair.left, pair.right))
+    return P, Q, row.epsilon_eval
+
+
+class TestLaplaceSweepOnTheLatticeAudit:
+    """The sweep on the seed-2 audit-lattice rows, to the last bit: the three
+    accountant rows, where delta is 0, and the claim row, whose one kept
+    interval runs from -inf to its one root."""
+
+    PINNED = {  # (eps_base, claim): value, tolerance, edges, keep
+        (0.25, False): ("0x0.0p+0", "0x1.23c9861a6c3c0p-48", ["-inf", "inf"], []),
+        (0.5, False): ("0x0.0p+0", "0x1.51bd273f2c740p-48", ["-inf", "inf"], []),
+        (1.0, False): ("0x0.0p+0", "0x1.d880e60e8060bp-48", ["-inf", "inf"], []),
+        (1.0, True): ("0x1.c5b22c97840a1p-4", "0x1.245af1e1f4133p-47",
+                      ["-inf", "-0x1.e587580559017p-3", "inf"], [0]),
+    }
+
+    @pytest.mark.parametrize("eps_base, claim", list(PINNED))
+    def test_value_tolerance_and_edges_to_the_last_bit(self, eps_base, claim):
+        P, Q, eps = lattice_audit_pair(eps_base, LATTICE_CLAIM if claim else None)
+        est = hockey_stick_mixture_1d(P, Q, eps)
+        edges, keep, _, _ = laplace_signs(P, Q, math.exp(eps))
+        assert (est.value.hex(), est.tolerance.hex(), [x.hex() for x in edges],
+                keep.tolist()) == self.PINNED[eps_base, claim]
 
 
 class TestOneFamilyAndScale:

@@ -1,6 +1,7 @@
 """Golden reports: every command on the shipped scenarios and on one inline
-Monte Carlo scenario must write the same bytes, print the same lines and exit
-the same way as when the digests in ``golden_reports.json`` were pinned.
+Monte Carlo scenario, and the exact audit of two inline scenarios, must write
+the same bytes, print the same lines and exit the same way as when the
+digests in ``golden_reports.json`` were pinned.
 
 A change that moves the last bit of any report fails here. A change that
 means to move one re-pins the digests and says why:
@@ -41,9 +42,51 @@ MC_SCENARIO = {
               "claim": {"epsilon": 0.1, "delta": 0.11}},
 }
 
+# shaped like the benchmark's audit-lattice point: 2x6 on {0, +-0.25, +-0.5},
+# clipped mean then sum, an exact Laplace audit of a grid at a claimed epsilon
+LATTICE_SCENARIO = {
+    "seed": 2,
+    "bound_B": 0.5,
+    "dataset": {"inline": [[-0.5] * 6, [0.25, -0.5, 0.25, 0.5, 0.5, -0.25]]},
+    "neighbor": {"row": 0, "replacement": [0.5] * 6},
+    "mechanism": {"kind": "mcar_bernoulli", "pi": [0.5] * 6},
+    "query": {"kind": "clipped_mean", "params": {"n": 2, "d": 6, "clip": 0.5},
+              "post": [{"map": "sum"}]},
+    "family": "laplace",
+    "budget": {"epsilon": 1.0, "delta": 0.0},
+    "epsilon_grid": [0.25, 0.5, 1.0],
+    "audit": {"method": "exact", "tolerance": 1e-7,
+              "claim": {"epsilon": 0.25, "delta": 0.31271072120902776}},
+}
+
+# shaped like the Gaussian half of the benchmark's audit-quadrature point: 2x3
+# dyadic rows, clipped mean then sum, an exact audit of a grid at a claim
+GAUSSIAN_SCENARIO = {
+    "seed": 2,
+    "bound_B": 0.5,
+    "dataset": {"inline": [[-0.5] * 3, [-0.3935546875, 0.259765625, 0.49609375]]},
+    "neighbor": {"row": 0, "replacement": [0.5] * 3},
+    "mechanism": {"kind": "mcar_bernoulli", "pi": [0.5] * 3},
+    "query": {"kind": "clipped_mean", "params": {"n": 2, "d": 3, "clip": 0.5},
+              "post": [{"map": "sum"}]},
+    "family": "gaussian",
+    "budget": {"epsilon": 1.0, "delta": 1e-5},
+    "epsilon_grid": [0.25, 0.5, 1.0],
+    "audit": {"method": "exact", "tolerance": 1e-7,
+              "claim": {"epsilon": 0.05, "delta": 0.06112211897607489}},
+}
+
+INLINE = {
+    "mc_vector_claim.json": MC_SCENARIO,
+    "lattice_sum_claim.json": LATTICE_SCENARIO,
+    "gaussian_grid_claim.json": GAUSSIAN_SCENARIO,
+}
+
 CASES = [
     *(f"{path.name}:{command}" for path in sorted(SCENARIOS.glob("*.json")) for command in COMMANDS),
     *(f"mc_vector_claim.json:{command}" for command in COMMANDS),
+    "lattice_sum_claim.json:audit",
+    "gaussian_grid_claim.json:audit",
 ]
 
 
@@ -54,9 +97,9 @@ def _digest(data: bytes) -> str:
 def run_case(case: str, work: Path) -> dict:
     """Exit code and the SHA-256 of stdout, stderr and every report of one call."""
     name, command = case.split(":")
-    if name == "mc_vector_claim.json":
+    if name in INLINE:
         scenario = work / name
-        scenario.write_text(json.dumps(MC_SCENARIO))
+        scenario.write_text(json.dumps(INLINE[name]))
     else:
         scenario = SCENARIOS / name
     out_dir = work / "out"
