@@ -187,9 +187,9 @@ def verify_amplification(
     {"epsilon": e, "delta": d} hypothesis, so claimed budgets can be audited
     and refuted.
 
-    Recalibration changes only the noise scale, so the centre laws of
-    ``pair.left`` and ``pair.right`` are built once, before the grid, from
-    row supports read once: one row's when the mechanism is MCAR.
+    Every epsilon is calibrated and accounted before any centre law is built.
+    Only the noise scale depends on epsilon, so each of the two output laws
+    is built once, from row supports read once, and rescaled per epsilon.
     """
     if method not in ("exact", "mc"):
         raise ValueError("method: must be 'exact' or 'mc'")
@@ -197,20 +197,23 @@ def verify_amplification(
         _require_scalar(cm, "method: ")
     # whatever the method, as the scenario's audit.samples is
     check_samples(n_samples, cm.noise.query.output_dim)
-    epsilons, datasets = list(epsilons), (pair.left, pair.right)
-    supports = _row_supports(cm.missing, datasets) if epsilons else []
-    laws = [_centre_law(cm.noise.query, ds, s) for ds, s in zip(datasets, supports)]
     ps, noise = p_star(cm.missing), cm.noise
     bounds = sensitivity_masked(noise.query, noise.bound_B, tight_rho(cm.missing))
-
-    def one(eps_base: float):
+    budgets = []
+    for eps_base in epsilons:
         mech = calibrate(noise.query, noise.family, eps_base, noise.budget.delta, noise.bound_B)
-        report = amplify_fwl(eps_base, mech.budget.delta, ps, bounds, family=mech.family)
+        budgets.append((eps_base, mech, amplify_fwl(eps_base, mech.budget.delta, ps, bounds,
+                                                    family=mech.family)))
+    supports = _row_supports(cm.missing, (pair.left, pair.right)) if budgets else []
+    mixtures = [VectorMixture(*_centre_law(noise.query, ds, s), noise.family, noise.scale)
+                for ds, s in zip((pair.left, pair.right), supports)]
+
+    def one(eps_base: float, mech, report: AmplificationReport):
         if claim is not None:
             eps_eval, bound = float(claim["epsilon"]), float(claim["delta"])
         else:
             eps_eval, bound = report.amplified.epsilon, report.amplified.delta
-        pm, qm = (VectorMixture(*law, mech.family, mech.scale) for law in laws)
+        pm, qm = (M.rescaled(mech.scale) for M in mixtures)
         if method == "exact":
             est = hockey_stick_mixture_1d(pm, qm, eps_eval)
             verdict = "PASS" if est.value <= bound + 10.0 * est.tolerance else "FAIL"
@@ -220,12 +223,10 @@ def verify_amplification(
         tolerance = est.tolerance if est.tolerance is not None else float("nan")
         return AuditRow(epsilon_base=float(eps_base), epsilon_eval=eps_eval, bound=bound,
                         empirical=est.value, method=est.method, tolerance=tolerance,
-                        verdict=verdict, ci=est.ci), report
+                        verdict=verdict, ci=est.ci)
 
-    results = [one(e) for e in epsilons]
-    rows = tuple(r for r, _ in results)
-    last_report = results[-1][1] if results else None
-    return AuditTable(rows=rows, report=last_report)
+    rows = tuple(one(*b) for b in budgets)
+    return AuditTable(rows=rows, report=budgets[-1][2] if budgets else None)
 
 
 # --- the p_star = 1 tightness instance ----------------------------------------

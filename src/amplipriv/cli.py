@@ -19,6 +19,7 @@ import math
 import operator
 import sys
 from functools import partial
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
@@ -452,17 +453,26 @@ def _render_value(v) -> str:
     return str(v)
 
 
-def _stable_json(obj) -> str:
-    def convert(o):
-        if isinstance(o, float):
-            return repr(float(o))
-        if isinstance(o, dict):
-            return {k: convert(v) for k, v in o.items()}
-        if isinstance(o, (list, tuple)):
-            return [convert(v) for v in o]
-        return o
-
-    return json.dumps(convert(obj), sort_keys=True, indent=2) + "\n"
+def _stable_json(o, pad: str = "\n") -> str:
+    """``json.dumps(o, sort_keys=True, indent=2)`` with each float as the string of its
+    ``repr``, in one pass; ``pad`` is a newline and the enclosing indent. Keys must be str."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None or o is True or o is False:
+        return "null" if o is None else "true" if o else "false"
+    if isinstance(o, float):
+        return f'"{float(o)!r}"'
+    if isinstance(o, int):
+        return int.__repr__(o)
+    inner = pad + "  "
+    if isinstance(o, dict):
+        ends, items = "{}", [f"{encode_basestring_ascii(k)}: {_stable_json(o[k], inner)}"
+                             for k in sorted(o)]
+    elif isinstance(o, (list, tuple)):
+        ends, items = "[]", [_stable_json(v, inner) for v in o]
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+    return ends[0] + inner + f",{inner}".join(items) + pad + ends[1] if items else ends
 
 
 def _replace_text(path: Path, text: str) -> None:
@@ -477,7 +487,7 @@ def _replace_text(path: Path, text: str) -> None:
 def emit_report(results, fmt: str, path: Path) -> None:
     """Write a report; identical inputs produce byte-identical files."""
     if fmt == "json":
-        _replace_text(path, _stable_json(results))
+        _replace_text(path, _stable_json(results) + "\n")
         return
     if fmt == "csv":
         rows = results["rows"] if isinstance(results, dict) and "rows" in results else results
@@ -557,23 +567,21 @@ def _cmd_audit(scn: Scenario, out_dir: Path, stem: str) -> int:
     scn.declared_rho(missing)  # validates any declared bound
     pair = scn.neighbor_pair()
     grid = scn.epsilon_grid()
-    fields = (["budget.epsilon"] if scn.get("epsilon_grid") is None
-              else [f"epsilon_grid[{i}]" for i in range(len(grid))])
-    # names the epsilon the calibration or the audit's accountant refuses
-    ps, bounds = p_star(missing), sensitivity_masked(query, scn.bound_B, tight_rho(missing))
-    for eps, at in zip(grid, fields):
-        _calibrated(scn, query, eps, at)
-        _amplified(scn, eps, ps, bounds, at)
-    options = scn.audit_options()
     try:
         table = verify_amplification(
             ComposedMechanism(noise=mech, missing=missing),
             pair,
             grid,
             seed=scn.seed,
-            **options,
+            **scn.audit_options(),
         )
     except ValueError as exc:
+        # first name the epsilon the calibration or the audit's accountant refuses
+        ps, bounds = p_star(missing), sensitivity_masked(query, scn.bound_B, tight_rho(missing))
+        for i, eps in enumerate(grid):
+            at = "budget.epsilon" if scn.get("epsilon_grid") is None else f"epsilon_grid[{i}]"
+            _calibrated(scn, query, eps, at)
+            _amplified(scn, eps, ps, bounds, at)
         paths = {"method": "audit.method", "n_samples": "audit.samples"}
         raise _blame(exc, paths, None) from None
     rows = _audit_rows_to_dicts(table)

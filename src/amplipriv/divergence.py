@@ -98,10 +98,10 @@ class VectorMixture:
     component i adds i.i.d. noise of one family and scale to every coordinate
     of its centre, row i of ``centers`` (m, k). A 1-D law is the case k = 1.
 
-    When built it holds the kernel's columns: ``log_coef``, log w_i -
-    k log_norm(scale) for each positive-weight component in index order; and
-    ``kernel_centers``, per coordinate one contiguous row of those
-    components' centres.
+    When built it holds the kernel's columns: ``log_weights``, ``math.log``
+    of each positive weight in index order; ``log_coef``, those less
+    k log_norm(scale); and ``kernel_centers``, per coordinate one contiguous
+    row of those components' centres.
     """
 
     weights: np.ndarray
@@ -128,16 +128,27 @@ class VectorMixture:
             raise ValueError("centers must be finite")
         if self.family not in FAMILIES:
             raise ValueError(f"unknown mixture family '{self.family}'")
-        scale = float(self.scale)
-        if not 0 < scale < math.inf:
-            raise ValueError("continuous components need a finite positive scale")
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "centers", centers)
-        object.__setattr__(self, "scale", scale)
         cols = np.flatnonzero(weights > 0.0).tolist()
-        norm = centers.shape[1] * FAMILIES[self.family].log_norm(scale)
-        object.__setattr__(self, "log_coef", np.array([math.log(weights[i]) - norm for i in cols]))
+        object.__setattr__(self, "log_weights", np.array([math.log(weights[i]) for i in cols]))
         object.__setattr__(self, "kernel_centers", tuple(np.ascontiguousarray(centers[cols].T)))
+        self._set_scale(self.scale)
+
+    def _set_scale(self, scale: float) -> None:
+        scale = float(scale)
+        if not 0 < scale < math.inf:
+            raise ValueError("continuous components need a finite positive scale")
+        norm = self.centers.shape[1] * FAMILIES[self.family].log_norm(scale)
+        vars(self).update(scale=scale, log_coef=self.log_weights - norm)
+
+    def rescaled(self, scale: float) -> VectorMixture:
+        """This law at noise ``scale``, sharing all but ``log_coef`` with it."""
+        out = object.__new__(VectorMixture)
+        shared = ("weights", "centers", "family", "log_weights", "kernel_centers")
+        vars(out).update((name, vars(self)[name]) for name in shared)
+        out._set_scale(scale)
+        return out
 
     @property
     def components(self) -> tuple:

@@ -125,6 +125,10 @@ def laplace_signs(P: VectorMixture, Q: VectorMixture, alpha: float) -> tuple:
     ``root_err`` and ``lost`` are raised by 2^-40 for their own sums. Where
     P = Q every s_j is 0 and every piece is unsettled, so delta is 0 with a
     tolerance of a few ulp.
+
+    Two exits are exact. Each charge is 0 unless its bracket meets [0, d],
+    and W > W_r: with no root within W_r of its piece (W if settled, W < b),
+    ``root_err`` is 0.0. With no computed sign positive, h never changes sign.
     """
     both = P.centers[:, 0].tolist() + Q.centers[:, 0].tolist()
     centres = sorted(set(both))
@@ -172,22 +176,28 @@ def laplace_signs(P: VectorMixture, Q: VectorMixture, alpha: float) -> tuple:
         return dens_l[i] * _exp_above(-lo / b) + dens_r[i] * _exp_above((hi - d_k[i]) / b)
 
     w_r = 8.0 * _EPS * (d_k + b * (1.0 + np.abs(ln_l) + np.abs(ln_r)) + np.abs(x))
-    lo, hi = np.maximum(t_root - w_r, 0.0), np.minimum(t_root + w_r, d_k)
-    charge = np.where(lo < hi, w_r * density(slice(None), lo, hi), 0.0) / (2.0 * b)
     # a settled piece may take the second-order charge instead; W < b keeps it finite
     j = np.flatnonzero(settled[k])
     w = w_r[j] - 0.5 * b * (np.log1p(-e_left[k[j]] / np.abs(left[k[j]]))
                             + np.log1p(-e_right[k[j]] / np.abs(right[k[j]])))
     j, w = j[w < b], w[w < b]
-    lo, hi = t_root[j] - w, t_root[j] + w
-    far = np.where((lo < d_k[j]) & (hi > 0.0), 0.5 * w * (w / b) * density(j, lo, hi), 0.0)
-    charge[j] = np.minimum(far / (2.0 * b), charge[j] + within_e[k[j]])
-    root_err = math.fsum(charge.tolist()) * _UP
+    reach = w_r.copy()
+    reach[j] = w
+    root_err = 0.0  # every charge is 0 unless a root lies within reach of its piece
+    if ((t_root - reach < d_k) & (t_root + reach > 0.0)).any():
+        lo, hi = np.maximum(t_root - w_r, 0.0), np.minimum(t_root + w_r, d_k)
+        charge = np.where(lo < hi, w_r * density(slice(None), lo, hi), 0.0) / (2.0 * b)
+        lo, hi = t_root[j] - w, t_root[j] + w
+        far = np.where((lo < d_k[j]) & (hi > 0.0), 0.5 * w * (w / b) * density(j, lo, hi), 0.0)
+        charge[j] = np.minimum(far / (2.0 * b), charge[j] + within_e[k[j]])
+        root_err = math.fsum(charge.tolist()) * _UP
 
     # signs from -inf: the left tail, each piece's left and right parts, the right tail;
     # between them the centres and the roots
     sign = np.concatenate(([R[0] > 0.0], np.column_stack((pos_left, pos_right)).ravel(),
                            [L[-1] > 0.0]))
+    if not sign.any():
+        return np.array([-np.inf, np.inf]), np.empty(0, dtype=np.intp), root_err, lost
     at = np.column_stack((centres, np.append(roots, np.nan))).ravel()[:-1]
     change = np.flatnonzero(sign[:-1] != sign[1:])
     edges = np.concatenate(([-np.inf], at[change], [np.inf]))

@@ -11,12 +11,15 @@ the reference for the audit's row-by-row convolution. ``ORACLE_DRAWS``
 and ``gather_sample`` are the unit noise draws and the mixture sample written
 as whole-array expressions, the reference for the in-place Monte Carlo path.
 ``verify_fwl`` samples shared-mask neighbour pairs and tests the feature-wise
-Lipschitz inequality of a query's declared constants.
+Lipschitz inequality of a query's declared constants. ``stable_json`` is a
+report's JSON text by way of ``json.dumps``, the reference for the one-pass
+writer of ``cli``.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -255,3 +258,19 @@ def verify_fwl(q: FwlQuery, trials: int, B: float, seed: int = 0) -> FwlCheckRep
             worst = violation
             worst_case = (left, right, mask)
     return FwlCheckReport(max_violation=worst, worst_case=worst_case, trials=trials)
+
+
+def stable_json(obj) -> str:
+    """A report's JSON text: each float replaced by the string of its
+    ``repr``, then ``json.dumps`` with sorted keys and a two-space indent,
+    and a final newline."""
+    def convert(o):
+        if isinstance(o, float):
+            return repr(float(o))
+        if isinstance(o, dict):
+            return {k: convert(v) for k, v in o.items()}
+        if isinstance(o, (list, tuple)):
+            return [convert(v) for v in o]
+        return o
+
+    return json.dumps(convert(obj), sort_keys=True, indent=2) + "\n"

@@ -16,9 +16,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amplipriv import audit
-from amplipriv.cli import AUDIT_CSV_HEADER, FIELDS, build_parser, main, run_scenario
+import numpy as np
+
+from amplipriv import audit, cli
+from amplipriv.cli import AUDIT_CSV_HEADER, FIELDS, _stable_json, build_parser, main, run_scenario
 from amplipriv.noise import EPSILON_MAX
+from oracles import stable_json
 from test_golden_reports import MC_SCENARIO
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -160,6 +163,81 @@ class TestAuditOutputs:
             float(acc[key])
         for value in (*acc["base"].values(), *acc["amplified"].values()):
             float(value)
+
+
+class TestOneEpsilonPass:
+    """An audit calibrates and accounts each grid epsilon once, inside
+    ``verify_amplification``; the front end repeats that work only to name
+    the field of an epsilon the library refused."""
+
+    def test_each_epsilon_is_calibrated_and_accounted_once(self, tmp_path, laplace_scn,
+                                                           monkeypatch):
+        seen = []  # (function, epsilon) from the audit's and the front end's bindings
+
+        def counted(name, real, *args, **kwargs):
+            seen.append((name, args[2] if name == "calibrate" else args[0]))
+            return real(*args, **kwargs)
+
+        for module in (audit, cli):
+            for name in ("calibrate", "amplify_fwl"):
+                monkeypatch.setattr(module, name,
+                                    functools.partial(counted, name, getattr(module, name)))
+        scn = json.loads(laplace_scn.read_text())
+        assert run("audit", laplace_scn, tmp_path) == 0
+        # the budget's own calibration builds the mechanism that the grid recalibrates
+        assert [e for name, e in seen if name == "calibrate"] == [
+            scn["budget"]["epsilon"], *scn["epsilon_grid"]]
+        assert [e for name, e in seen if name == "amplify_fwl"] == scn["epsilon_grid"]
+
+    def test_a_refused_epsilon_is_named_before_refused_samples(self, tmp_path, laplace_scn,
+                                                              capsys):
+        scn = json.loads(laplace_scn.read_text())
+        scn["epsilon_grid"] = [0.5, 1500.0]  # the accountant refuses 0.5 * 1500
+        scn["audit"]["samples"] = 10  # fewer than the audit takes
+        path = tmp_path / "both.json"
+        path.write_text(json.dumps(scn))
+        assert run("audit", path, tmp_path) == 1
+        assert capsys.readouterr().err.startswith("error: scenario.epsilon_grid[1]: ")
+        scn["epsilon_grid"] = [0.5]
+        path.write_text(json.dumps(scn))
+        assert run("audit", path, tmp_path) == 1
+        assert capsys.readouterr().err.startswith("error: scenario.audit.samples: ")
+
+
+def json_trees():
+    """Report-like trees of dicts, lists and tuples, and now and then a leaf
+    that JSON cannot encode."""
+    floats = st.one_of(st.floats(), st.sampled_from([-0.0, math.inf, -math.inf, math.nan,
+                                                     5e-324, 2.0 ** -1022 - 2.0 ** -1074]),
+                       st.floats().map(np.float64))
+    strings = st.one_of(st.text(), st.sampled_from(["", "\x00\x1f\x7f\"\\/", "é☃\U0001f600",
+                                                    "\ud800"]))
+    unencodable = st.sampled_from([b"bytes", {1}, np.int64(1), np.bool_(True), 1j, object()])
+    leaves = st.one_of(floats, strings, st.integers(), st.booleans(), st.none(), unencodable)
+    return st.recursive(leaves, lambda children: st.one_of(
+        st.lists(children), st.lists(children).map(tuple),
+        st.dictionaries(strings, children)), max_leaves=40)
+
+
+class TestReportWriter:
+    """The one-pass writer against ``json.dumps`` of the converted tree."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(tree=json_trees())
+    def test_same_text_as_json_dumps(self, tree):
+        try:
+            expected = stable_json(tree)
+        except TypeError:
+            with pytest.raises(TypeError):
+                _stable_json(tree)
+        else:
+            assert _stable_json(tree) + "\n" == expected
+
+    @pytest.mark.parametrize("tree", [{1: 0}, {None: 0}, {(1,): 0}, {"a": 0, 1: 0},
+                                      [{"a": {2.5: 0}}]])
+    def test_a_key_that_is_no_string_is_refused(self, tree):
+        with pytest.raises(TypeError):
+            _stable_json(tree)
 
 
 class TestSchemaDiagnostics:

@@ -33,6 +33,7 @@ from amplipriv.divergence import MC_MAX_COORDINATES, _Kernel, check_samples
 from amplipriv.missingness import _KEY_MC, substream
 from amplipriv.roots import _TAIL_SCALES as _TAIL
 from amplipriv.noise import EPSILON_MAX, FAMILIES, calibrate
+from amplipriv import roots
 from amplipriv.roots import laplace_signs
 from oracles import DiscreteDistribution, gather_sample, hockey_stick_discrete, mix_discrete
 
@@ -451,6 +452,16 @@ class TestLaplaceSweepOnTheLatticeAudit:
         edges, keep, _, _ = laplace_signs(P, Q, math.exp(eps))
         assert (est.value.hex(), est.tolerance.hex(), [x.hex() for x in edges],
                 keep.tolist()) == self.PINNED[eps_base, claim]
+
+    @pytest.mark.parametrize("eps_base, claim", list(PINNED))
+    def test_rows_of_delta_0_charge_no_root(self, eps_base, claim, monkeypatch):
+        # every root charge bounds a density with ``_exp_above``: on the rows of
+        # delta 0 no root lies within reach of its piece, so none is formed
+        P, Q, eps = lattice_audit_pair(eps_base, LATTICE_CLAIM if claim else None)
+        calls, real = [], roots._exp_above
+        monkeypatch.setattr(roots, "_exp_above", lambda a: calls.append(a.size) or real(a))
+        _, _, root_err, _ = laplace_signs(P, Q, math.exp(eps))
+        assert (calls != [], root_err > 0.0) == (claim, claim)
 
 
 class TestOneFamilyAndScale:
@@ -1086,6 +1097,27 @@ class TestMixtureValidation:
                       family="laplace", scale=1.0)
         with pytest.raises(ValueError, match=message):
             VectorMixture(**{**fields, **change})
+
+    @pytest.mark.parametrize("family", ["laplace", "gaussian"])
+    def test_a_rescaled_mixture_is_the_one_built_at_its_scale(self, family):
+        # weights whose numpy log can differ from math.log in the last bit
+        pinned = TestPinnedQuadrature()
+        M = pinned.mixture(pinned.ODD + list(range(35)), 1, -0.0, 0.0, family)
+        x = np.linspace(-2.0, 2.0, 9)[:, None]
+        at_half = M.log_density(x)  # M's kernel, built at its own scale, is not shared
+        built = VectorMixture(M.weights, M.centers, family, 3.0)
+        R = M.rescaled(3)
+        assert (R.scale, M.scale) == (3.0, 0.5) and type(R.scale) is float
+        assert R.log_coef.tobytes() == built.log_coef.tobytes()
+        assert R.weights is M.weights and R.kernel_centers is M.kernel_centers
+        assert R.log_density(x).tobytes() == built.log_density(x).tobytes()
+        assert M.log_density(x).tobytes() == at_half.tobytes()
+
+    @pytest.mark.parametrize("scale", [0.0, -1.0, math.inf, math.nan])
+    def test_rescaling_refuses_what_building_refuses(self, scale):
+        M = unit("laplace", 0.0, 1.0)
+        with pytest.raises(ValueError, match="finite positive scale"):
+            M.rescaled(scale)
 
     def test_valid_mixture_keeps_array_fields(self):
         vm = VectorMixture(weights=[0.25, 0.75], centers=[[0.0], [1.0]], family="gaussian",
