@@ -143,7 +143,7 @@ class VectorMixture:
         vars(self).update(scale=scale, log_coef=self.log_weights - norm)
 
     def rescaled(self, scale: float) -> VectorMixture:
-        """This law at noise ``scale``, sharing all but ``log_coef`` with it."""
+        """This law at noise ``scale``: only ``scale`` and ``log_coef`` differ."""
         out = object.__new__(VectorMixture)
         shared = ("weights", "centers", "family", "log_weights", "kernel_centers")
         vars(out).update((name, vars(self)[name]) for name in shared)
