@@ -12,11 +12,10 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-
-import numpy as np
 
 from amplipriv import audit, cli
 from amplipriv.cli import AUDIT_CSV_HEADER, FIELDS, _stable_json, build_parser, main, run_scenario
